@@ -6,12 +6,114 @@ import pytest
 from lyapsearch.expr import LINEAR, LOG
 from lyapsearch.pq import apply_sequence, initial_pair
 from lyapsearch.sequences import generate_sequences
-from lyapsearch.simulate import (QuadraticObjective, SimulationError,
+from lyapsearch.simulate import (STEP_CHUNK, QuadraticObjective, SimulationError,
                                  SingularMassMatrixError, Trajectory, conservation_check,
-                                 integrate, kinetic_energy_decay, measure_rate)
-from lyapsearch.systems import CATALOG
+                                 integrate, measure_rate)
+from lyapsearch.systems import CATALOG, load_system
 
 GF_PARAMS = {"b": 0.0}
+
+
+# -- reference stepper ------------------------------------------------------------
+# Classical RK4 stage by stage, one derivative call per stage, with the
+# coefficients evaluated through Expr.eval: the differential reference for the
+# step-map integrator.
+
+
+def _rk4_step(deriv, t, state, dt):
+    k1 = deriv(t, state)
+    k2 = deriv(t + dt / 2, tuple(s + dt / 2 * k for s, k in zip(state, k1)))
+    k3 = deriv(t + dt / 2, tuple(s + dt / 2 * k for s, k in zip(state, k2)))
+    k4 = deriv(t + dt, tuple(s + dt * k for s, k in zip(state, k3)))
+    return tuple(s + dt / 6 * (a + 2 * b + 2 * c + d)
+                 for s, a, b, c, d in zip(state, k1, k2, k3, k4))
+
+
+def _reference_integrate(system, obj, x0, v0, t0, t1, dt, params):
+    c = [lambda t, e=e: e.eval(t, params) for e in system.coeffs]
+    eigs = obj.eigenvalues
+    n_steps = max(int(round((t1 - t0) / dt)), 1)
+    times = t0 + dt * np.arange(n_steps + 1)
+
+    if system.second_order:
+        def deriv(t, state):
+            x, v = state
+            v1 = x - obj.xstar
+            acc = -(c[0](t) * v1 + c[1](t) * (eigs * v1) + (c[2](t) + c[3](t) * eigs) * v)
+            return (v, acc / c[4](t))
+
+        state = (x0.copy(), v0.copy())
+        xs, vs = [x0.copy()], [v0.copy()]
+        for t in times[:-1]:
+            state = _rk4_step(deriv, t, state, dt)
+            xs.append(state[0].copy())
+            vs.append(state[1].copy())
+        return times, np.array(xs), np.array(vs)
+
+    def velocity(t, x):
+        v1 = x - obj.xstar
+        return -(c[0](t) * v1 + c[1](t) * (eigs * v1)) / (c[2](t) + c[3](t) * eigs)
+
+    def deriv(t, state):
+        (x,) = state
+        return (velocity(t, x),)
+
+    state = (x0.copy(),)
+    xs, vs = [x0.copy()], [velocity(t0, x0)]
+    for t in times[:-1]:
+        state = _rk4_step(deriv, t, state, dt)
+        xs.append(state[0].copy())
+        vs.append(velocity(t + dt, state[0]))
+    return times, np.array(xs), np.array(vs)
+
+
+def _kinetic_energy_decay(traj: Trajectory) -> float:
+    """Max increase of ||dx/dt||^2/2 + gap; friction should dissipate it."""
+    e = 0.5 * np.einsum("ij,ij->i", traj.vs, traj.vs) + traj.gaps
+    return float(np.max(np.diff(e) / (1.0 + np.abs(e[:-1]))))
+
+
+def _assert_matches_reference(system, obj, x0, v0, t0, t1, dt, params):
+    traj = integrate(system, obj, x0, v0, t0=t0, t1=t1, dt=dt, params=params)
+    times, xs, vs = _reference_integrate(system, obj, x0, v0, t0, t1, dt, params)
+    assert np.array_equal(traj.times, times)
+    scale = np.abs(xs).max() + np.abs(vs).max()
+    assert np.abs(traj.xs - xs).max() <= 1e-12 * scale
+    assert np.abs(traj.vs - vs).max() <= 1e-12 * scale
+
+
+# Enough steps to cross two chunk boundaries of the step maps.
+_REFERENCE_SPAN = 2.5 * STEP_CHUNK * 1e-3
+
+
+@pytest.mark.parametrize("name, params", [
+    ("damped-newton", {}),
+    ("first-order-hessian", {"b": 0.3}),
+    ("second-order-hessian", {"a": 2.0, "b": 0.1}),
+    ("nag", {"r": 3.0}),
+    ("generalized-nag", {"r": 1.0, "alpha": 0.5}),
+    ("hessian-nag", {"r": 2.0, "b": 0.3}),
+])
+def test_integrate_matches_reference_stepper(name, params):
+    obj = QuadraticObjective.log_spaced(10, 1.0, 4.0)
+    _assert_matches_reference(CATALOG[name], obj, np.ones(10), np.zeros(10),
+                              1.0, 1.0 + _REFERENCE_SPAN, 1e-3, params)
+
+
+def test_integrate_matches_reference_on_spec_system(tmp_path):
+    # A mass c5 that varies with t, a restoring c1 term, an off-origin
+    # minimizer and a moving start.
+    path = tmp_path / "varying-mass.txt"
+    path.write_text("name = varying-mass\n"
+                    "coeff_v1 = 1/2\n"
+                    "coeff_v2 = 1\n"
+                    "coeff_v3 = 1*r*t^-1\n"
+                    "coeff_v4 = 1*b\n"
+                    "coeff_v5 = 1 + 1/4*t^1\n")
+    system = load_system(path)
+    obj = QuadraticObjective.log_spaced(6, 0.5, 8.0, xstar=np.linspace(-2.0, 3.0, 6))
+    _assert_matches_reference(system, obj, np.ones(6), np.linspace(1.0, -1.0, 6),
+                              1.0, 1.0 + _REFERENCE_SPAN, 1e-3, {"r": 3.0, "b": 0.2})
 
 
 def gradient_flow(obj, x0, **kw):
@@ -90,6 +192,23 @@ def test_singular_mass_matrix_detected():
                   t0=0.0, t1=1.0, dt=1e-3, params={"b": -0.25})
 
 
+def test_singular_mass_at_half_step_detected(tmp_path):
+    # On the eigenvalue 2 the mass is 1 + 2*b*t = 1 - 4t, which vanishes at
+    # t = 0.25 = t0 + h/2 and at no grid time (0, 0.5, 1): only the check at
+    # every stage time catches it.
+    path = tmp_path / "shrinking-mass.txt"
+    path.write_text("name = shrinking-mass\n"
+                    "coeff_v1 = 0\n"
+                    "coeff_v2 = 1\n"
+                    "coeff_v3 = 1\n"
+                    "coeff_v4 = 1*b*t^1\n"
+                    "coeff_v5 = 0\n")
+    obj = QuadraticObjective.from_eigenvalues([2.0])
+    with pytest.raises(SingularMassMatrixError, match=r"t=0\.25$"):
+        integrate(load_system(path), obj, np.ones(1), np.zeros(1),
+                  t0=0.0, t1=1.0, dt=0.5, params={"b": -2.0})
+
+
 def test_gap_positivity_and_energy_sanity():
     obj = QuadraticObjective.log_spaced(10, 1.0, 4.0)
     runs = [
@@ -100,7 +219,7 @@ def test_gap_positivity_and_energy_sanity():
     ]
     for traj in runs:
         assert traj.gaps.min() >= -1e-12
-        assert kinetic_energy_decay(traj) <= 1e-12
+        assert _kinetic_energy_decay(traj) <= 1e-12
 
 
 def test_dt_refinement_changes_fit_little():
