@@ -129,8 +129,7 @@ class RateQuery:
 @dataclass
 class PsdConditionSet:
     corners: tuple[tuple[float, float], ...]
-    minors_by_corner: tuple[tuple[Expr, ...], ...]
-    minors: tuple[Expr, ...]  # union, deduplicated
+    minors: tuple[Expr, ...]  # nonzero minors of every corner, deduplicated
 
 
 def _det(matrix: list[list[Expr]]) -> Expr:
@@ -170,29 +169,30 @@ def _check_diagonal_parameters(pair: PQPair) -> None:
 
 def psd_conditions(pair: PQPair, gamma: GammaForm,
                    corners: Iterable[tuple[float, float]]) -> PsdConditionSet:
-    """All principal minors of the support submatrices, per (lambda, theta) corner.
+    """All principal minors of the support submatrices, at every (lambda, theta) corner.
 
-    Gamma is substituted and the corner values eliminate lambda and theta; the
-    minors keep k, t and any free system parameters symbolic.
+    Gamma is substituted and the minors are built once, with lambda and theta
+    still symbolic; each corner's values are then bound into them.  Binding
+    commutes with the determinant, and a row that vanishes at a corner only
+    adds minors that vanish there, so this yields the nonzero minors of the
+    corner-substituted matrices, in corner order and, within a corner, in
+    subset order.  They keep k, t and any free system parameters symbolic.
     """
     if not pair.has_gap:
         raise AnalysisError("pair lacks the objective-gap term; apply A1 first")
     _check_diagonal_parameters(pair)
     p_sub = [[gamma.substitute(e) for e in row] for row in pair.P]
     q_sub = [[gamma.substitute(e) for e in row] for row in pair.Q]
+    symbolic = [m for m in _principal_minors(p_sub, 3) + _principal_minors(q_sub, 5) if m]
     corners = tuple(corners)
-    by_corner = []
     union: dict[Expr, None] = {}
     for lam, theta in corners:
         binding = {"lambda": Fraction(lam), "theta": Fraction(theta)}
-        p_c = [[e.subs_params(binding) for e in row] for row in p_sub]
-        q_c = [[e.subs_params(binding) for e in row] for row in q_sub]
-        minors = tuple(_principal_minors(p_c, 3) + _principal_minors(q_c, 5))
-        by_corner.append(minors)
-        for m in minors:
-            if m:
-                union[m] = None
-    return PsdConditionSet(corners, tuple(by_corner), tuple(union))
+        for minor in symbolic:
+            bound = minor.subs_params(binding)
+            if bound:
+                union[bound] = None
+    return PsdConditionSet(corners, tuple(union))
 
 
 # -- numeric feasibility ----------------------------------------------------------
@@ -201,7 +201,7 @@ def psd_conditions(pair: PQPair, gamma: GammaForm,
 class CompiledMinor:
     """A minor with everything bound except k, evaluable over a fixed t grid."""
 
-    __slots__ = ("kpows", "bases", "exps", "tpowers")
+    __slots__ = ("kpows", "bases", "exps", "tpowers", "exp_masks")
 
     def __init__(self, minor: Expr, bindings: Mapping[str, float], tgrid: np.ndarray):
         terms: dict[tuple[int, float], float] = {}
@@ -227,6 +227,9 @@ class CompiledMinor:
         self.exps = np.array([e for (_kp, e), _b in items], dtype=float)
         self.bases = np.array([b for _key, b in items], dtype=float)
         self.tpowers = tgrid[None, :] ** self.exps[:, None] if items else None
+        # Terms sharing an exponent, largest exponent first, for leading_ok.
+        self.exp_masks = [self.exps == e
+                          for e in sorted({e for (_kp, e), _b in items}, reverse=True)]
 
     def coeffs(self, k: float) -> np.ndarray:
         return self.bases * np.power(k, self.kpows) if k != 0 else (
@@ -254,8 +257,7 @@ class CompiledMinor:
         if self.tpowers is None:
             return True
         c = self.coeffs(k)
-        for e in np.sort(np.unique(self.exps))[::-1]:
-            mask = self.exps == e
+        for mask in self.exp_masks:
             coeff = float(np.sum(c[mask]))
             scale = float(np.sum(np.abs(c[mask])))
             if abs(coeff) <= REL_FLOOR * scale:

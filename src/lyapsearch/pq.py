@@ -36,7 +36,9 @@ class OperationError(Exception):
     """Raised on an inadmissible operation application."""
 
 
-@functools.lru_cache(maxsize=None)
+# Bounded so that a process searching many systems does not grow it without
+# limit; the six catalog systems use 19 entries.
+@functools.lru_cache(maxsize=256)
 def g_shift(entry: Expr) -> Expr:
     """gamma' * entry + d(entry)/dt, the correction an eliminated entry leaves behind."""
     return GAMMA1 * entry + entry.diff()

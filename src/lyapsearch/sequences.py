@@ -5,11 +5,18 @@ mixed E/F/D, and second-D stage sets.  The stage sets below are the complete
 reduced families; their product has 1 * 10 * 2 * 13 * 7 * 13 = 23660 members.
 Applying them all to a system's initial pair and grouping structurally equal
 results is the search space the analysis ranks.
+
+Operations act on the pair alone, not on how it was reached, so the product is
+expanded stage by stage over distinct states rather than path by path: the
+23660 paths pass through only a few hundred distinct pairs, and each stage
+choice is applied once per distinct state.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,10 +64,12 @@ M_STAGES: tuple[tuple[str, ...], ...] = (
     ("F1", "D2", "D3", "D1", "E1", "D3", "D2", "F1"),
 )
 
-TOTAL_SEQUENCES = len(B_STAGES) * len(C_STAGES) * len(D_STAGES) * len(M_STAGES) * len(D_STAGES)
+STAGES = (B_STAGES, C_STAGES, D_STAGES, M_STAGES, D_STAGES)
+
+TOTAL_SEQUENCES = math.prod(len(stage) for stage in STAGES)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OperationSequence:
     b: tuple[str, ...]
     c: tuple[str, ...]
@@ -77,25 +86,7 @@ class OperationSequence:
 
 def generate_sequences() -> list[OperationSequence]:
     """All admissible sequences, in the fixed stage-product order."""
-    out = []
-    for b in B_STAGES:
-        for c in C_STAGES:
-            for d1 in D_STAGES:
-                for m in M_STAGES:
-                    for d2 in D_STAGES:
-                        out.append(OperationSequence(b, c, d1, m, d2))
-    return out
-
-
-def sequence_index(seq: OperationSequence) -> int:
-    """Position of a sequence in generate_sequences() order."""
-    ix = [B_STAGES.index(seq.b), C_STAGES.index(seq.c), D_STAGES.index(seq.d1),
-          M_STAGES.index(seq.m), D_STAGES.index(seq.d2)]
-    sizes = [len(C_STAGES), len(D_STAGES), len(M_STAGES), len(D_STAGES)]
-    value = ix[0]
-    for size, i in zip(sizes, ix[1:]):
-        value = value * size + i
-    return value
+    return [OperationSequence(*choices) for choices in itertools.product(*STAGES)]
 
 
 @dataclass
@@ -116,29 +107,32 @@ def enumerate_pairs(system: OdeSystemSpec) -> list[PairGroup]:
     gamma abstract and the system's free parameters symbolic.  Groups are
     numbered by first occurrence in the fixed sequence order, which makes two
     runs produce identical partitions.
+
+    Each stage maps the distinct states of the previous one, in first-occurrence
+    order, through its choices in order, so the first insertion of a state is
+    its first occurrence and its pair carries that path's provenance.  A state
+    also carries the positions, in the product order of the stages so far, of
+    every prefix that reaches it; after the last stage these index
+    generate_sequences().
     """
     base = apply_operation(initial_pair(system), "A1")
-    groups: dict[tuple, PairGroup] = {}
-
-    # Stage results are shared down the product tree; each prefix is applied once.
-    for b in B_STAGES:
-        pair_b = apply_sequence(base, b)
-        for c in C_STAGES:
-            pair_c = apply_sequence(pair_b, c)
-            for d1 in D_STAGES:
-                pair_d1 = apply_sequence(pair_c, d1)
-                for m in M_STAGES:
-                    pair_m = apply_sequence(pair_d1, m)
-                    for d2 in D_STAGES:
-                        final = apply_sequence(pair_m, d2)
-                        seq = OperationSequence(b, c, d1, m, d2)
-                        key = final.matrix_key()
-                        group = groups.get(key)
-                        if group is None:
-                            groups[key] = PairGroup(len(groups), final, [seq])
-                        else:
-                            group.sequences.append(seq)
-    return sorted(groups.values(), key=lambda g: g.group_id)
+    states: dict[tuple, tuple[PQPair, list[int]]] = {base.matrix_key(): (base, [0])}
+    for stage in STAGES:
+        size = len(stage)
+        reached: dict[tuple, tuple[PQPair, list[int]]] = {}
+        for pair, prefixes in states.values():
+            for choice, ops in enumerate(stage):
+                new = apply_sequence(pair, ops)
+                key = new.matrix_key()
+                positions = [prefix * size + choice for prefix in prefixes]
+                if key in reached:
+                    reached[key][1].extend(positions)
+                else:
+                    reached[key] = (new, positions)
+        states = reached
+    sequences = generate_sequences()
+    return [PairGroup(group_id, pair, [sequences[i] for i in sorted(positions)])
+            for group_id, (pair, positions) in enumerate(states.values())]
 
 
 def max_observed_gamma_order(groups: list[PairGroup]) -> int:

@@ -151,7 +151,8 @@ def integrate(system: OdeSystemSpec, obj: QuadraticObjective, x0, v0,
     Systems whose coefficients carry negative powers of t need t0 > 0.  For
     first-order systems the state is x alone; dx/dt solves
     (c3 I + c4 hess f) dx/dt = -(c1 (x - x*) + c2 grad f), and the mass matrix
-    must be nonsingular at every stage time.
+    must be nonsingular at every stage time; for second-order systems the mass
+    is c5, which must not vanish at any stage time.
 
     Each eigenmode advances by its own RK4 step maps (see _step_maps), built
     STEP_CHUNK steps at a time.
@@ -189,6 +190,7 @@ def integrate(system: OdeSystemSpec, obj: QuadraticObjective, x0, v0,
         damping = zero + c[2](t) + c[3](t) * eigs
         if system.second_order:
             inertia = c[4](t)
+            _check_mass(stage, np.broadcast_to(inertia, t.shape), "coefficient c5")
             a = np.array([[zero, zero + 1.0], [-stiffness / inertia, -damping / inertia]])
             maps = np.moveaxis(_step_maps(a, dt), (0, 1), (2, 3))  # (steps, modes, 2, 2)
             states = np.empty((stop - start + 1, len(eigs), 2, 1))
@@ -198,7 +200,7 @@ def integrate(system: OdeSystemSpec, obj: QuadraticObjective, x0, v0,
             us[start + 1:stop + 1] = states[1:, :, 0, 0]
             vs[start + 1:stop + 1] = states[1:, :, 1, 0]
         else:
-            _check_mass(stage, damping)
+            _check_mass(stage, damping, "matrix c3 + c4*e")
             a = -stiffness / damping  # dx/dt = a (x - x*)
             us[start + 1:stop + 1] = us[start] * np.cumprod(_step_maps(a[None, None], dt)[0, 0],
                                                             axis=0)
@@ -209,12 +211,12 @@ def integrate(system: OdeSystemSpec, obj: QuadraticObjective, x0, v0,
     return Trajectory(system, obj, params, times, us, vs)
 
 
-def _check_mass(stage: np.ndarray, mass: np.ndarray) -> None:
-    """Raise at the first stage time where some mode's mass c3 + c4*e vanishes."""
+def _check_mass(stage: np.ndarray, mass: np.ndarray, name: str) -> None:
+    """Raise at the first stage time where some mode's mass vanishes."""
     singular = np.min(np.abs(mass), axis=-1) < 1e-12
     if singular.any():
         t = stage.ravel()[np.argmax(singular.ravel())]
-        raise SingularMassMatrixError(f"mass matrix c3 + c4*e is singular at t={t:.6g}")
+        raise SingularMassMatrixError(f"mass {name} is singular at t={t:.6g}")
 
 
 def _step_maps(a: np.ndarray, h: float) -> np.ndarray:

@@ -8,7 +8,8 @@ import pytest
 from lyapsearch.analysis import (BootstrapPreconditionError, DiagonalParameterError,
                                  Eventually, InfeasiblePairError, RateQuery, Window,
                                  analyze_groups, bootstrap_candidates, bootstrap_rate_check,
-                                 certified_time, feasible, max_rate, psd_conditions)
+                                 _principal_minors, certified_time, feasible, max_rate,
+                                 psd_conditions)
 from lyapsearch.expr import Expr, GAMMA1, LINEAR, LOG, POWER, parse_expr
 from lyapsearch.pq import PQPair, _sym_matrix, apply_sequence, initial_pair
 from lyapsearch.systems import CATALOG
@@ -109,7 +110,7 @@ def test_winning_pairs_match_published_matrices():
 
 def test_psd_conditions_damped_newton_minors():
     conds = psd_conditions(damped_newton_winner(), LINEAR, corners=[(1.0, 1.0)])
-    minors = set(conds.minors_by_corner[0])
+    minors = set(conds.minors)
     k = Expr.symbol("k")
     assert HALF * k in minors                 # P11 with lambda at the corner
     assert HALF * (k - k ** 2) in minors      # Q11
@@ -119,7 +120,7 @@ def test_psd_conditions_damped_newton_minors():
 def test_psd_conditions_sc_nag_cross_minor():
     pair = build("second-order-hessian", ("A1", "B1", "B2", "B3"), {"b": 0, "a": 2})
     conds = psd_conditions(pair, LINEAR, corners=[(1.0, 1.0)])
-    minors = set(conds.minors_by_corner[0])
+    minors = set(conds.minors)
     # The 2x2 determinant of P at a = 2 sqrt(mu), mu = 1: (2k - k^2)/4 - k^2/4.
     assert parse_expr("1/2*k - 1/2*k^2") in minors
 
@@ -145,6 +146,38 @@ def test_psd_conditions_require_gap_term():
     fresh = initial_pair(CATALOG["damped-newton"])
     with pytest.raises(AnalysisError):
         psd_conditions(fresh, LINEAR, corners=[(1.0, 1.0)])
+
+
+def _reference_psd_minors(pair, gamma, corners):
+    """Minors built per corner, on matrices with lambda and theta already bound.
+
+    This is how psd_conditions worked before it built the minors once per pair;
+    it returns the deduplicated nonzero minors in corner order.
+    """
+    p_sub = [[gamma.substitute(e) for e in row] for row in pair.P]
+    q_sub = [[gamma.substitute(e) for e in row] for row in pair.Q]
+    union = {}
+    for lam, theta in corners:
+        binding = {"lambda": Fraction(lam), "theta": Fraction(theta)}
+        p_c = [[e.subs_params(binding) for e in row] for row in p_sub]
+        q_c = [[e.subs_params(binding) for e in row] for row in q_sub]
+        for m in _principal_minors(p_c, 3) + _principal_minors(q_c, 5):
+            if m:
+                union[m] = None
+    return tuple(union)
+
+
+@pytest.mark.parametrize("system, query", [
+    ("second-order-hessian", RateQuery(LINEAR, mu=1.0)),
+    ("hessian-nag", RateQuery(LINEAR, mu=1.0, L=4.0)),
+    ("nag", RateQuery(LOG, mu=1.0, convex=True)),
+], ids=["second-order-hessian", "hessian-nag", "nag-convex"])
+def test_psd_conditions_match_per_corner_reference(system, query, enumerations):
+    corners = query.corners()
+    for group in enumerations(system):
+        conds = psd_conditions(group.representative, query.gamma, corners)
+        assert conds.minors == _reference_psd_minors(group.representative, query.gamma,
+                                                     corners), f"group {group.group_id}"
 
 
 def test_feasible_damped_newton_boundary():

@@ -103,6 +103,35 @@ def test_substitute_params_binds_alpha_in_exponents():
     assert e.subs_params({"alpha": Fraction(1, 2)}) == Expr.t_power(-2)
 
 
+def _reference_subs_params(e: Expr, bindings) -> Expr:
+    """Substitution through Expr arithmetic alone: each term rebuilt as a product."""
+    out = ZERO
+    for (p, q), mono, coeff in e.terms():
+        alpha = bindings.get("alpha")
+        if q and alpha is not None and not isinstance(alpha, Expr):
+            p, q = p + q * alpha, 0
+        term = Expr.number(coeff) * Expr.t_power(p, q)
+        for sym, power in mono:
+            value = bindings.get(sym, Expr.symbol(sym))
+            term = term * (value if isinstance(value, Expr) else Expr.number(value)) ** power
+        out = out + term
+    return out
+
+
+def test_substitute_params_matches_term_products(rng):
+    choices = [Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(2 ** 20),
+               parse_expr("1/2*a + 1*t"), parse_expr("-1*r*t^-1")]
+    for _ in range(200):
+        e = random_expr(rng, max_terms=4, symbols=("a", "b", "r", "lambda", "theta"))
+        e = e * Expr.t_power(0, rng.choice([0, 0, 1, -2]))
+        e = e + Expr.symbol(rng.choice(["b", "lambda"])) ** rng.randint(2, 3)
+        names = rng.sample(["b", "r", "lambda", "theta", "alpha"], rng.randint(1, 3))
+        bindings = {name: rng.choice(choices) for name in names}
+        if isinstance(bindings.get("alpha"), Fraction):
+            bindings["alpha"] = Fraction(1, 3)
+        assert e.subs_params(bindings) == _reference_subs_params(e, bindings)
+
+
 def test_eval_basic():
     assert (T ** 2).eval(3.0) == pytest.approx(9.0)
     assert (K - K ** 2).eval(1.0, {"k": 1.0}) == pytest.approx(0.0)

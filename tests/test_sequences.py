@@ -1,12 +1,13 @@
 import csv
 import random
 
-from lyapsearch.pq import apply_sequence, initial_pair
+import pytest
+
+from lyapsearch.pq import apply_operation, apply_sequence, initial_pair
 from lyapsearch.sequences import (B_STAGES, C_STAGES, D_STAGES, M_STAGES, OperationSequence,
                                   TOTAL_SEQUENCES, dump_groups_csv, enumerate_pairs,
-                                  generate_sequences, max_observed_gamma_order,
-                                  sequence_index)
-from lyapsearch.systems import CATALOG
+                                  generate_sequences, max_observed_gamma_order)
+from lyapsearch.systems import CATALOG, load_system
 
 
 def test_stage_set_sizes():
@@ -24,7 +25,7 @@ def test_generate_sequences_count_and_unique():
 def test_all_empty_stages_is_bare_a1():
     seqs = generate_sequences()
     empty = OperationSequence((), (), (), (), ())
-    assert seqs[sequence_index(empty)] == empty
+    assert seqs[0] == empty
     assert empty.ops() == ("A1",)
 
 
@@ -34,7 +35,8 @@ def test_specific_sequence_present_exactly_once():
         m=("F1", "D2", "D3", "D1", "E1", "D3", "D2", "F1"), d2=("D1", "D3", "D2"))
     seqs = generate_sequences()
     assert seqs.count(target) == 1
-    assert seqs[sequence_index(target)] == target
+    # Stage choices 7, 1, 12, 6 and 11, in the product order of the stages.
+    assert seqs.index(target) == (((7 * 2 + 1) * 13 + 12) * 7 + 6) * 13 + 11
 
 
 def test_enumeration_deterministic(enumerations):
@@ -93,3 +95,56 @@ def test_dump_groups_csv(tmp_path, enumerations):
     assert len(rows) == 1 + len(groups)
     assert sum(int(r[1]) for r in rows[1:]) == 23660
     assert rows[1][2].startswith("A1")
+
+
+def _reference_enumerate_pairs(system):
+    """Path-by-path enumeration: every sequence applied in product order.
+
+    This is the enumerator that the stage-wise expansion over distinct states
+    replaced; it returns (representative, members) per group in id order.
+    """
+    base = apply_operation(initial_pair(system), "A1")
+    groups = {}
+    for b in B_STAGES:
+        pair_b = apply_sequence(base, b)
+        for c in C_STAGES:
+            pair_c = apply_sequence(pair_b, c)
+            for d1 in D_STAGES:
+                pair_d1 = apply_sequence(pair_c, d1)
+                for m in M_STAGES:
+                    pair_m = apply_sequence(pair_d1, m)
+                    for d2 in D_STAGES:
+                        final = apply_sequence(pair_m, d2)
+                        seq = OperationSequence(b, c, d1, m, d2)
+                        group = groups.get(final.matrix_key())
+                        if group is None:
+                            groups[final.matrix_key()] = (final, [seq])
+                        else:
+                            group[1].append(seq)
+    return list(groups.values())
+
+
+def _assert_matches_reference(groups, system):
+    reference = _reference_enumerate_pairs(system)
+    assert [g.group_id for g in groups] == list(range(len(reference)))
+    for group, (pair, members) in zip(groups, reference, strict=True):
+        assert group.representative.matrix_key() == pair.matrix_key()
+        assert group.representative.provenance == pair.provenance
+        assert group.sequences == members
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_enumeration_matches_path_by_path_reference(name, enumerations):
+    _assert_matches_reference(enumerations(name), CATALOG[name])
+
+
+def test_enumeration_matches_reference_on_spec_system(tmp_path):
+    path = tmp_path / "custom.txt"
+    path.write_text("name = custom\n"
+                    "coeff_v1 = 1/2\n"
+                    "coeff_v2 = 1\n"
+                    "coeff_v3 = 1*a + 1*t^-1\n"
+                    "coeff_v4 = 1*b*t\n"
+                    "coeff_v5 = 1 + 1/4*t\n")
+    system = load_system(path)
+    _assert_matches_reference(enumerate_pairs(system), system)

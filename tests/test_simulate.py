@@ -209,6 +209,23 @@ def test_singular_mass_at_half_step_detected(tmp_path):
                   t0=0.0, t1=1.0, dt=0.5, params={"b": -2.0})
 
 
+def test_vanishing_second_order_mass_detected(tmp_path):
+    # c5 = t vanishes at the first stage time t0 = 0; dividing by it would
+    # fill the trajectory with NaN.
+    path = tmp_path / "vanishing-c5.txt"
+    path.write_text("name = vanishing-c5\n"
+                    "coeff_v1 = 0\n"
+                    "coeff_v2 = 1\n"
+                    "coeff_v3 = 1\n"
+                    "coeff_v4 = 0\n"
+                    "coeff_v5 = 1*t^1\n")
+    obj = QuadraticObjective.from_eigenvalues([1.0, 2.0])
+    with pytest.raises(SingularMassMatrixError, match=r"c5 is singular at t=0$") as err:
+        integrate(load_system(path), obj, np.ones(2), np.zeros(2),
+                  t0=0.0, t1=1.0, dt=0.5)
+    assert "c3 + c4" not in str(err.value)
+
+
 def test_gap_positivity_and_energy_sanity():
     obj = QuadraticObjective.log_spaced(10, 1.0, 4.0)
     runs = [
