@@ -7,10 +7,16 @@ it is enough to check the corner values of their interval, and PSD itself is
 checked through all principal minors of the nonzero-support submatrices.
 
 Feasibility of a given k is decided numerically: every minor must be
-nonnegative (up to a relative 1e-12 floor) on a log-spaced t grid of the query
-domain and, for unbounded domains, must have a nonnegative leading coefficient
-as t grows.  The largest feasible k is then located by bisection, preceded by
-a coarse pre-scan that guards against non-monotone feasibility.
+nonnegative on a log-spaced t grid of the query domain and, for unbounded
+domains, must have a nonnegative leading coefficient as t grows.  Both checks
+allow a floor of 1e-12 times the summed magnitudes of the terms involved,
+taken before they merge, so a minor that vanishes identically in exact
+arithmetic is not failed by the rounding of its float coefficients.  Each pair
+and parameter point is compiled once into tables of the coefficient of
+k^p * t^e per minor; at a given k these settle every minor whose coefficients
+all clear the floor, and only the rest are evaluated on the grid.  The largest
+feasible k is then located by bisection, preceded by a coarse pre-scan that
+guards against non-monotone feasibility.
 """
 
 from __future__ import annotations
@@ -130,6 +136,21 @@ class RateQuery:
 class PsdConditionSet:
     corners: tuple[tuple[float, float], ...]
     minors: tuple[Expr, ...]  # nonzero minors of every corner, deduplicated
+    # One row per term of every minor, in minor order and Expr.terms() order:
+    # (minor index, power of k, exponent p and q of t^(p + q*alpha),
+    #  coefficient, ((parameter, power), ...) without k).
+    terms: tuple[tuple, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        table = []
+        for index, minor in enumerate(self.minors):
+            for exp, mono, coeff in minor.terms():
+                kpow = dict(mono).get("k", 0)
+                if kpow < 0:
+                    raise AnalysisError("a minor has a negative power of k")
+                params = tuple((sym, power) for sym, power in mono if sym != "k")
+                table.append((index, kpow, float(exp[0]), float(exp[1]), float(coeff), params))
+        self.terms = tuple(table)
 
 
 def _det(matrix: list[list[Expr]]) -> Expr:
@@ -198,93 +219,101 @@ def psd_conditions(pair: PQPair, gamma: GammaForm,
 # -- numeric feasibility ----------------------------------------------------------
 
 
-class CompiledMinor:
-    """A minor with everything bound except k, evaluable over a fixed t grid."""
+class CompiledConditions:
+    """A pair's minors with everything bound except k, evaluable over a fixed t grid.
 
-    __slots__ = ("kpows", "bases", "exps", "tpowers", "exp_masks")
+    coef[p, m, e] is the coefficient of k^p * t^e in minor m, and
+    size[p, m, e] the sum of the magnitudes of the terms merged into it; e runs
+    over the pair's distinct exponents of t, in descending order.  At a given
+    k, c = sum_p k^p coef holds each minor's coefficient per exponent and
+    a = sum_p |k|^p size its scale.  A minor with every c >= -REL_FLOOR * a is
+    nonnegative for every t > 0 up to the floor, so only the other minors are
+    evaluated on the grid.
+    """
 
-    def __init__(self, minor: Expr, bindings: Mapping[str, float], tgrid: np.ndarray):
-        terms: dict[tuple[int, float], float] = {}
-        for exp, mono, coeff in minor.terms():
-            e = float(exp[0])
-            if exp[1]:
-                if "alpha" not in bindings:
-                    raise AnalysisError("alpha must be bound for power-form exponents")
-                e += float(exp[1]) * bindings["alpha"]
-            base = float(coeff)
-            kpow = 0
-            for sym, power in mono:
-                if sym == "k":
-                    kpow = power
-                else:
-                    if sym not in bindings:
-                        raise AnalysisError(f"parameter {sym!r} is not bound")
-                    base *= bindings[sym] ** power
-            key = (kpow, e)
-            terms[key] = terms.get(key, 0.0) + base
-        items = sorted(terms.items())
-        self.kpows = np.array([kp for (kp, _e), _b in items], dtype=float)
-        self.exps = np.array([e for (_kp, e), _b in items], dtype=float)
-        self.bases = np.array([b for _key, b in items], dtype=float)
-        self.tpowers = tgrid[None, :] ** self.exps[:, None] if items else None
-        # Terms sharing an exponent, largest exponent first, for leading_ok.
-        self.exp_masks = [self.exps == e
-                          for e in sorted({e for (_kp, e), _b in items}, reverse=True)]
+    __slots__ = ("coef", "size", "kexps", "tpowers", "shape")
 
-    def coeffs(self, k: float) -> np.ndarray:
-        return self.bases * np.power(k, self.kpows) if k != 0 else (
-            self.bases * (self.kpows == 0))
+    def __init__(self, coef: np.ndarray, size: np.ndarray, exps: np.ndarray,
+                 tgrid: np.ndarray):
+        n_kpows, n_minors, _n_exps = coef.shape
+        self.coef = coef.reshape(n_kpows, -1)
+        self.size = size.reshape(n_kpows, -1)
+        self.kexps = np.arange(n_kpows, dtype=float)
+        self.tpowers = tgrid[None, :] ** exps[:, None]
+        self.shape = (n_minors, len(exps))
 
-    def grid_ok(self, k: float) -> bool:
-        if self.tpowers is None:
-            return True
-        c = self.coeffs(k)
+    def _suspects(self, k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """c, a and c < -REL_FLOOR * a at k, for the minors with such a coefficient."""
+        kp = np.power(k, self.kexps)
+        c = (kp @ self.coef).reshape(self.shape)
+        a = (np.abs(kp) @ self.size).reshape(self.shape)
+        neg = c < -REL_FLOOR * a
+        rows = neg.any(axis=1)
+        return c[rows], a[rows], neg[rows]
+
+    def _grid_bad(self, c: np.ndarray, a: np.ndarray) -> np.ndarray:
         values = c @ self.tpowers
-        scale = np.abs(c) @ self.tpowers
-        return bool(np.all(values >= -REL_FLOOR * scale))
+        return (values < -REL_FLOOR * (a @ self.tpowers)).any(axis=0)
 
-    def grid_violations(self, k: float) -> np.ndarray:
-        """Boolean mask over the grid where the minor goes negative."""
-        if self.tpowers is None:
-            return np.zeros(0, dtype=bool)
-        c = self.coeffs(k)
-        values = c @ self.tpowers
-        scale = np.abs(c) @ self.tpowers
-        return values < -REL_FLOOR * scale
+    def violations(self, k: float) -> np.ndarray:
+        """Boolean mask over the grid where some minor goes negative at k."""
+        c, a, _neg = self._suspects(k)
+        return self._grid_bad(c, a)
 
-    def leading_ok(self, k: float) -> bool:
-        """Nonnegative coefficient on the largest exponent that survives at k."""
-        if self.tpowers is None:
+    def feasible(self, k: float, check_leading: bool) -> bool:
+        c, a, neg = self._suspects(k)
+        if not len(c):
             return True
-        c = self.coeffs(k)
-        for mask in self.exp_masks:
-            coeff = float(np.sum(c[mask]))
-            scale = float(np.sum(np.abs(c[mask])))
-            if abs(coeff) <= REL_FLOOR * scale:
-                continue  # cancels at this k; the next exponent leads
-            return coeff > 0
-        return True  # the minor vanishes identically at this k
+        if check_leading:
+            # The leading exponent at k is the first whose |c| exceeds the floor;
+            # a minor with no coefficient below the floor leads with a positive one.
+            first = (neg | (c > REL_FLOOR * a)).argmax(axis=1)
+            if neg[np.arange(len(c)), first].any():
+                return False
+        return not self._grid_bad(c, a).any()
 
 
 def compile_conditions(conds: PsdConditionSet, bindings: Mapping[str, float],
-                       tgrid: np.ndarray) -> list[CompiledMinor]:
-    return [CompiledMinor(m, bindings, tgrid) for m in conds.minors]
+                       tgrid: np.ndarray) -> CompiledConditions:
+    """Bind the parameters into the pair's term table and tabulate it by k^p * t^e."""
+    merged: dict[tuple[int, int, float], list[float]] = {}
+    for minor, kpow, exp_p, exp_q, coeff, params in conds.terms:
+        e = exp_p
+        if exp_q:
+            if "alpha" not in bindings:
+                raise AnalysisError("alpha must be bound for power-form exponents")
+            e += exp_q * bindings["alpha"]
+        base = coeff
+        for sym, power in params:
+            if sym not in bindings:
+                raise AnalysisError(f"parameter {sym!r} is not bound")
+            base *= bindings[sym] ** power
+        key = (kpow, minor, e)
+        entry = merged.get(key)
+        if entry is None:
+            merged[key] = [base, abs(base)]
+        else:
+            entry[0] += base
+            entry[1] += abs(base)
+    exps = sorted({e for _kpow, _minor, e in merged}, reverse=True)
+    column = {e: i for i, e in enumerate(exps)}
+    shape = (max((kpow for kpow, _minor, _e in merged), default=0) + 1,
+             len(conds.minors), len(exps))
+    coef, size = np.zeros(shape), np.zeros(shape)
+    for (kpow, minor, e), (value, magnitude) in merged.items():
+        coef[kpow, minor, column[e]] = value
+        size[kpow, minor, column[e]] = magnitude
+    return CompiledConditions(coef, size, np.array(exps, dtype=float), tgrid)
 
 
 def feasible(conds: PsdConditionSet, k: float, query: RateQuery,
              bindings: Mapping[str, float] | None = None,
-             _compiled: list[CompiledMinor] | None = None) -> bool:
+             _compiled: CompiledConditions | None = None) -> bool:
     """True when every minor is nonnegative over the query's time domain at k."""
     if _compiled is None:
         tgrid = time_grid(query.t_domain)
         _compiled = compile_conditions(conds, bindings or query.params, tgrid)
-    check_leading = not isinstance(query.t_domain, Window)
-    for minor in _compiled:
-        if not minor.grid_ok(k):
-            return False
-        if check_leading and not minor.leading_ok(k):
-            return False
-    return True
+    return _compiled.feasible(k, check_leading=not isinstance(query.t_domain, Window))
 
 
 # -- rate maximization --------------------------------------------------------------
@@ -326,12 +355,9 @@ def _bisect_max_k(check, k_hi: float) -> tuple[float, str]:
     return lo, status
 
 
-def _certified_range(compiled: list[CompiledMinor], k: float, tgrid: np.ndarray,
+def _certified_range(compiled: CompiledConditions, k: float, tgrid: np.ndarray,
                      domain: TDomain) -> tuple[float, float]:
-    masks = [m.grid_violations(k) for m in compiled if m.tpowers is not None]
-    bad = np.zeros(len(tgrid), dtype=bool)
-    for mask in masks:
-        bad |= mask
+    bad = compiled.violations(k)
     if isinstance(domain, Window):
         # Largest certified prefix of the window.
         first_bad = int(np.argmax(bad)) if bad.any() else len(tgrid)
@@ -397,11 +423,7 @@ def certified_time(pair: PQPair, query: RateQuery, k: float) -> float:
     tgrid = time_grid(query.t_domain)
     best = 0.0
     for point in query.grid_points():
-        compiled = compile_conditions(conds, point, tgrid)
-        bad = np.zeros(len(tgrid), dtype=bool)
-        for minor in compiled:
-            if minor.tpowers is not None:
-                bad |= minor.grid_violations(k)
+        bad = compile_conditions(conds, point, tgrid).violations(k)
         if bad[0]:
             continue  # infeasible already at the left end of the grid
         first_bad = int(np.argmax(bad)) if bad.any() else len(tgrid)

@@ -5,12 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lyapsearch.analysis import (BootstrapPreconditionError, DiagonalParameterError,
-                                 Eventually, InfeasiblePairError, RateQuery, Window,
-                                 analyze_groups, bootstrap_candidates, bootstrap_rate_check,
-                                 _principal_minors, certified_time, feasible, max_rate,
-                                 psd_conditions)
-from lyapsearch.expr import Expr, GAMMA1, LINEAR, LOG, POWER, parse_expr
+from lyapsearch.analysis import (K_CAP, PRESCAN_POINTS, REL_FLOOR, BootstrapPreconditionError,
+                                 DiagonalParameterError, Eventually, InfeasiblePairError,
+                                 PsdConditionSet, RateQuery, Window, analyze_groups,
+                                 bootstrap_candidates, bootstrap_rate_check, _bisect_max_k,
+                                 _principal_minors, catalog_rows, certified_time,
+                                 compile_conditions, feasible, max_rate, psd_conditions,
+                                 time_grid, verify_catalog)
+from lyapsearch.expr import Expr, GAMMA1, LINEAR, LOG, POWER, ZERO, parse_expr
 from lyapsearch.pq import PQPair, _sym_matrix, apply_sequence, initial_pair
 from lyapsearch.systems import CATALOG
 
@@ -257,6 +259,141 @@ def test_monotone_feasibility_prefix():
     flags = [feasible(conds, k, query) for k in np.linspace(0.0, 2.0, 41)]
     first_bad = flags.index(False)
     assert all(flags[:first_bad]) and not any(flags[first_bad:])
+
+
+class _ReferenceMinor:
+    """One minor compiled and checked on its own, term row by term row.
+
+    This is how feasibility was decided before the per-pair tables, with the
+    floor's scale taken from the term magnitudes before they merge.
+    """
+
+    def __init__(self, minor, bindings, tgrid):
+        terms = {}
+        for exp, mono, coeff in minor.terms():
+            e = float(exp[0])
+            if exp[1]:
+                e += float(exp[1]) * bindings["alpha"]
+            base = float(coeff)
+            kpow = 0
+            for sym, power in mono:
+                if sym == "k":
+                    kpow = power
+                else:
+                    base *= bindings[sym] ** power
+            value, size = terms.get((kpow, e), (0.0, 0.0))
+            terms[(kpow, e)] = (value + base, size + abs(base))
+        items = sorted(terms.items())
+        self.kpows = np.array([kp for (kp, _e), _v in items], dtype=float)
+        self.exps = np.array([e for (_kp, e), _v in items], dtype=float)
+        self.bases = np.array([v for _key, (v, _s) in items])
+        self.sizes = np.array([s for _key, (_v, s) in items])
+        self.tpowers = tgrid[None, :] ** self.exps[:, None]
+        self.exp_masks = [self.exps == e for e in sorted(set(self.exps), reverse=True)]
+
+    def coeffs(self, k):
+        if k == 0:
+            keep = self.kpows == 0
+            return self.bases * keep, self.sizes * keep
+        return self.bases * np.power(k, self.kpows), self.sizes * np.power(abs(k), self.kpows)
+
+    def violations(self, k):
+        c, a = self.coeffs(k)
+        return c @ self.tpowers < -REL_FLOOR * (a @ self.tpowers)
+
+    def leading_ok(self, k):
+        c, a = self.coeffs(k)
+        for mask in self.exp_masks:
+            coeff, scale = float(np.sum(c[mask])), float(np.sum(a[mask]))
+            if abs(coeff) <= REL_FLOOR * scale:
+                continue
+            return coeff > 0
+        return True
+
+
+def _reference_feasible(minors, k, check_leading):
+    return all(not m.violations(k).any() and (not check_leading or m.leading_ok(k))
+               for m in minors)
+
+
+_DIFFERENTIAL_CASES = [pytest.param(row.system, row.query, id=row.label)
+                       for row in catalog_rows(1.0, 4.0)] + [
+    pytest.param("second-order-hessian",
+                 RateQuery(LINEAR, mu=1.0, grid={"a": (0.5, 1.0, 1.5), "b": (0.0, 0.5, 1.0)}),
+                 id="second-order-hessian-3x3")]
+
+
+@pytest.mark.parametrize("system, query", _DIFFERENTIAL_CASES)
+def test_feasible_matches_per_minor_reference(system, query, enumerations):
+    """Per-pair tables against the per-minor evaluator, at the ks max_rate settles on.
+
+    Flags are compared at k = 0, the doubling, the 65-point pre-scan and
+    k_max; violation masks at k = 0, the first infeasible pre-scan k and k_max.
+    The merged coefficients and magnitudes must be bit-identical.
+    """
+    tgrid = time_grid(query.t_domain)
+    leading = not isinstance(query.t_domain, Window)
+    for group in enumerations(system):
+        conds = psd_conditions(group.representative, query.gamma, query.corners())
+        for point in query.grid_points():
+            compiled = compile_conditions(conds, point, tgrid)
+            reference = [_ReferenceMinor(m, point, tgrid) for m in conds.minors]
+            where = f"group {group.group_id} at {point}"
+            for table, column in ((compiled.coef, "bases"), (compiled.size, "sizes")):
+                expected = np.concatenate([getattr(m, column) for m in reference] + [[]])
+                assert np.array_equal(np.sort(table[table != 0]),
+                                      np.sort(expected[expected != 0])), where
+
+            def check(k):
+                return feasible(conds, k, query, _compiled=compiled)
+
+            def same(k, mask=False):
+                flag = check(k)
+                assert flag == _reference_feasible(reference, k, leading), f"{where}, k={k}"
+                if mask:
+                    expected = np.zeros(len(tgrid), dtype=bool)
+                    for minor in reference:
+                        expected |= minor.violations(k)
+                    assert np.array_equal(compiled.violations(k), expected), f"{where}, k={k}"
+                return flag
+
+            if not same(0.0, mask=True):
+                continue
+            k_hi = 1.0
+            while same(k_hi) and k_hi < K_CAP:
+                k_hi *= 2.0
+            flags = [same(k) for k in np.linspace(0.0, k_hi, PRESCAN_POINTS)]
+            if all(flags):
+                k_max = k_hi
+            else:
+                same(np.linspace(0.0, k_hi, PRESCAN_POINTS)[flags.index(False)], mask=True)
+                k_max = _bisect_max_k(check, k_hi)[0]
+            same(k_max, mask=True)
+
+
+def test_identically_zero_minor_survives_float_rounding():
+    # A minor of the first-order-hessian row that vanishes identically at
+    # b = -1/L.  In floats at L = 5 its k^2 terms merge to -1.1e-16, which must
+    # be measured against the terms' own magnitudes, not against itself.
+    minor = parse_expr("25/2*b*k - 5*b*k^2 - 25/2*b^2*k^2 + 5/2*k - 1/2*k^2")
+    assert minor.subs_params({"b": Fraction(-1, 5)}) == ZERO
+    conds = PsdConditionSet(((0.5, 5.0),), (minor,))
+    query = RateQuery(LINEAR, mu=0.5, L=5.0, params={"b": -1 / 5})
+    compiled = compile_conditions(conds, query.params, time_grid(query.t_domain))
+    assert compiled.coef.min() < 0  # the rounding this test is about
+    for k in (0.0, 0.25, 0.5, 1.0, 4.0, K_CAP):
+        assert feasible(conds, k, query, _compiled=compiled)
+        assert not compiled.violations(k).any()
+
+
+@pytest.mark.parametrize("mu, L", [(0.5, 5.0), (2.0, 20.0)])
+def test_first_order_hessian_row_where_a_minor_rounds_negative(mu, L, enumerations):
+    # These (mu, L) make an identically zero minor merge to a tiny negative
+    # float; the row used to return k = 0 there.
+    groups = {"first-order-hessian": enumerations("first-order-hessian")}
+    row, = verify_catalog(mu, L, jobs=1, rows=["first-order-hessian"],
+                          enumerations=groups).rows
+    assert row.passed, f"{row.observed}, expected {row.expected}"
 
 
 def test_scaling_invariance():
