@@ -30,7 +30,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .expr import Expr, GammaForm, LINEAR, LOG, POWER, ZERO, ZeroExpressionError
+from .expr import (Expr, GammaForm, LINEAR, LOG, POWER, ZERO, ZeroExpressionError, bind_terms,
+                   evaluate, float_terms)
 from .pq import PQPair
 from .sequences import PairGroup, enumerate_pairs
 from .systems import CATALOG, OdeSystemSpec
@@ -136,21 +137,18 @@ class RateQuery:
 class PsdConditionSet:
     corners: tuple[tuple[float, float], ...]
     minors: tuple[Expr, ...]  # nonzero minors of every corner, deduplicated
-    # One row per term of every minor, in minor order and Expr.terms() order:
-    # (minor index, power of k, exponent p and q of t^(p + q*alpha),
-    #  coefficient, ((parameter, power), ...) without k).
-    terms: tuple[tuple, ...] = field(init=False, repr=False)
+    # float_terms(minor, ("k",)) of every minor, concatenated in minor order,
+    # and the index of the minor each term belongs to.
+    terms: tuple = field(init=False, repr=False)
+    term_minors: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        table = []
-        for index, minor in enumerate(self.minors):
-            for exp, mono, coeff in minor.terms():
-                kpow = dict(mono).get("k", 0)
-                if kpow < 0:
-                    raise AnalysisError("a minor has a negative power of k")
-                params = tuple((sym, power) for sym, power in mono if sym != "k")
-                table.append((index, kpow, float(exp[0]), float(exp[1]), float(coeff), params))
-        self.terms = tuple(table)
+        tables = [float_terms(minor, ("k",)) for minor in self.minors]
+        self.terms = tuple(itertools.chain.from_iterable(tables))
+        self.term_minors = tuple(itertools.chain.from_iterable(
+            itertools.repeat(i, len(table)) for i, table in enumerate(tables)))
+        if any(powers[0] < 0 for _c, _p, _q, _mono, powers in self.terms):
+            raise AnalysisError("a minor has a negative power of k")
 
 
 def _det(matrix: list[list[Expr]]) -> Expr:
@@ -277,17 +275,7 @@ def compile_conditions(conds: PsdConditionSet, bindings: Mapping[str, float],
                        tgrid: np.ndarray) -> CompiledConditions:
     """Bind the parameters into the pair's term table and tabulate it by k^p * t^e."""
     merged: dict[tuple[int, int, float], list[float]] = {}
-    for minor, kpow, exp_p, exp_q, coeff, params in conds.terms:
-        e = exp_p
-        if exp_q:
-            if "alpha" not in bindings:
-                raise AnalysisError("alpha must be bound for power-form exponents")
-            e += exp_q * bindings["alpha"]
-        base = coeff
-        for sym, power in params:
-            if sym not in bindings:
-                raise AnalysisError(f"parameter {sym!r} is not bound")
-            base *= bindings[sym] ** power
+    for minor, (base, e, (kpow,)) in zip(conds.term_minors, bind_terms(conds.terms, bindings)):
         key = (kpow, minor, e)
         entry = merged.get(key)
         if entry is None:
@@ -666,7 +654,6 @@ def bootstrap_rate_check(system: OdeSystemSpec, pair: PQPair, known_rate_exponen
 
     params = {"k": k_target, "r": r}
     gamma = query.gamma
-    from .pq import entry_fn
 
     t = traj.times
     egamma = t ** k_target  # log form: exp(k log t)
@@ -677,7 +664,8 @@ def bootstrap_rate_check(system: OdeSystemSpec, pair: PQPair, known_rate_exponen
         if not entry:
             continue
         weight = 1.0 if i == j else 2.0
-        coeff = entry_fn(entry, gamma, params)(t)
+        terms = float_terms(gamma.substitute(entry), ("lambda", "theta"))
+        coeff = evaluate(bind_terms(terms, params), t, 0.0, 0.0)  # lambda = theta = 0
         quad += weight * coeff * np.sum(vec_i * vec_j, axis=1)
     energy = egamma * (quad + traj.gaps)
 

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from . import analysis, restart as restart_mod, simulate as sim
-from .expr import GAMMA_FORMS
+from .expr import GAMMA_FORMS, ExprError
 from .sequences import dump_groups_csv, enumerate_pairs
 from .systems import resolve_system
 
@@ -52,19 +52,10 @@ def _parse_t_domain(text: str):
     raise argparse.ArgumentTypeError(f"bad t-domain {text!r}")
 
 
-def _default_jobs(value):
-    if value is not None:
-        return value
-    env = os.environ.get("LYAP_JOBS")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lyapsearch")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="analysis worker pool size (env LYAP_JOBS; default: all cores)")
+                        help="analysis worker pool size (default: all cores)")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized runs")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -222,7 +213,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
-    args.jobs = _default_jobs(args.jobs)
+    if args.jobs is None:
+        args.jobs = os.cpu_count() or 1
     handlers = {
         "search": _cmd_search,
         "verify-catalog": _cmd_verify_catalog,
@@ -232,7 +224,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (KeyError, ValueError, OSError, sim.SimulationError,
+    except (KeyError, ValueError, OSError, ExprError, sim.SimulationError,
             analysis.AnalysisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,6 +13,11 @@ that are equal as generalized polynomials compare structurally equal.
 Only ring operations, differentiation in t, substitution and numeric
 evaluation are provided; there is no division by non-monomial expressions
 and no transcendental simplification.
+
+Numeric evaluation has one path, shared by every module: float_terms turns an
+expression's terms, in terms() order, into a table of floats once, leaving
+chosen symbols (k, or lambda and theta) free; bind_terms multiplies the bound
+parameter values into it; evaluate sums it at scalar or array t.
 """
 
 from __future__ import annotations
@@ -38,8 +43,12 @@ class ExprError(Exception):
 
 class UnboundSymbolError(ExprError):
     def __init__(self, name: str):
-        super().__init__(f"unbound symbol {name!r}")
+        # The name is the only argument, so the error survives pickling.
+        super().__init__(name)
         self.name = name
+
+    def __str__(self) -> str:
+        return f"unbound symbol {self.name!r}"
 
 
 class ZeroExpressionError(ExprError):
@@ -309,26 +318,9 @@ class Expr:
                 syms.add(sym)
         return frozenset(syms)
 
-    def eval(self, t: float, bindings: Mapping[str, float] | None = None) -> float:
+    def eval(self, t, bindings: Mapping[str, float] | None = None):
         """IEEE-double value at time t > 0 with all symbols bound."""
-        bindings = bindings or {}
-        total = 0.0
-        for (exp, mono), coeff in self._terms.items():
-            p, q = exp
-            e = float(p)
-            if q:
-                if "alpha" not in bindings:
-                    raise UnboundSymbolError("alpha")
-                e += float(q) * bindings["alpha"]
-            value = float(coeff) * t ** e
-            for sym, power in mono:
-                if is_gamma_symbol(sym):
-                    raise UnboundSymbolError(sym)
-                if sym not in bindings:
-                    raise UnboundSymbolError(sym)
-                value *= bindings[sym] ** power
-            total += value
-        return total
+        return evaluate(bind_terms(float_terms(self), bindings or {}), t)
 
     def leading(self, alpha: float | None = None) -> tuple[Exponent, "Expr"]:
         """Largest-exponent behavior as t grows without bound.
@@ -343,8 +335,8 @@ class Expr:
             raise ZeroExpressionError("leading behavior of the zero expression")
         exponents = {exp for (exp, _mono) in self._terms}
 
-        def key(exp: Exponent, a: float) -> float:
-            return float(exp[0]) + float(exp[1]) * a
+        def key(exp: Exponent, a: float) -> Fraction:
+            return exp[0] + exp[1] * Fraction(a)
 
         if alpha is not None:
             best = max(exponents, key=lambda e: key(e, alpha))
@@ -412,6 +404,73 @@ def _term_text(exp: Exponent, mono: Monomial, coeff: Fraction) -> str:
     for sym, power in mono:
         atoms.append(sym if power == 1 else f"{sym}^{power}")
     return "*".join(atoms)
+
+
+# -- numeric path -------------------------------------------------------------
+# All three functions keep the order of Expr.terms(), so equal expressions give
+# bit-identical floats whatever order their terms were built in.
+
+FloatTerm = tuple[float, float, float, Monomial, tuple[int, ...]]
+BoundTerm = tuple[float, float, tuple[int, ...]]
+
+
+def float_terms(e: Expr, free: tuple[str, ...] = ()) -> tuple[FloatTerm, ...]:
+    """One entry per term, in terms() order, with the exact values as floats.
+
+    An entry is (coefficient, p, q, monomial, free powers) for
+    coefficient * t^(p + q*alpha) * monomial * product of the free symbols
+    raised to the free powers, which follow the order of free; the monomial
+    omits the free symbols.
+    """
+    table = []
+    for (p, q), mono, coeff in e.terms():
+        kept, powers = [], [0] * len(free)
+        for item in mono:
+            sym, power = item
+            if sym in free:
+                powers[free.index(sym)] = power
+            else:
+                kept.append(item)
+        table.append((float(coeff), float(p), float(q), tuple(kept), tuple(powers)))
+    return tuple(table)
+
+
+def bind_terms(terms: tuple[FloatTerm, ...], bindings: Mapping[str, float]) -> list[BoundTerm]:
+    """(base, exponent of t, free powers) per term, with every other symbol bound.
+
+    The bound values multiply into the coefficient in monomial order; alpha is
+    applied to the exponent.  Raises UnboundSymbolError naming a missing symbol.
+    """
+    bound = []
+    for coeff, p, q, mono, powers in terms:
+        e = p
+        if q:
+            if "alpha" not in bindings:
+                raise UnboundSymbolError("alpha")
+            e += q * bindings["alpha"]
+        base = coeff
+        for sym, power in mono:
+            if sym not in bindings:
+                raise UnboundSymbolError(sym)
+            base *= bindings[sym] ** power
+        bound.append((base, e, powers))
+    return bound
+
+
+def evaluate(bound: list[BoundTerm], t, *free_values):
+    """Sum of the bound terms at t, with the free symbols at free_values.
+
+    t and the free values may be scalars or numpy arrays; a term with
+    exponent 0 stays a scalar, so constants never broadcast to t's shape.
+    """
+    total = 0.0
+    for base, e, powers in bound:
+        term = base * t ** e if e else base
+        for value, power in zip(free_values, powers, strict=True):
+            if power:
+                term = term * value ** power
+        total = total + term
+    return total
 
 
 _F0 = Fraction(0)

@@ -11,6 +11,11 @@ exactly once first; B1-B3, C1, D1-D4 are integration-by-parts rewrites; E1 and
 F1 trade mixed terms against the convexity parameters lambda and theta, which
 only ever enter diagonal entries.  Every operation reads a single source entry
 and updates the pair symmetrically, so symmetry is preserved by construction.
+A1 is written out; the other ten are rows of one table, each naming its source
+Q entry, the P entry it feeds and the Q entries it corrects.
+
+The module is purely symbolic; numbers are read from the entries through the
+numeric path of lyapsearch.expr.
 """
 
 from __future__ import annotations
@@ -18,9 +23,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
-from .expr import Expr, GammaForm, GAMMA1, ZERO
+from .expr import Expr, GAMMA1, ZERO
 
 OPERATIONS = ("A1", "B1", "B2", "B3", "C1", "D1", "D2", "D3", "D4", "E1", "F1")
 
@@ -84,11 +89,6 @@ class PQPair:
         orders += [e.max_gamma_order() for row in self.Q for e in row]
         return max(orders)
 
-    def check_symmetry(self) -> bool:
-        p_ok = all(self.P[i][j] == self.P[j][i] for i in range(3) for j in range(3))
-        q_ok = all(self.Q[i][j] == self.Q[j][i] for i in range(5) for j in range(5))
-        return p_ok and q_ok
-
 
 def initial_pair(system) -> PQPair:
     """Build the starting pair for an ODE system.
@@ -106,6 +106,35 @@ def initial_pair(system) -> PQPair:
             if value:
                 entries[(i + 1, j + 1)] = value
     return PQPair(P=_sym_matrix(3, {}), Q=_sym_matrix(5, entries))
+
+
+class _Rule(NamedTuple):
+    """One integration-by-parts rewrite: the source Q entry s is zeroed, the P
+    target gains p_weight * s, and each correction (entry, factor, shifted)
+    subtracts factor * g_shift(s) (shifted) or factor * s from a Q entry."""
+
+    source: tuple[int, int]
+    p_target: tuple[int, int] | None
+    p_weight: int | Expr
+    corrections: tuple[tuple[tuple[int, int], int | Expr, bool], ...]
+
+
+_RULES = {
+    "B1": _Rule((3, 5), (3, 3), 1, (((3, 3), 1, True),)),
+    "B2": _Rule((1, 5), (1, 3), 1, (((1, 3), 1, True), ((3, 3), 2, False))),
+    "B3": _Rule((1, 3), (1, 1), 1, (((1, 1), 1, True),)),
+    "C1": _Rule((2, 4), (2, 2), 1, (((2, 2), 1, True),)),
+    "D1": _Rule((3, 4), (2, 3), 1, (((2, 3), 1, True), ((2, 5), 1, False))),
+    "D2": _Rule((2, 5), (2, 3), 1, (((2, 3), 1, True), ((3, 4), 1, False))),
+    "D3": _Rule((2, 3), (1, 2), 1, (((1, 2), 1, True), ((1, 4), 1, False))),
+    "D4": _Rule((1, 4), (1, 2), 1, (((1, 2), 1, True), ((2, 3), 1, False))),
+    "E1": _Rule((1, 4), (1, 1), _LAMBDA, (((1, 1), _LAMBDA, True),)),
+    "F1": _Rule((3, 4), None, 1, (((3, 3), -2 * _THETA, False),)),
+}
+
+
+def _scaled(factor: int | Expr, value: Expr) -> Expr:
+    return value if factor == 1 else factor * value
 
 
 def apply_operation(pair: PQPair, op: str) -> PQPair:
@@ -135,70 +164,16 @@ def apply_operation(pair: PQPair, op: str) -> PQPair:
         })
         return PQPair(P, new_q, pair.provenance + (op,), has_gap=True)
 
-    if op == "B1":
-        s = e(3, 5)
-        new_p = _updated(P, {(3, 3): pair.p_entry(3, 3) + s})
-        new_q = _updated(Q, {(3, 3): e(3, 3) - g_shift(s), (3, 5): ZERO})
-    elif op == "B2":
-        s = e(1, 5)
-        new_p = _updated(P, {(1, 3): pair.p_entry(1, 3) + s})
-        new_q = _updated(Q, {
-            (1, 3): e(1, 3) - g_shift(s),
-            (3, 3): e(3, 3) - 2 * s,
-            (1, 5): ZERO,
-        })
-    elif op == "B3":
-        s = e(1, 3)
-        new_p = _updated(P, {(1, 1): pair.p_entry(1, 1) + s})
-        new_q = _updated(Q, {(1, 1): e(1, 1) - g_shift(s), (1, 3): ZERO})
-    elif op == "C1":
-        s = e(2, 4)
-        new_p = _updated(P, {(2, 2): pair.p_entry(2, 2) + s})
-        new_q = _updated(Q, {(2, 2): e(2, 2) - g_shift(s), (2, 4): ZERO})
-    elif op == "D1":
-        s = e(3, 4)
-        new_p = _updated(P, {(2, 3): pair.p_entry(2, 3) + s})
-        new_q = _updated(Q, {
-            (2, 3): e(2, 3) - g_shift(s),
-            (2, 5): e(2, 5) - s,
-            (3, 4): ZERO,
-        })
-    elif op == "D2":
-        s = e(2, 5)
-        new_p = _updated(P, {(2, 3): pair.p_entry(2, 3) + s})
-        new_q = _updated(Q, {
-            (2, 3): e(2, 3) - g_shift(s),
-            (3, 4): e(3, 4) - s,
-            (2, 5): ZERO,
-        })
-    elif op == "D3":
-        s = e(2, 3)
-        new_p = _updated(P, {(1, 2): pair.p_entry(1, 2) + s})
-        new_q = _updated(Q, {
-            (1, 2): e(1, 2) - g_shift(s),
-            (1, 4): e(1, 4) - s,
-            (2, 3): ZERO,
-        })
-    elif op == "D4":
-        s = e(1, 4)
-        new_p = _updated(P, {(1, 2): pair.p_entry(1, 2) + s})
-        new_q = _updated(Q, {
-            (1, 2): e(1, 2) - g_shift(s),
-            (2, 3): e(2, 3) - s,
-            (1, 4): ZERO,
-        })
-    elif op == "E1":
-        s = e(1, 4)
-        new_p = _updated(P, {(1, 1): pair.p_entry(1, 1) + _LAMBDA * s})
-        new_q = _updated(Q, {(1, 1): e(1, 1) - _LAMBDA * g_shift(s), (1, 4): ZERO})
-    elif op == "F1":
-        s = e(3, 4)
-        new_p = P
-        new_q = _updated(Q, {(3, 3): e(3, 3) + 2 * _THETA * s, (3, 4): ZERO})
-    else:  # pragma: no cover
-        raise OperationError(op)
-
-    return PQPair(new_p, new_q, pair.provenance + (op,), has_gap=True)
+    rule = _RULES[op]
+    s = e(*rule.source)
+    new_p = P
+    if rule.p_target is not None:
+        new_p = _updated(P, {rule.p_target: pair.p_entry(*rule.p_target)
+                             + _scaled(rule.p_weight, s)})
+    updates = {entry: e(*entry) - _scaled(factor, g_shift(s) if shifted else s)
+               for entry, factor, shifted in rule.corrections}
+    updates[rule.source] = ZERO
+    return PQPair(new_p, _updated(Q, updates), pair.provenance + (op,), has_gap=True)
 
 
 def apply_sequence(pair: PQPair, ops: Iterable[str]) -> PQPair:
@@ -206,88 +181,3 @@ def apply_sequence(pair: PQPair, ops: Iterable[str]) -> PQPair:
     for op in ops:
         pair = apply_operation(pair, op)
     return pair
-
-
-# -- numeric access -----------------------------------------------------------
-
-
-def entry_fn(entry: Expr, gamma: GammaForm, params: Mapping[str, float]) -> Callable:
-    """Compile an entry to a vectorizable function of (t, lam, theta).
-
-    Gamma derivatives are substituted per the given form; every parameter
-    except lambda and theta must be bound in params.
-    """
-    import numpy as np
-
-    concrete = entry.subs_gamma(gamma)
-    compiled = []
-    for exp, mono, coeff in concrete.terms():
-        e = float(exp[0])
-        if exp[1]:
-            e += float(exp[1]) * params["alpha"]
-        base = float(coeff)
-        lam_pow = theta_pow = 0
-        for sym, power in mono:
-            if sym == "lambda":
-                lam_pow = power
-            elif sym == "theta":
-                theta_pow = power
-            else:
-                base *= params[sym] ** power
-        compiled.append((base, e, lam_pow, theta_pow))
-
-    def value(t, lam=0.0, theta=0.0):
-        total = np.zeros_like(np.asarray(t, dtype=float))
-        for base, e, lp, tp in compiled:
-            term = base * np.asarray(t, dtype=float) ** e
-            if lp:
-                term = term * np.asarray(lam) ** lp
-            if tp:
-                term = term * np.asarray(theta) ** tp
-            total = total + term
-        return total
-
-    return value
-
-
-def lyapunov_scalar_forms(pair: PQPair, gamma: GammaForm, params: Mapping[str, float]):
-    """Evaluators for the boundary form p and the integrand form q.
-
-    Returns (p, q): p(t, v1, v2, v3, lam=..) and q(t, v1..v5, lam=.., theta=..)
-    where each vi is a numeric vector.  Both include the exp(gamma) factor.
-    """
-    import numpy as np
-
-    if not pair.has_gap:
-        raise OperationError("pair lacks the objective-gap term; apply A1 first")
-
-    p_fns = {(i, j): entry_fn(pair.p_entry(i, j), gamma, params)
-             for i in range(1, 4) for j in range(i, 4) if pair.p_entry(i, j)}
-    q_fns = {(i, j): entry_fn(pair.q_entry(i, j), gamma, params)
-             for i in range(1, 6) for j in range(i, 6) if pair.q_entry(i, j)}
-
-    def quad(fns, t, vs, lam, theta):
-        total = 0.0
-        for (i, j), fn in fns.items():
-            weight = 1.0 if i == j else 2.0
-            total += weight * fn(t, lam, theta) * float(np.dot(vs[i - 1], vs[j - 1]))
-        return total
-
-    def p_value(t, v1, v2, v3, lam=0.0):
-        scale = float(np.exp(gamma.value(t, params)))
-        return scale * quad(p_fns, t, (v1, v2, v3), lam, 0.0)
-
-    def q_value(t, v1, v2, v3, v4, v5, lam=0.0, theta=0.0):
-        scale = float(np.exp(gamma.value(t, params)))
-        return scale * quad(q_fns, t, (v1, v2, v3, v4, v5), lam, theta)
-
-    return p_value, q_value
-
-
-def pair_to_json(pair: PQPair) -> dict:
-    """JSON-ready view: arrays of expression strings plus the history."""
-    return {
-        "P": [[str(e) for e in row] for row in pair.P],
-        "Q": [[str(e) for e in row] for row in pair.Q],
-        "operations": list(pair.provenance),
-    }

@@ -23,8 +23,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .expr import Expr, GammaForm
-from .pq import PQPair, entry_fn
+from .expr import GammaForm, bind_terms, evaluate, float_terms
+from .pq import PQPair
 from .systems import OdeSystemSpec
 
 
@@ -47,11 +47,6 @@ class QuadraticObjective:
     def log_spaced(dim: int, mu: float, L: float, xstar: np.ndarray | None = None):
         eigs = np.geomspace(mu, L, dim) if mu < L else np.full(dim, mu)
         return QuadraticObjective(eigs, np.zeros(dim) if xstar is None else xstar)
-
-    @staticmethod
-    def from_eigenvalues(eigs, xstar=None):
-        eigs = np.asarray(eigs, dtype=float)
-        return QuadraticObjective(eigs, np.zeros(len(eigs)) if xstar is None else xstar)
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", np.asarray(self.eigenvalues, dtype=float))
@@ -80,9 +75,6 @@ class QuadraticObjective:
     def grad(self, x: np.ndarray) -> np.ndarray:
         return self.eigenvalues * (x - self.xstar)
 
-    def hess_diag(self) -> np.ndarray:
-        return self.eigenvalues
-
 
 @dataclass
 class Trajectory:
@@ -107,36 +99,21 @@ class Trajectory:
         v2 = eigs * v1
         v3 = self.vs
         v4 = eigs * v3
-        c = [_coeff_fn(e, self.params) for e in self.system.coeffs]
         t = self.times[:, None]
+        c = [evaluate(b, t) for b in _bound(self.system.coeffs, self.params)]
         if self.system.second_order:
-            v5 = -(c[0](t) * v1 + c[1](t) * v2 + c[2](t) * v3 + c[3](t) * v4) / c[4](t)
+            v5 = -(c[0] * v1 + c[1] * v2 + c[2] * v3 + c[3] * v4) / c[4]
         else:
-            dc = [_coeff_fn(e.diff(), self.params) for e in self.system.coeffs]
-            rhs = dc[0](t) * v1 + dc[1](t) * v2 + (c[0](t) + dc[2](t)) * v3 \
-                + (c[1](t) + dc[3](t)) * v4
-            v5 = -rhs / (c[2](t) + c[3](t) * eigs)
+            dc = [evaluate(b, t) for b in _bound([e.diff() for e in self.system.coeffs],
+                                                 self.params)]
+            rhs = dc[0] * v1 + dc[1] * v2 + (c[0] + dc[2]) * v3 + (c[1] + dc[3]) * v4
+            v5 = -rhs / (c[2] + c[3] * eigs)
         return v1, v2, v3, v4, v5
 
 
-def _coeff_fn(e: Expr, params: Mapping[str, float]):
-    if not e:
-        return lambda t: 0.0
-    compiled = []
-    for exp, mono, coeff in e.terms():
-        ex = float(exp[0])
-        if exp[1]:
-            ex += float(exp[1]) * params["alpha"]
-        base = float(coeff)
-        for sym, power in mono:
-            base *= params[sym] ** power
-        compiled.append((base, ex))
-    if len(compiled) == 1 and compiled[0][1] == 0.0:
-        value = compiled[0][0]
-        return lambda t: value
-    def fn(t):
-        return sum(base * t ** ex for base, ex in compiled)
-    return fn
+def _bound(exprs, params: Mapping[str, float]):
+    """Each expression's terms with the parameters bound, ready for evaluate."""
+    return [bind_terms(float_terms(e), params) for e in exprs]
 
 
 # Steps whose RK4 maps are built at once; bounds the memory of long runs.
@@ -168,7 +145,7 @@ def integrate(system: OdeSystemSpec, obj: QuadraticObjective, x0, v0,
     if t0 <= 0 and singular_at_zero:
         raise SimulationError("t0 must be positive for coefficients singular at t = 0")
 
-    c = [_coeff_fn(e, params) for e in system.coeffs]
+    coeffs = _bound(system.coeffs, params)
     eigs = obj.eigenvalues
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -185,11 +162,12 @@ def integrate(system: OdeSystemSpec, obj: QuadraticObjective, x0, v0,
         # The stage times t, t + h/2, t + h of each step, in the order RK4 visits them.
         stage = times[start:stop, None] + np.array([0.0, dt / 2, dt])
         t = stage[..., None]  # against the modes
+        c = [evaluate(b, t) for b in coeffs]
         zero = np.zeros(stage.shape + eigs.shape)
-        stiffness = zero + c[0](t) + c[1](t) * eigs
-        damping = zero + c[2](t) + c[3](t) * eigs
+        stiffness = zero + c[0] + c[1] * eigs
+        damping = zero + c[2] + c[3] * eigs
         if system.second_order:
-            inertia = c[4](t)
+            inertia = c[4]
             _check_mass(stage, np.broadcast_to(inertia, t.shape), "coefficient c5")
             a = np.array([[zero, zero + 1.0], [-stiffness / inertia, -damping / inertia]])
             maps = np.moveaxis(_step_maps(a, dt), (0, 1), (2, 3))  # (steps, modes, 2, 2)
@@ -321,7 +299,8 @@ def pair_forms_on_trajectory(pair: PQPair, gamma: GammaForm, traj: Trajectory,
                 if not entry:
                     continue
                 weight = 1.0 if i == j else 2.0
-                coeff = entry_fn(entry, gamma, params)(t, lam, theta)
+                terms = float_terms(gamma.substitute(entry), ("lambda", "theta"))
+                coeff = evaluate(bind_terms(terms, params), t, lam, theta)
                 total += weight * coeff * np.einsum("ij,ij->i", vs[i - 1], vs[j - 1])
         return total
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -36,6 +37,18 @@ def random_expr(rng: random.Random, max_terms: int = 3, allow_gamma: bool = True
             term = term * Expr.symbol(rng.choice(atoms))
         out = out + term
     return out
+
+
+def naive_eval(e: Expr, t: float, bindings) -> float:
+    """Independent term-by-term evaluation using only the public term iterator."""
+    total = 0.0
+    for (p, q), mono, coeff in e.terms():
+        exponent = float(p) + float(q) * bindings.get("alpha", 0.0)
+        value = float(coeff) * math.pow(t, exponent)
+        for sym, power in mono:
+            value *= math.pow(bindings[sym], power)
+        total += value
+    return total
 
 
 def random_pair(rng: random.Random, allow_gamma: bool = True) -> PQPair:

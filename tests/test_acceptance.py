@@ -188,8 +188,8 @@ def test_c09_empirical_rates(enumerations):
                      t0=0.0, t1=20.0, dt=1e-3, params={"a": 2.0, "b": 0.0})
     results["sc-nag"] = (measure_rate(traj, LINEAR, {"k": 1.0}).k, 1.0)
 
-    flat = QuadraticObjective.from_eigenvalues(
-        np.concatenate([[1e-6], np.geomspace(0.5, 4.0, 9)]))
+    flat = QuadraticObjective(np.concatenate([[1e-6], np.geomspace(0.5, 4.0, 9)]),
+                              np.zeros(10))
     traj = integrate(CATALOG["nag"], flat, np.ones(10), np.zeros(10),
                      t0=1.0, t1=60.0, dt=2e-3, params={"r": 3.0})
     results["nag-convex"] = (measure_rate(traj, LOG, {"k": 1.0}, window=(20.0, 60.0)).k, 2.0)

@@ -16,6 +16,8 @@ from lyapsearch.expr import Expr, GAMMA1, LINEAR, LOG, POWER, ZERO, parse_expr
 from lyapsearch.pq import PQPair, _sym_matrix, apply_sequence, initial_pair
 from lyapsearch.systems import CATALOG
 
+from conftest import naive_eval
+
 HALF = Fraction(1, 2)
 LAM = Expr.symbol("lambda")
 THETA = Expr.symbol("theta")
@@ -468,7 +470,7 @@ def test_second_order_rate_breakdown(enumerations):
 
 def numeric_matrices(pair, gamma, t, bindings):
     def mat(entries, dim):
-        return np.array([[entries[i][j].subs_gamma(gamma).eval(t, bindings)
+        return np.array([[naive_eval(entries[i][j].subs_gamma(gamma), t, bindings)
                           for j in range(dim)] for i in range(dim)])
 
     return mat(pair.P, 3), mat(pair.Q, 5)

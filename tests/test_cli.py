@@ -86,6 +86,29 @@ def test_unknown_catalog_name_is_usage_error():
     assert main(["simulate", "--spec", "no-such-system"]) == 1
 
 
+SPEC_TEMPLATE = ("name = broken\ncoeff_v1 = 0\ncoeff_v2 = 1\ncoeff_v3 = {v3}\n"
+                 "coeff_v4 = 0\ncoeff_v5 = 1\nparams = [a]\n")
+
+
+@pytest.mark.parametrize("v3, command", [("1*zeta", "dump-groups"), ("1*a*", "search")])
+def test_malformed_spec_file_is_an_error_not_a_traceback(tmp_path, capsys, v3, command):
+    spec_file = tmp_path / "sys.txt"
+    spec_file.write_text(SPEC_TEMPLATE.format(v3=v3))
+    out = tmp_path / "out.csv"
+    argv = ["--jobs", "1", command, "--spec", str(spec_file), "--out", str(out)]
+    if command == "search":
+        argv += ["--param", "a=2"]
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_unbound_parameter_from_the_pool_is_named_once(capsys):
+    assert main(["--jobs", "2", "search", "--spec", "nag", "--gamma", "log", "--convex"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("'r'") == 1
+
+
 def test_restart_csv(tmp_path):
     out = tmp_path / "restart.csv"
     code = main(["restart", "--l", "0.7071067811865476", "--c", "2", "--mu", "1",

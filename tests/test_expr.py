@@ -1,31 +1,21 @@
-import math
+import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lyapsearch.expr import (Expr, ExprSyntaxError, GAMMA1, GAMMA2, LINEAR, LOG, POWER,
-                             UnboundSymbolError, ZERO, ZeroExpressionError, parse_expr)
+                             UnboundSymbolError, ZERO, ZeroExpressionError, bind_terms,
+                             evaluate, float_terms, parse_expr)
 
-from conftest import random_expr
+from conftest import naive_eval, random_expr
 
 K = Expr.symbol("k")
 MU = Expr.symbol("mu")
 T = Expr.t_power(1)
-
-
-def naive_eval(e: Expr, t: float, bindings) -> float:
-    """Independent term-by-term evaluation using only the public term iterator."""
-    total = 0.0
-    for (p, q), mono, coeff in e.terms():
-        exponent = float(p) + float(q) * bindings.get("alpha", 0.0)
-        value = float(coeff) * math.pow(t, exponent)
-        for sym, power in mono:
-            value *= math.pow(bindings[sym], power)
-        total += value
-    return total
 
 
 def test_additive_inverse():
@@ -151,6 +141,45 @@ def test_eval_unbound_symbol_is_named():
     assert err.value.name == "mu"
     with pytest.raises(UnboundSymbolError):
         GAMMA1.eval(1.0, {})
+
+
+def test_unbound_symbol_error_survives_pickling():
+    err = pickle.loads(pickle.dumps(UnboundSymbolError("r")))
+    assert err.name == "r"
+    assert str(err) == "unbound symbol 'r'"
+
+
+def test_numeric_path_matches_naive_eval(rng):
+    free = ("lambda", "theta")
+    n = 4
+    for _ in range(200):
+        e = random_expr(rng, max_terms=4, allow_gamma=False, symbols=("a", "r") + free)
+        e = e * Expr.t_power(0, rng.choice([0, 1, -2]))
+        bindings = {"a": rng.uniform(0.5, 2.0), "r": rng.uniform(0.5, 2.0),
+                    "alpha": rng.uniform(0.05, 0.95)}
+        lam, theta, ts = (np.array([rng.uniform(lo, 3.0) for _ in range(n)])
+                          for lo in (0.0, 0.0, 0.2))
+        bound = bind_terms(float_terms(e, free), bindings)
+        at_scalar_t = np.broadcast_to(evaluate(bound, ts[0], lam, theta), (n,))
+        along_t = np.broadcast_to(evaluate(bound, ts, lam, theta), (n,))
+        for i in range(n):
+            point = {**bindings, "lambda": lam[i], "theta": theta[i]}
+            assert at_scalar_t[i] == pytest.approx(naive_eval(e, ts[0], point),
+                                                   rel=1e-12, abs=1e-10)
+            assert along_t[i] == pytest.approx(naive_eval(e, ts[i], point), rel=1e-12, abs=1e-10)
+
+
+def test_numeric_path_names_unbound_symbols_and_keeps_constants_scalar():
+    e = parse_expr("2*r*t^1+-1*alpha + 3")
+    with pytest.raises(UnboundSymbolError) as err:
+        bind_terms(float_terms(e), {"alpha": 0.5})
+    assert err.value.name == "r"
+    with pytest.raises(UnboundSymbolError) as err:
+        bind_terms(float_terms(e), {"r": 1.0})
+    assert err.value.name == "alpha"
+    constant = evaluate(bind_terms(float_terms(Expr.number(3) * MU), {"mu": 0.5}), np.ones(7))
+    assert isinstance(constant, float) and constant == 1.5
+    assert evaluate(bind_terms(float_terms(ZERO), {}), np.ones(7)) == 0.0
 
 
 def test_leading_behavior():

@@ -1,13 +1,10 @@
-import json
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from lyapsearch.expr import Expr, GAMMA1, LINEAR, ZERO
-from lyapsearch.pq import (OperationError, apply_operation, apply_sequence,
-                           initial_pair, lyapunov_scalar_forms, pair_to_json)
+from lyapsearch.pq import OperationError, apply_operation, apply_sequence, initial_pair
 from lyapsearch.systems import CATALOG
 
 from conftest import random_pair
@@ -149,7 +146,8 @@ def test_symmetry_preserved_by_every_operation(rng):
     for op in ("B1", "B2", "B3", "C1", "D1", "D2", "D3", "D4", "E1", "F1"):
         for _ in range(5):
             out = apply_operation(random_pair(rng), op)
-            assert out.check_symmetry()
+            assert all(out.P[i][j] == out.P[j][i] for i in range(3) for j in range(3)), op
+            assert all(out.Q[i][j] == out.Q[j][i] for i in range(5) for j in range(5)), op
 
 
 def test_zero_target_postconditions(rng):
@@ -171,55 +169,3 @@ def test_operations_idempotent(rng):
 @pytest.mark.parametrize("lhs, rhs", IDENTITIES, ids=[f"{a}={b}" for a, b in IDENTITIES])
 def test_composition_identities_quick(lhs, rhs, rng):
     check_identity(lhs, rhs, rng, samples=15)
-
-
-def test_scalar_forms_zero_p():
-    pair = apply_operation(initial_pair(CATALOG["damped-newton"]), "A1")
-    assert all(not e for row in pair.P for e in row)
-    p, _q = lyapunov_scalar_forms(pair, LINEAR, {"k": 1.0})
-    vec = np.array([1.0, 2.0, 3.0])
-    assert p(2.0, vec, vec, vec, lam=1.5) == 0.0
-
-
-def test_scalar_forms_match_dense_quadratic_oracle(rng):
-    # Oracle: assemble the numeric matrices and evaluate v^T (M kron I_n) v.
-    for _ in range(5):
-        pair = random_pair(rng)
-        params = {"k": 0.7, "a": 1.3, "b": -0.4, "r": 2.5}
-        lam, theta = 1.2, 2.1
-        p_fn, q_fn = lyapunov_scalar_forms(pair, LINEAR, params)
-        t = 1.7
-        n = 3
-        vs = [np.array([rng.uniform(-1, 1) for _ in range(n)]) for _ in range(5)]
-        bindings = {**params, "lambda": lam, "theta": theta}
-
-        def dense(matrix, dim, stacked):
-            m = np.array([[matrix[i][j].subs_gamma(LINEAR).eval(t, bindings)
-                           for j in range(dim)] for i in range(dim)])
-            big = np.kron(m, np.eye(n))
-            return float(stacked @ big @ stacked)
-
-        scale = np.exp(params["k"] * t)
-        expected_p = scale * dense(pair.P, 3, np.concatenate(vs[:3]))
-        expected_q = scale * dense(pair.Q, 5, np.concatenate(vs))
-        assert p_fn(t, *vs[:3], lam=lam) == pytest.approx(expected_p, rel=1e-10, abs=1e-9)
-        assert q_fn(t, *vs, lam=lam, theta=theta) == pytest.approx(expected_q, rel=1e-10, abs=1e-9)
-
-
-def test_scalar_forms_require_gap():
-    with pytest.raises(OperationError):
-        lyapunov_scalar_forms(initial_pair(CATALOG["damped-newton"]), LINEAR, {"k": 1.0})
-
-
-def test_json_export_round_trips_through_parser():
-    from lyapsearch.expr import parse_expr
-
-    pair = apply_sequence(initial_pair(CATALOG["first-order-hessian"]), ("A1", "B3", "E1"))
-    blob = json.loads(json.dumps(pair_to_json(pair)))
-    assert blob["operations"] == ["A1", "B3", "E1"]
-    for i in range(3):
-        for j in range(3):
-            assert parse_expr(blob["P"][i][j]) == pair.P[i][j]
-    for i in range(5):
-        for j in range(5):
-            assert parse_expr(blob["Q"][i][j]) == pair.Q[i][j]

@@ -11,13 +11,15 @@ from lyapsearch.simulate import (STEP_CHUNK, QuadraticObjective, SimulationError
                                  integrate, measure_rate)
 from lyapsearch.systems import CATALOG, load_system
 
+from conftest import naive_eval
+
 GF_PARAMS = {"b": 0.0}
 
 
 # -- reference stepper ------------------------------------------------------------
 # Classical RK4 stage by stage, one derivative call per stage, with the
-# coefficients evaluated through Expr.eval: the differential reference for the
-# step-map integrator.
+# coefficients evaluated term by term (naive_eval): the differential reference
+# for the step-map integrator.
 
 
 def _rk4_step(deriv, t, state, dt):
@@ -30,7 +32,7 @@ def _rk4_step(deriv, t, state, dt):
 
 
 def _reference_integrate(system, obj, x0, v0, t0, t1, dt, params):
-    c = [lambda t, e=e: e.eval(t, params) for e in system.coeffs]
+    c = [lambda t, e=e: naive_eval(e, t, params) for e in system.coeffs]
     eigs = obj.eigenvalues
     n_steps = max(int(round((t1 - t0) / dt)), 1)
     times = t0 + dt * np.arange(n_steps + 1)
@@ -122,7 +124,7 @@ def gradient_flow(obj, x0, **kw):
 
 
 def test_gradient_flow_matches_closed_form():
-    obj = QuadraticObjective.from_eigenvalues([1.0])
+    obj = QuadraticObjective([1.0], np.zeros(1))
     traj = gradient_flow(obj, np.array([2.0]), t0=0.0, t1=5.0, dt=1e-3)
     exact = 2.0 * np.exp(-traj.times)
     assert np.max(np.abs(traj.xs[:, 0] - exact)) < 1e-9
@@ -153,7 +155,7 @@ def test_sc_nag_rate_within_five_percent():
 
 def test_measure_rate_on_exact_exponential():
     # x(t) = e^-t on a single eigenvalue 2 gives gap = e^(-2t) exactly.
-    obj = QuadraticObjective.from_eigenvalues([2.0])
+    obj = QuadraticObjective([2.0], np.zeros(1))
     times = np.linspace(0.0, 10.0, 2001)
     xs = np.exp(-times)[:, None]
     traj = Trajectory(CATALOG["first-order-hessian"], obj, GF_PARAMS, times, xs, -xs)
@@ -163,7 +165,7 @@ def test_measure_rate_on_exact_exponential():
 
 
 def test_fit_window_truncates_on_underflow():
-    obj = QuadraticObjective.from_eigenvalues([2.0])
+    obj = QuadraticObjective([2.0], np.zeros(1))
     times = np.linspace(0.0, 10.0, 101)
     xs = np.exp(-times)[:, None]
     xs[-3:] = 0.0  # exact minimum reached: gap underflows
@@ -203,7 +205,7 @@ def test_singular_mass_at_half_step_detected(tmp_path):
                     "coeff_v3 = 1\n"
                     "coeff_v4 = 1*b*t^1\n"
                     "coeff_v5 = 0\n")
-    obj = QuadraticObjective.from_eigenvalues([2.0])
+    obj = QuadraticObjective([2.0], np.zeros(1))
     with pytest.raises(SingularMassMatrixError, match=r"t=0\.25$"):
         integrate(load_system(path), obj, np.ones(1), np.zeros(1),
                   t0=0.0, t1=1.0, dt=0.5, params={"b": -2.0})
@@ -219,7 +221,7 @@ def test_vanishing_second_order_mass_detected(tmp_path):
                     "coeff_v3 = 1\n"
                     "coeff_v4 = 0\n"
                     "coeff_v5 = 1*t^1\n")
-    obj = QuadraticObjective.from_eigenvalues([1.0, 2.0])
+    obj = QuadraticObjective([1.0, 2.0], np.zeros(2))
     with pytest.raises(SingularMassMatrixError, match=r"c5 is singular at t=0$") as err:
         integrate(load_system(path), obj, np.ones(2), np.zeros(2),
                   t0=0.0, t1=1.0, dt=0.5)
@@ -337,7 +339,7 @@ def test_nag_convex_polynomial_rate():
     # One nearly flat direction plus curved ones; the fit window ends before the
     # flat mode's plateau dominates the gap.
     eigs = np.concatenate([[1e-6], np.geomspace(0.5, 4.0, 9)])
-    obj = QuadraticObjective.from_eigenvalues(eigs)
+    obj = QuadraticObjective(eigs, np.zeros(len(eigs)))
     traj = integrate(CATALOG["nag"], obj, np.ones(10), np.zeros(10),
                      t0=1.0, t1=60.0, dt=2e-3, params={"r": 3.0})
     fit = measure_rate(traj, LOG, {"k": 1.0}, window=(20.0, 60.0))
