@@ -17,6 +17,10 @@ k^p * t^e per minor; at a given k these settle every minor whose coefficients
 all clear the floor, and only the rest are evaluated on the grid.  The largest
 feasible k is then located by bisection, preceded by a coarse pre-scan that
 guards against non-monotone feasibility.
+
+Queries that share a gamma form share each pair's minors, and queries with
+the same corners share its whole condition set; verify_catalog runs the rows
+that share a system and a gamma form together, one group at a time.
 """
 
 from __future__ import annotations
@@ -70,13 +74,26 @@ class AllPositive:
 
 @dataclass(frozen=True)
 class Eventually:
+    """t >= t_search, checked on the grid up to T_GRID_HI and by leading coefficients."""
+
     t_search: float = 1e4
+
+    def __post_init__(self):
+        if not 0 < self.t_search < T_GRID_HI:
+            raise ValueError(f"t_search must lie in (0, {T_GRID_HI:g}), got {self.t_search!r}")
 
 
 @dataclass(frozen=True)
 class Window:
     t_lo: float = T_GRID_LO
     t_hi: float = T_GRID_HI
+
+    def __post_init__(self):
+        if not 0 < self.t_lo < math.inf:
+            raise ValueError(f"window bound t_lo must be finite and > 0, got {self.t_lo!r}")
+        if not self.t_lo < self.t_hi < math.inf:
+            raise ValueError(
+                f"window bound t_hi must be finite and > t_lo={self.t_lo!r}, got {self.t_hi!r}")
 
 
 TDomain = AllPositive | Eventually | Window
@@ -197,13 +214,22 @@ def psd_conditions(pair: PQPair, gamma: GammaForm,
     corner-substituted matrices, in corner order and, within a corner, in
     subset order.  They keep k, t and any free system parameters symbolic.
     """
+    return _bind_corners(_symbolic_minors(pair, gamma), tuple(corners))
+
+
+def _symbolic_minors(pair: PQPair, gamma: GammaForm) -> list[Expr]:
+    """The first half of psd_conditions: substitute gamma and build the minors."""
     if not pair.has_gap:
         raise AnalysisError("pair lacks the objective-gap term; apply A1 first")
     _check_diagonal_parameters(pair)
     p_sub = [[gamma.substitute(e) for e in row] for row in pair.P]
     q_sub = [[gamma.substitute(e) for e in row] for row in pair.Q]
-    symbolic = [m for m in _principal_minors(p_sub, 3) + _principal_minors(q_sub, 5) if m]
-    corners = tuple(corners)
+    return [m for m in _principal_minors(p_sub, 3) + _principal_minors(q_sub, 5) if m]
+
+
+def _bind_corners(symbolic: Sequence[Expr],
+                  corners: tuple[tuple[float, float], ...]) -> PsdConditionSet:
+    """The second half of psd_conditions: bind each corner and deduplicate."""
     union: dict[Expr, None] = {}
     for lam, theta in corners:
         binding = {"lambda": Fraction(lam), "theta": Fraction(theta)}
@@ -212,6 +238,22 @@ def psd_conditions(pair: PQPair, gamma: GammaForm,
             if bound:
                 union[bound] = None
     return PsdConditionSet(corners, tuple(union))
+
+
+def _shared_conditions(pair: PQPair, queries: Sequence[RateQuery]) -> list[PsdConditionSet]:
+    """psd_conditions(pair, query.gamma, query.corners()) for each of the queries.
+
+    The queries must share one gamma form.  The minors are built once and
+    bound once per distinct corner tuple, so queries with the same corners
+    share one condition set.
+    """
+    symbolic = _symbolic_minors(pair, queries[0].gamma)
+    by_corners: dict[tuple[tuple[float, float], ...], PsdConditionSet] = {}
+    for query in queries:
+        corners = query.corners()
+        if corners not in by_corners:
+            by_corners[corners] = _bind_corners(symbolic, corners)
+    return [by_corners[query.corners()] for query in queries]
 
 
 # -- numeric feasibility ----------------------------------------------------------
@@ -365,7 +407,11 @@ def max_rate(pair: PQPair, query: RateQuery, group_id: int | None = None) -> Rat
 
     Raises InfeasiblePairError when no grid point is PSD even at k = 0.
     """
-    conds = psd_conditions(pair, query.gamma, query.corners())
+    return _maximize(psd_conditions(pair, query.gamma, query.corners()), query, group_id)
+
+
+def _maximize(conds: PsdConditionSet, query: RateQuery, group_id: int | None) -> RateResult:
+    """max_rate on a pair's condition set."""
     tgrid = time_grid(query.t_domain)
     best: RateResult | None = None
     all_infeasible = True
@@ -428,24 +474,38 @@ class GroupRate:
     result: RateResult | None  # None when infeasible at k = 0
 
 
-def _analyze_one(args) -> GroupRate:
-    group, query = args
-    try:
-        return GroupRate(group.group_id, max_rate(group.representative, query, group.group_id))
-    except InfeasiblePairError:
-        return GroupRate(group.group_id, None)
+def _analyze_one(args) -> list[GroupRate]:
+    group, queries = args
+    rates = []
+    for query, conds in zip(queries, _shared_conditions(group.representative, queries)):
+        try:
+            rates.append(GroupRate(group.group_id, _maximize(conds, query, group.group_id)))
+        except InfeasiblePairError:
+            rates.append(GroupRate(group.group_id, None))
+    return rates
+
+
+def _analyze_queries(groups: Sequence[PairGroup], queries: Sequence[RateQuery],
+                     jobs: int | None) -> list[list[GroupRate]]:
+    """analyze_groups for each of the queries, which share one gamma form.
+
+    The work runs group by group, so only one group's condition sets are
+    held at a time in each process.
+    """
+    work = [(g, tuple(queries)) for g in groups]
+    if jobs and jobs > 1:
+        with multiprocessing.Pool(jobs) as pool:
+            per_group = pool.map(_analyze_one, work)
+    else:
+        per_group = [_analyze_one(w) for w in work]
+    per_group.sort(key=lambda rates: rates[0].group_id)
+    return [[rates[i] for rates in per_group] for i in range(len(queries))]
 
 
 def analyze_groups(groups: Sequence[PairGroup], query: RateQuery,
                    jobs: int | None = None) -> list[GroupRate]:
     """max_rate over every group; deterministic order by group_id."""
-    work = [(g, query) for g in groups]
-    if jobs and jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_analyze_one, work)
-    else:
-        results = [_analyze_one(w) for w in work]
-    return sorted(results, key=lambda r: r.group_id)
+    return _analyze_queries(groups, (query,), jobs)[0]
 
 
 def best_rate(rates: Sequence[GroupRate]) -> RateResult | None:
@@ -492,6 +552,8 @@ class CatalogReport:
 
 def catalog_rows(mu: float, L: float) -> list[CatalogRow]:
     """The verification table: one row per certified system configuration."""
+    if not 0 < mu < L < math.inf:
+        raise ValueError(f"verify-catalog needs 0 < mu < L, got mu={mu!r}, L={L!r}")
     sqrt_mu = math.sqrt(mu)
     r_log = 5.0
     t_search_log = math.sqrt(((r_log - 1.0) / 2.0) ** 2 - 1.0) / sqrt_mu
@@ -537,43 +599,58 @@ def catalog_rows(mu: float, L: float) -> list[CatalogRow]:
 def verify_catalog(mu: float = 1.0, L: float = 4.0, jobs: int | None = None,
                    rows: Sequence[str] | None = None,
                    enumerations: dict[str, list[PairGroup]] | None = None) -> CatalogReport:
-    """Re-derive every catalog rate and compare against its expected value."""
+    """Re-derive every catalog rate and compare against its expected value.
+
+    The rate rows that share a system and a gamma form run together, group by
+    group, so each group's minors are built once for all of them.
+    """
     table = catalog_rows(mu, L)
     if rows is not None:
         table = [row for row in table if row.label in rows]
     cache: dict[str, list[PairGroup]] = dict(enumerations or {})
-    outcomes = []
+
+    def groups_of(system: str) -> list[PairGroup]:
+        if system not in cache:
+            cache[system] = enumerate_pairs(CATALOG[system])
+        return cache[system]
+
+    outcomes: dict[str, RowOutcome] = {}
+    bundles: dict[tuple[str, GammaForm], list[CatalogRow]] = {}
     for row in table:
-        groups = cache.get(row.system)
-        if groups is None:
-            groups = enumerate_pairs(CATALOG[row.system])
-            cache[row.system] = groups
-        if row.expected_window is not None:
-            observed = max(certified_time(g.representative, row.query, row.k_probe)
-                           for g in groups)
-            step = grid_step_factor()
-            passed = row.expected_window / step ** 2 <= observed <= row.expected_window * step ** 2
-            outcomes.append(RowOutcome(
-                row.label, f"T={row.expected_window:.6g}", f"T={observed:.6g}",
-                passed, None, len(groups), 0))
+        if row.expected_window is None:
+            bundles.setdefault((row.system, row.query.gamma), []).append(row)
             continue
-        rates = analyze_groups(groups, row.query, jobs=jobs)
-        n_bad = sum(1 for r in rates if r.result is None)
-        best = best_rate(rates)
-        if best is None:
-            outcomes.append(RowOutcome(row.label, "feasible", "all pairs infeasible",
-                                       False, None, len(groups), n_bad))
-            continue
-        if row.k_range is not None:
-            lo, hi = row.k_range
-            passed = lo <= best.k_max < hi
-            expected = f"k in [{lo:.6g}, {hi:.6g})"
-        else:
-            passed = abs(best.k_max - row.expected_k) <= row.rel_tol * abs(row.expected_k)
-            expected = f"k={row.expected_k:.6g}"
-        outcomes.append(RowOutcome(row.label, expected, f"k={best.k_max:.6g}",
-                                   passed, best.group_id, len(groups), n_bad))
-    return CatalogReport(outcomes)
+        groups = groups_of(row.system)
+        observed = max(certified_time(g.representative, row.query, row.k_probe)
+                       for g in groups)
+        step = grid_step_factor()
+        passed = row.expected_window / step ** 2 <= observed <= row.expected_window * step ** 2
+        outcomes[row.label] = RowOutcome(
+            row.label, f"T={row.expected_window:.6g}", f"T={observed:.6g}",
+            passed, None, len(groups), 0)
+    for (system, _gamma), bundle in bundles.items():
+        groups = groups_of(system)
+        per_row = _analyze_queries(groups, [row.query for row in bundle], jobs)
+        for row, rates in zip(bundle, per_row):
+            outcomes[row.label] = _rate_outcome(row, rates, len(groups))
+    return CatalogReport([outcomes[row.label] for row in table])
+
+
+def _rate_outcome(row: CatalogRow, rates: list[GroupRate], n_groups: int) -> RowOutcome:
+    n_bad = sum(1 for r in rates if r.result is None)
+    best = best_rate(rates)
+    if best is None:
+        return RowOutcome(row.label, "feasible", "all pairs infeasible",
+                          False, None, n_groups, n_bad)
+    if row.k_range is not None:
+        lo, hi = row.k_range
+        passed = lo <= best.k_max < hi
+        expected = f"k in [{lo:.6g}, {hi:.6g})"
+    else:
+        passed = abs(best.k_max - row.expected_k) <= row.rel_tol * abs(row.expected_k)
+        expected = f"k={row.expected_k:.6g}"
+    return RowOutcome(row.label, expected, f"k={best.k_max:.6g}",
+                      passed, best.group_id, n_groups, n_bad)
 
 
 # -- single-step bootstrap ------------------------------------------------------------------

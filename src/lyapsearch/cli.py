@@ -32,23 +32,31 @@ def _parse_param_grid(text: str) -> tuple[str, tuple[float, ...]]:
         values = tuple(float(v) for v in spec.split(","))
     elif len(parts) == 3:
         start, step, stop = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, step, stop))):
+            raise argparse.ArgumentTypeError(f"grid range {text!r} must be finite")
+        if step == 0 or (stop - start) * step < 0:
+            raise argparse.ArgumentTypeError(
+                f"grid step of {text!r} must be nonzero and point from start to stop")
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
-        values = tuple(start + i * step for i in range(max(n, 1)))
+        values = tuple(start + i * step for i in range(n))
     else:
         raise argparse.ArgumentTypeError(f"bad grid spec {text!r}")
     return name.strip(), values
 
 
 def _parse_t_domain(text: str):
-    if text == "all":
-        return analysis.AllPositive()
-    if text == "eventually":
-        return analysis.Eventually()
-    if text.startswith("eventually:"):
-        return analysis.Eventually(float(text.split(":", 1)[1]))
-    if text.startswith("window:"):
-        _, lo, hi = text.split(":")
-        return analysis.Window(float(lo), float(hi))
+    try:
+        if text == "all":
+            return analysis.AllPositive()
+        if text == "eventually":
+            return analysis.Eventually()
+        if text.startswith("eventually:"):
+            return analysis.Eventually(float(text.split(":", 1)[1]))
+        if text.startswith("window:"):
+            _, lo, hi = text.split(":")
+            return analysis.Window(float(lo), float(hi))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad t-domain {text!r}: {exc}")
     raise argparse.ArgumentTypeError(f"bad t-domain {text!r}")
 
 

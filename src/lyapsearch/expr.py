@@ -4,7 +4,9 @@ An expression is a finite sum of terms
 
     coefficient * t^(p + q*alpha) * product of symbol powers
 
-with exact rational coefficients and exact rational (p, q).  Symbols are
+with exact rational coefficients and exact rational (p, q); each exponent part
+is stored as an int when it is integral and as a Fraction otherwise, which
+hashes and compares alike but costs far less in the term keys.  Symbols are
 either scalar parameters drawn from a fixed alphabet or abstract derivatives
 of a time function gamma(t) (gamma', gamma'', ...).  The representation is a
 canonical map from (exponent, monomial) to coefficient, so two expressions
@@ -31,10 +33,10 @@ PARAM_NAMES = ("k", "mu", "L", "lambda", "theta", "a", "b", "r", "alpha", "c", "
 _GAMMA_PREFIX = "gamma"
 
 Rational = Union[int, Fraction]
-Exponent = tuple[Fraction, Fraction]          # p + q*alpha
+Exponent = tuple[Rational, Rational]          # p + q*alpha; int when integral
 Monomial = tuple[tuple[str, int], ...]        # sorted (symbol, power), power != 0
 
-EXP_ZERO: Exponent = (Fraction(0), Fraction(0))
+EXP_ZERO: Exponent = (0, 0)
 
 
 class ExprError(Exception):
@@ -80,6 +82,11 @@ def _check_symbol(name: str) -> str:
     raise ValueError(f"unknown symbol {name!r}")
 
 
+def _exp_part(value: Rational) -> Rational:
+    """An exponent part in stored form: int when integral, else Fraction."""
+    return value if type(value) is int or value.denominator != 1 else value.numerator
+
+
 def _as_fraction(value: Rational) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -122,7 +129,7 @@ class Expr:
 
     @staticmethod
     def t_power(p: Rational, q: Rational = 0) -> "Expr":
-        exp = (_as_fraction(p), _as_fraction(q))
+        exp = (_exp_part(_as_fraction(p)), _exp_part(_as_fraction(q)))
         return Expr({(exp, ()): Fraction(1)})
 
     # -- basic protocol --------------------------------------------------
@@ -193,7 +200,8 @@ class Expr:
         out: dict = {}
         for (exp1, mono1), c1 in self._terms.items():
             for (exp2, mono2), c2 in other._terms.items():
-                key = ((exp1[0] + exp2[0], exp1[1] + exp2[1]), _mono_mul(mono1, mono2))
+                key = ((_exp_part(exp1[0] + exp2[0]), _exp_part(exp1[1] + exp2[1])),
+                       _mono_mul(mono1, mono2))
                 new = out.get(key, _F0) + c1 * c2
                 if new:
                     out[key] = new
@@ -285,7 +293,7 @@ class Expr:
         for (exp, mono), coeff in self._terms.items():
             p, q = exp
             if q and alpha_val is not None:
-                exp = (p + q * alpha_val, _F0)
+                exp = (_exp_part(p + q * alpha_val), 0)
             kept = []
             factors = []
             for sym, power in mono:
@@ -679,7 +687,7 @@ def _parse_atom(sc: _Scanner) -> Expr:
     if name == "t":
         if sc.take("^"):
             p = sc.rational()
-            q = Fraction(0)
+            q = 0
             mark = sc.pos
             if sc.take("+") or (sc.peek() == "-"):
                 try:

@@ -8,8 +8,9 @@ import pytest
 from lyapsearch.analysis import (K_CAP, PRESCAN_POINTS, REL_FLOOR, BootstrapPreconditionError,
                                  DiagonalParameterError, Eventually, InfeasiblePairError,
                                  PsdConditionSet, RateQuery, Window, analyze_groups,
-                                 bootstrap_candidates, bootstrap_rate_check, _bisect_max_k,
-                                 _principal_minors, catalog_rows, certified_time,
+                                 bootstrap_candidates, bootstrap_rate_check, _analyze_queries,
+                                 _bisect_max_k, _principal_minors, _shared_conditions,
+                                 catalog_rows, certified_time,
                                  compile_conditions, feasible, max_rate, psd_conditions,
                                  time_grid, verify_catalog)
 from lyapsearch.expr import Expr, GAMMA1, LINEAR, LOG, POWER, ZERO, parse_expr
@@ -182,6 +183,34 @@ def test_psd_conditions_match_per_corner_reference(system, query, enumerations):
         conds = psd_conditions(group.representative, query.gamma, corners)
         assert conds.minors == _reference_psd_minors(group.representative, query.gamma,
                                                      corners), f"group {group.group_id}"
+
+
+@pytest.mark.parametrize("labels, n_groups", [
+    (("gradient-flow", "first-order-hessian"), None),
+    (("nag-convex", "nag-strong-log"), None),
+    (("sc-nag", "second-order-hessian"), 20),
+], ids=["first-order-hessian", "nag-log", "second-order-hessian-first-20"])
+def test_shared_conditions_match_psd_conditions_row_by_row(labels, n_groups, enumerations):
+    rows = {row.label: row for row in catalog_rows(1.0, 4.0)}
+    queries = [rows[label].query for label in labels]
+    same_corners = queries[0].corners() == queries[1].corners()
+    for group in enumerations(rows[labels[0]].system)[:n_groups]:
+        pair = group.representative
+        shared = _shared_conditions(pair, queries)
+        for query, conds in zip(queries, shared):
+            reference = psd_conditions(pair, query.gamma, query.corners())
+            assert conds.corners == reference.corners
+            assert conds.minors == reference.minors, f"group {group.group_id}"
+        assert (shared[0] is shared[1]) == same_corners
+
+
+def test_bundled_rows_match_rows_run_alone(enumerations):
+    rows = {row.label: row for row in catalog_rows(1.0, 4.0)}
+    queries = [rows[label].query for label in ("nag-convex", "nag-strong-log")]
+    groups = enumerations("nag")
+    bundled = _analyze_queries(groups, queries, jobs=1)
+    for query, rates in zip(queries, bundled):
+        assert rates == analyze_groups(groups, query)
 
 
 def test_feasible_damped_newton_boundary():
@@ -425,6 +454,27 @@ def test_eventually_domain_supremum_flag():
     # The certified range at the returned rate starts at the searched tail.
     assert result.validity[0] == pytest.approx(1e4, rel=1e-9)
     assert result.validity[1] == math.inf
+
+
+@pytest.mark.parametrize("make, bound", [
+    (lambda: Window(0.0, 10.0), "t_lo"),
+    (lambda: Window(-1.0, 10.0), "t_lo"),
+    (lambda: Window(5.0, 1.0), "t_hi"),
+    (lambda: Window(1.0, math.inf), "t_hi"),
+    (lambda: Eventually(-1.0), "t_search"),
+    (lambda: Eventually(math.nan), "t_search"),
+    (lambda: Eventually(2e6), "t_search"),
+], ids=["window-zero", "window-negative", "window-descending", "window-infinite",
+        "eventually-negative", "eventually-nan", "eventually-past-grid"])
+def test_bad_time_domains_are_rejected(make, bound):
+    with pytest.raises(ValueError, match=bound):
+        make()
+
+
+def test_catalog_rows_need_mu_below_L():
+    for mu, L in ((0.0, 4.0), (2.0, 1.0), (-1.0, 4.0), (1.0, 1.0), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="0 < mu < L"):
+            catalog_rows(mu, L)
 
 
 def test_nag_window_certified_time():

@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from lyapsearch.cli import main
+from lyapsearch.cli import _parse_param_grid, main
 
 
 def read_csv(path):
@@ -44,6 +44,35 @@ def test_search_param_grid_parsing(tmp_path):
     smoothness_assisted = [r for r in rows if r["k_max"]
                            and abs(float(r["k_max"]) - 4.0 / 3.0) < 1e-3]
     assert smoothness_assisted and all("b=-0.25" in r["params"] for r in smoothness_assisted)
+
+
+@pytest.mark.parametrize("spec", ["a=0:0:1", "a=1:-0.5:3", "a=0:1:inf"])
+def test_bad_param_grid_range_is_a_usage_error(tmp_path, capsys, spec):
+    argv = ["--jobs", "1", "search", "--spec", "damped-newton", "--convex",
+            "--param-grid", spec, "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 1
+    assert "grid" in capsys.readouterr().err
+
+
+def test_param_grid_forms():
+    assert _parse_param_grid("a=3:-1:1") == ("a", (3.0, 2.0, 1.0))
+    assert _parse_param_grid("a=1:1:1") == ("a", (1.0,))
+    assert _parse_param_grid("b=0.5,0,2") == ("b", (0.5, 0.0, 2.0))
+
+
+@pytest.mark.parametrize("domain, bound", [
+    ("window:0:10", "t_lo"), ("window:5:1", "t_hi"), ("eventually:-1", "t_search")])
+def test_bad_t_domain_is_a_usage_error(tmp_path, capsys, domain, bound):
+    argv = ["--jobs", "1", "search", "--spec", "damped-newton", "--convex",
+            "--t-domain", domain, "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 1
+    assert bound in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mu, L", [("0", "4"), ("2", "1"), ("-1", "4"), ("1", "1")])
+def test_verify_catalog_needs_mu_below_L(capsys, mu, L):
+    assert main(["--jobs", "1", "verify-catalog", "--mu", mu, "--L", L]) == 1
+    assert "error: verify-catalog needs 0 < mu < L" in capsys.readouterr().err
 
 
 def test_verify_catalog_subset(tmp_path, capsys):

@@ -93,6 +93,34 @@ def test_substitute_params_binds_alpha_in_exponents():
     assert e.subs_params({"alpha": Fraction(1, 2)}) == Expr.t_power(-2)
 
 
+def _fraction_exponents(e: Expr) -> Expr:
+    """The same expression with every exponent part stored as a Fraction."""
+    return Expr({((Fraction(p), Fraction(q)), mono): coeff for (p, q), mono, coeff in e.terms()})
+
+
+@pytest.mark.parametrize("e", [
+    Expr.t_power(Fraction(4, 2)),
+    Expr.t_power(Fraction(1, 2)) * Expr.t_power(Fraction(1, 2)),
+    (K * Expr.t_power(3) + Expr.t_power(Fraction(2), Fraction(1))).diff(),
+    Expr.t_power(1, 2).subs_params({"alpha": Fraction(1, 2)}),
+    parse_expr("1*t^4/2*k - 1/2*t^2+1*alpha + 3*t^-1/1-2*alpha"),
+], ids=["t_power", "product", "diff", "subs_params-alpha", "parse_expr"])
+def test_integral_exponents_are_stored_as_int(e):
+    assert e
+    for (p, q), _mono, _coeff in e.terms():
+        assert type(p) is int and type(q) is int, (p, q)
+    same = _fraction_exponents(e)
+    assert e == same and hash(e) == hash(same)
+    assert str(e) == str(same)
+
+
+def test_non_integral_exponent_parts_stay_fractions():
+    e = Expr.t_power(Fraction(1, 2), Fraction(-3, 2)) * Expr.t_power(1)
+    (p, q), _mono, _coeff = next(e.terms())
+    assert (p, q) == (Fraction(3, 2), Fraction(-3, 2))
+    assert type(p) is Fraction and type(q) is Fraction
+
+
 def _reference_subs_params(e: Expr, bindings) -> Expr:
     """Substitution through Expr arithmetic alone: each term rebuilt as a product."""
     out = ZERO
