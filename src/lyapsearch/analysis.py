@@ -129,10 +129,20 @@ class RateQuery:
     grid: dict[str, Sequence[float]] = field(default_factory=dict)
     t_domain: TDomain = field(default_factory=AllPositive)
 
+    def __post_init__(self):
+        if not (self.convex or self.mu > 0):
+            raise ValueError(f"a rate query needs mu > 0 unless convex, got mu={self.mu!r}")
+        lo, hi = self._interval()
+        if not lo <= hi:
+            raise ValueError(f"a rate query needs a nonempty curvature interval, got "
+                             f"[{lo!r}, {hi!r}] from mu={self.mu!r}, L={self.L!r}")
+
+    def _interval(self) -> tuple[float, float]:
+        """The range of lambda and theta: from 0 (convex) or mu, to L or LAMBDA_CAP."""
+        return (0.0 if self.convex else self.mu), (self.L if self.L is not None else LAMBDA_CAP)
+
     def corners(self) -> tuple[tuple[float, float], ...]:
-        lo = 0.0 if self.convex else self.mu
-        hi = self.L if self.L is not None else LAMBDA_CAP
-        values = sorted({lo, hi})
+        values = sorted(set(self._interval()))
         return tuple(itertools.product(values, values))
 
     def grid_points(self) -> list[dict[str, float]]:

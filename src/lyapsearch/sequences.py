@@ -15,6 +15,7 @@ choice is applied once per distinct state.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -86,7 +87,13 @@ class OperationSequence:
 
 def generate_sequences() -> list[OperationSequence]:
     """All admissible sequences, in the fixed stage-product order."""
-    return [OperationSequence(*choices) for choices in itertools.product(*STAGES)]
+    return list(_sequences())
+
+
+@functools.cache
+def _sequences() -> tuple[OperationSequence, ...]:
+    # Built on first use, not at import, and shared by every system.
+    return tuple(OperationSequence(*choices) for choices in itertools.product(*STAGES))
 
 
 @dataclass
@@ -130,7 +137,7 @@ def enumerate_pairs(system: OdeSystemSpec) -> list[PairGroup]:
                 else:
                     reached[key] = (new, positions)
         states = reached
-    sequences = generate_sequences()
+    sequences = _sequences()
     return [PairGroup(group_id, pair, [sequences[i] for i in sorted(positions)])
             for group_id, (pair, positions) in enumerate(states.values())]
 

@@ -7,8 +7,10 @@ x alone and solve the (possibly Hessian-weighted) mass matrix for dx/dt.
 The objective's Hessian is diagonal, so each eigenmode obeys a linear ODE
 whose coefficients depend on t alone, and one RK4 step on a mode is a fixed
 linear map: 2x2 on (x - x*, dx/dt), or 1x1 on x - x* for first-order systems.
-The maps are built vectorised over steps and modes and then applied in order;
-the scheme is the classical one, without a Python call per stage.
+The maps are built vectorised over steps and modes, and each state is the
+prefix product of the maps before it applied to the start: np.cumprod for the
+1x1 maps, an associative scan for the 2x2 ones.  The scheme is the classical
+one, without a Python call per stage or per step.
 
 The oracles here close the loop on the symbolic pipeline: along a trajectory
 the pair identity d/dt[e^gamma (p + f - f*)] + e^gamma q = 0 must hold exactly,
@@ -45,6 +47,8 @@ class QuadraticObjective:
 
     @staticmethod
     def log_spaced(dim: int, mu: float, L: float, xstar: np.ndarray | None = None):
+        if not 0 < mu <= L:
+            raise ValueError(f"log-spaced eigenvalues need 0 < mu <= L, got mu={mu!r}, L={L!r}")
         eigs = np.geomspace(mu, L, dim) if mu < L else np.full(dim, mu)
         return QuadraticObjective(eigs, np.zeros(dim) if xstar is None else xstar)
 
@@ -132,7 +136,9 @@ def integrate(system: OdeSystemSpec, obj: QuadraticObjective, x0, v0,
     is c5, which must not vanish at any stage time.
 
     Each eigenmode advances by its own RK4 step maps (see _step_maps), built
-    STEP_CHUNK steps at a time.
+    STEP_CHUNK steps at a time.  Within a chunk, the state after step i is the
+    prefix product M_i ... M_0 of the maps applied to the chunk's first state;
+    second-order chunks get those products from _prefix_products.
     """
     if dt <= 0:
         raise SimulationError("dt must be positive")
@@ -170,13 +176,9 @@ def integrate(system: OdeSystemSpec, obj: QuadraticObjective, x0, v0,
             inertia = c[4]
             _check_mass(stage, np.broadcast_to(inertia, t.shape), "coefficient c5")
             a = np.array([[zero, zero + 1.0], [-stiffness / inertia, -damping / inertia]])
-            maps = np.moveaxis(_step_maps(a, dt), (0, 1), (2, 3))  # (steps, modes, 2, 2)
-            states = np.empty((stop - start + 1, len(eigs), 2, 1))
-            states[0, :, 0, 0], states[0, :, 1, 0] = us[start], vs[start]
-            for i, step_map in enumerate(maps):
-                np.matmul(step_map, states[i], out=states[i + 1])
-            us[start + 1:stop + 1] = states[1:, :, 0, 0]
-            vs[start + 1:stop + 1] = states[1:, :, 1, 0]
+            p = _prefix_products(_step_maps(a, dt))
+            us[start + 1:stop + 1] = p[0, 0] * us[start] + p[0, 1] * vs[start]
+            vs[start + 1:stop + 1] = p[1, 0] * us[start] + p[1, 1] * vs[start]
         else:
             _check_mass(stage, damping, "matrix c3 + c4*e")
             a = -stiffness / damping  # dx/dt = a (x - x*)
@@ -213,6 +215,26 @@ def _step_maps(a: np.ndarray, h: float) -> np.ndarray:
     k3 = _matmul(ah, eye + h / 2 * k2)
     k4 = _matmul(a1, eye + h * k3)
     return eye + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _prefix_products(m: np.ndarray) -> np.ndarray:
+    """Inclusive prefix products P_i = M_i ... M_0 along axis 2 of entry-first m.
+
+    A work-efficient scan (Blelloch 1990) with about 2 * steps products.  The
+    up-sweep multiplies neighbours, M_{2j+1} M_{2j}, and scans that sequence
+    of half the length recursively, which gives P at every odd index; the
+    down-sweep sets P_{2j} = M_{2j} P_{2j-1} at every even index.  m has shape
+    (k, k, steps, ...).
+    """
+    n = m.shape[2]
+    if n == 1:
+        return m
+    odd = _prefix_products(_matmul(m[:, :, 1::2], m[:, :, 0:n - 1:2]))
+    p = np.empty_like(m)
+    p[:, :, 0] = m[:, :, 0]
+    p[:, :, 1::2] = odd
+    p[:, :, 2::2] = _matmul(m[:, :, 2::2], odd[:, :, :(n - 1) // 2])
+    return p
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

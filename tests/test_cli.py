@@ -75,6 +75,23 @@ def test_verify_catalog_needs_mu_below_L(capsys, mu, L):
     assert "error: verify-catalog needs 0 < mu < L" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["search", "--spec", "damped-newton", "--mu", "2", "--L", "1"], "got [2.0, 1.0]"),
+    (["search", "--spec", "damped-newton", "--mu", "-1"], "needs mu > 0 unless convex"),
+    (["search", "--spec", "damped-newton", "--mu", "2e6"], "got [2000000.0, 1048576.0]"),
+    (["simulate", "--spec", "nag", "--param", "r=3", "--mu", "4", "--L", "1", "--t1", "3"],
+     "need 0 < mu <= L"),
+    (["simulate", "--spec", "nag", "--param", "r=3", "--mu", "-1", "--t1", "3"],
+     "need 0 < mu <= L"),
+], ids=["search-L-below-mu", "search-negative-mu", "search-mu-above-lambda-cap",
+        "simulate-L-below-mu", "simulate-negative-mu"])
+def test_curvature_interval_must_be_ordered_and_positive(tmp_path, capsys, argv, message):
+    if argv[0] == "search":
+        argv = argv + ["--out", str(tmp_path / "out.csv")]
+    assert main(["--jobs", "1"] + argv) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_verify_catalog_subset(tmp_path, capsys):
     out = tmp_path / "catalog.csv"
     code = main(["--jobs", "1", "verify-catalog", "--mu", "1", "--L", "4",

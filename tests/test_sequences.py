@@ -20,6 +20,8 @@ def test_generate_sequences_count_and_unique():
     assert len(seqs) == 23660
     assert len(set(seqs)) == 23660
     assert all(s.ops()[0] == "A1" for s in seqs)
+    seqs.clear()  # each call returns a list of its own
+    assert len(generate_sequences()) == 23660
 
 
 def test_all_empty_stages_is_bare_a1():

@@ -7,8 +7,8 @@ from lyapsearch.expr import LINEAR, LOG
 from lyapsearch.pq import apply_sequence, initial_pair
 from lyapsearch.sequences import generate_sequences
 from lyapsearch.simulate import (STEP_CHUNK, QuadraticObjective, SimulationError,
-                                 SingularMassMatrixError, Trajectory, conservation_check,
-                                 integrate, measure_rate)
+                                 SingularMassMatrixError, Trajectory, _prefix_products,
+                                 conservation_check, integrate, measure_rate)
 from lyapsearch.systems import CATALOG, load_system
 
 from conftest import naive_eval
@@ -100,6 +100,28 @@ def test_integrate_matches_reference_stepper(name, params):
     obj = QuadraticObjective.log_spaced(10, 1.0, 4.0)
     _assert_matches_reference(CATALOG[name], obj, np.ones(10), np.zeros(10),
                               1.0, 1.0 + _REFERENCE_SPAN, 1e-3, params)
+
+
+def test_integrate_matches_reference_across_a_one_step_chunk():
+    # 2 * STEP_CHUNK + 1 steps: the last chunk holds a single step.
+    obj = QuadraticObjective.log_spaced(10, 1.0, 4.0)
+    _assert_matches_reference(CATALOG["nag"], obj, np.ones(10), np.zeros(10),
+                              1.0, 1.0 + (2 * STEP_CHUNK + 1) * 1e-3, 1e-3, {"r": 3.0})
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 5, 1023, 1025, 2047, 2048])
+def test_prefix_products_match_sequential_products(steps):
+    # Lengths on both sides of powers of two reach the odd tails of both sweeps.
+    rng = np.random.default_rng(steps)
+    m = np.eye(2)[:, :, None, None] + 1e-2 * rng.standard_normal((2, 2, steps, 3))
+    maps = np.moveaxis(m, (0, 1), (2, 3))  # (steps, modes, 2, 2)
+    expected = [maps[0]]
+    for step_map in maps[1:]:
+        expected.append(step_map @ expected[-1])
+    expected = np.moveaxis(np.array(expected), (2, 3), (0, 1))
+    got = _prefix_products(m)
+    assert got.shape == m.shape
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_integrate_matches_reference_on_spec_system(tmp_path):
