@@ -35,7 +35,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .expr import (Expr, GammaForm, LINEAR, LOG, POWER, ZERO, ZeroExpressionError, bind_terms,
-                   evaluate, float_terms)
+                   float_terms)
 from .pq import PQPair
 from .sequences import PairGroup, enumerate_pairs
 from .systems import CATALOG, OdeSystemSpec
@@ -719,7 +719,7 @@ def bootstrap_rate_check(system: OdeSystemSpec, pair: PQPair, known_rate_exponen
     numerically along a trajectory, together with the implied decay exponent
     of the objective gap.
     """
-    from .simulate import QuadraticObjective, integrate, measure_rate
+    from .simulate import QuadraticObjective, integrate, measure_rate, pair_energy
 
     if query.gamma is not LOG:
         raise BootstrapPreconditionError("the bootstrap step targets the log gamma form")
@@ -739,23 +739,8 @@ def bootstrap_rate_check(system: OdeSystemSpec, pair: PQPair, known_rate_exponen
     traj = integrate(system, obj, x0, np.zeros(dim), t0=1.0, t1=t_fit[1], dt=dt,
                      params={"r": r})
 
-    params = {"k": k_target, "r": r}
-    gamma = query.gamma
-
+    energy = pair_energy(pair, LOG, traj, {"k": k_target, "r": r})
     t = traj.times
-    egamma = t ** k_target  # log form: exp(k log t)
-    v1, v3 = traj.xs - obj.xstar, traj.vs
-    quad = np.zeros_like(t)
-    for (i, j), vec_i, vec_j in (((1, 1), v1, v1), ((1, 3), v1, v3), ((3, 3), v3, v3)):
-        entry = pair.p_entry(i, j)
-        if not entry:
-            continue
-        weight = 1.0 if i == j else 2.0
-        terms = float_terms(gamma.substitute(entry), ("lambda", "theta"))
-        coeff = evaluate(bind_terms(terms, params), t, 0.0, 0.0)  # lambda = theta = 0
-        quad += weight * coeff * np.sum(vec_i * vec_j, axis=1)
-    energy = egamma * (quad + traj.gaps)
-
     mask = t >= t_fit[0]
     e0 = energy[mask][0]
     growth = energy[mask] - e0

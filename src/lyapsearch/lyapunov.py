@@ -1,12 +1,15 @@
-"""The explicit certified Lyapunov functions, one per catalog result.
+"""The certified Lyapunov functions, one per catalog result, read from its pair.
 
-Each entry fixes a system configuration, the certified rate coefficient and a
-closed-form E(t) in the state; the check below confirms E is non-increasing
-along a numerical trajectory over the entry's validity range.  A rate above
-the certified one breaks monotonicity only where the certified rate is sharp
-for that E, as for gradient-flow (E = e^{kt}(f - f*) grows on the slowest
-mode once k > 2 mu).  Elsewhere it need not: sc-nag's E stays non-increasing
-on quadratics for every k <= (4/3) sqrt(mu), since its dissipation is
+Each entry fixes a system configuration, the winning operation sequence and
+gamma form of its catalog row, and the certified rate coefficient.  Its E(t)
+is that pair's energy e^gamma (p-form + f - f*), evaluated by
+simulate.pair_energy with lambda and theta taken pointwise; the check below
+confirms E is non-increasing along a numerical trajectory over the entry's
+validity range.  A rate above the certified one breaks monotonicity only where
+the certified rate is sharp for that E, as for gradient-flow
+(E = e^{kt}(f - f*) grows on the slowest mode once k > 2 mu).  Elsewhere it
+need not: sc-nag's E stays non-increasing on quadratics for every
+k <= (4/3) sqrt(mu), since its dissipation is
 -(k/2)((k - sqrt(mu))^2 + l - mu) u^2 + (3k/2 - 2 sqrt(mu)) u'^2 per mode of
 curvature l >= mu.
 """
@@ -19,67 +22,21 @@ from typing import Callable
 
 import numpy as np
 
-from .simulate import QuadraticObjective, Trajectory, integrate
+from .expr import GammaForm, LINEAR, LOG, POWER
+from .pq import apply_sequence, initial_pair
+from .simulate import QuadraticObjective, Trajectory, integrate, pair_energy
 
 
 @dataclass(frozen=True)
 class LyapunovSpec:
     name: str
     system: str
+    ops: tuple[str, ...]                            # the winning operation sequence
+    gamma: GammaForm
     params: Callable[[float, float], dict]          # (mu, L) -> ODE parameters
     k_opt: Callable[[float, float], float]          # certified rate coefficient
-    energy: Callable                                 # E(traj, k, mu, L) -> array
     t_range: Callable[[float, float, float], tuple[float, float]]  # (k, mu, L)
     needs_smoothness: bool = False
-
-
-def _inner(a, b):
-    return np.einsum("ij,ij->i", a, b)
-
-
-def _gap_parts(traj: Trajectory):
-    v1 = traj.xs - traj.objective.xstar
-    v3 = traj.vs
-    grad = traj.objective.eigenvalues * v1
-    bregman = -traj.gaps + _inner(grad, v1)  # f* - f - <grad f, x* - x>
-    return v1, v3, bregman
-
-
-def _e_damped_newton(traj, k, mu, L):
-    _v1, _v3, bregman = _gap_parts(traj)
-    w = np.exp(k * traj.times)
-    return w * (k * bregman + traj.gaps)
-
-
-def _e_first_order(traj, k, mu, L):
-    v1, _v3, bregman = _gap_parts(traj)
-    w = np.exp(k * traj.times)
-    return w * (0.5 * k * _inner(v1, v1) - (k / L) * bregman + traj.gaps)
-
-
-def _e_gradient_flow(traj, k, mu, L):
-    return np.exp(k * traj.times) * traj.gaps
-
-
-def _e_sc_nag(traj, k, mu, L):
-    v1, v3, _ = _gap_parts(traj)
-    w = np.exp(k * traj.times)
-    return w * ((math.sqrt(mu) * k - 0.5 * k * k) * _inner(v1, v1)
-                + k * _inner(v1, v3) + 0.5 * _inner(v3, v3) + traj.gaps)
-
-
-def _e_second_order(traj, k, mu, L):
-    v1, v3, bregman = _gap_parts(traj)
-    w = np.exp(k * traj.times)
-    return w * ((k / math.sqrt(mu)) * bregman + k * _inner(v1, v3)
-                + 0.5 * _inner(v3, v3) + traj.gaps)
-
-
-def _e_nag_convex(traj, k, mu, L):
-    v1, v3, _ = _gap_parts(traj)
-    t = traj.times
-    return t ** k * ((4 * k - k * k) / (2 * t * t) * _inner(v1, v1)
-                     + (k / t) * _inner(v1, v3) + 0.5 * _inner(v3, v3) + traj.gaps)
 
 
 def _nag_log_root(r: float, mu: float) -> float:
@@ -87,72 +44,42 @@ def _nag_log_root(r: float, mu: float) -> float:
     return math.sqrt(((r - 1.0) / 2.0) ** 2 - 1.0) / math.sqrt(mu)
 
 
-def _e_nag_strong_log(traj, k, mu, L):
-    v1, v3, _ = _gap_parts(traj)
-    t = traj.times
-    s = math.sqrt(1.0 + mu * _nag_log_root(5.0, mu) ** 2)
-    top = (2.0 + 2.0 * s) * k - k * k
-    return t ** k * (top / (2 * t * t) * _inner(v1, v1)
-                     + (k / t) * _inner(v1, v3) + 0.5 * _inner(v3, v3) + traj.gaps)
-
-
-def _e_nag_strong_exp(traj, k, mu, L):
-    v1, v3, _ = _gap_parts(traj)
-    t = traj.times
-    w = np.exp(k * t)
-    return w * ((2 * (k * k + mu) / (k * t) - 0.5 * k * k) * _inner(v1, v1)
-                + k * _inner(v1, v3) + 0.5 * _inner(v3, v3) + traj.gaps)
-
-
-G_NAG_ALPHA = 0.5
-G_NAG_R = 1.0
-G_NAG_K = 0.6  # any k below the 2/3 supremum is certified
-
-
-def _e_generalized_nag(traj, k, mu, L):
-    v1, v3, _ = _gap_parts(traj)
-    t = traj.times
-    alpha, r = G_NAG_ALPHA, G_NAG_R
-    w = np.exp(k * r / (1 - alpha) * t ** (1 - alpha))
-    return w * (0.5 * r * r * k * t ** (-2 * alpha) * _inner(v1, v1)
-                + r * k * t ** (-alpha) * _inner(v1, v3)
-                + 0.5 * _inner(v3, v3) + traj.gaps)
-
+_NAG_OPS = ("A1", "B1", "B2", "B3")
 
 CATALOG: dict[str, LyapunovSpec] = {
     spec.name: spec
     for spec in (
-        LyapunovSpec("damped-newton", "damped-newton", lambda mu, L: {},
-                     lambda mu, L: 1.0, _e_damped_newton,
+        LyapunovSpec("damped-newton", "damped-newton", ("A1", "E1", "F1"), LINEAR,
+                     lambda mu, L: {}, lambda mu, L: 1.0,
                      lambda k, mu, L: (0.0, 12.0)),
-        LyapunovSpec("first-order-hessian", "first-order-hessian",
-                     lambda mu, L: {"b": -1.0 / L},
-                     lambda mu, L: mu / (1.0 - mu / L), _e_first_order,
+        LyapunovSpec("first-order-hessian", "first-order-hessian", ("A1", "B3", "E1", "F1"),
+                     LINEAR, lambda mu, L: {"b": -1.0 / L},
+                     lambda mu, L: mu / (1.0 - mu / L),
                      lambda k, mu, L: (0.0, 12.0), needs_smoothness=True),
-        LyapunovSpec("gradient-flow", "first-order-hessian", lambda mu, L: {"b": 0.0},
-                     lambda mu, L: 2.0 * mu, _e_gradient_flow,
+        LyapunovSpec("gradient-flow", "first-order-hessian", ("A1",), LINEAR,
+                     lambda mu, L: {"b": 0.0}, lambda mu, L: 2.0 * mu,
                      lambda k, mu, L: (0.0, 12.0)),
-        LyapunovSpec("sc-nag", "second-order-hessian",
+        LyapunovSpec("sc-nag", "second-order-hessian", _NAG_OPS, LINEAR,
                      lambda mu, L: {"a": 2.0 * math.sqrt(mu), "b": 0.0},
-                     lambda mu, L: math.sqrt(mu), _e_sc_nag,
+                     lambda mu, L: math.sqrt(mu),
                      lambda k, mu, L: (0.0, 16.0)),
         LyapunovSpec("second-order-hessian", "second-order-hessian",
+                     ("A1", "B1", "B2", "E1", "F1"), LINEAR,
                      lambda mu, L: {"a": math.sqrt(mu), "b": 1.0 / math.sqrt(mu)},
-                     lambda mu, L: math.sqrt(mu), _e_second_order,
+                     lambda mu, L: math.sqrt(mu),
                      lambda k, mu, L: (0.0, 16.0)),
-        LyapunovSpec("nag-convex", "nag", lambda mu, L: {"r": 3.0},
-                     lambda mu, L: 2.0, _e_nag_convex,
+        LyapunovSpec("nag-convex", "nag", _NAG_OPS, LOG,
+                     lambda mu, L: {"r": 3.0}, lambda mu, L: 2.0,
                      lambda k, mu, L: (1.0, 30.0)),
-        LyapunovSpec("nag-strong-log", "nag", lambda mu, L: {"r": 5.0},
-                     lambda mu, L: 3.0, _e_nag_strong_log,
+        LyapunovSpec("nag-strong-log", "nag", _NAG_OPS, LOG,
+                     lambda mu, L: {"r": 5.0}, lambda mu, L: 3.0,
                      lambda k, mu, L: (_nag_log_root(5.0, mu), 30.0)),
-        LyapunovSpec("nag-strong-exp", "nag",
-                     lambda mu, L: {"r": 4.0 * (1.0 + mu)},
-                     lambda mu, L: 1.0, _e_nag_strong_exp,
+        LyapunovSpec("nag-strong-exp", "nag", _NAG_OPS, LINEAR,
+                     lambda mu, L: {"r": 4.0 * (1.0 + mu)}, lambda mu, L: 1.0,
                      lambda k, mu, L: (0.5, 2.0 * (k * k + mu) / k ** 3)),
-        LyapunovSpec("generalized-nag", "generalized-nag",
-                     lambda mu, L: {"r": G_NAG_R, "alpha": G_NAG_ALPHA},
-                     lambda mu, L: G_NAG_K, _e_generalized_nag,
+        # Any k below the 2/3 supremum is certified.
+        LyapunovSpec("generalized-nag", "generalized-nag", ("A1", "B1", "B3", "B2"), POWER,
+                     lambda mu, L: {"r": 1.0, "alpha": 0.5}, lambda mu, L: 0.6,
                      lambda k, mu, L: (1.0, 60.0)),
     )
 }
@@ -160,19 +87,22 @@ CATALOG: dict[str, LyapunovSpec] = {
 
 def run_certificate(name: str, mu: float = 1.0, L: float = 4.0, dim: int = 10,
                     dt: float = 1e-3, k: float | None = None) -> tuple[Trajectory, np.ndarray]:
-    """Integrate the entry's system and evaluate its E(t) along the run."""
+    """Integrate the entry's system and evaluate its pair's E(t) along the run."""
     from .systems import CATALOG as SYSTEMS
 
     spec = CATALOG[name]
+    system = SYSTEMS[spec.system]
     # The smoothness-backed certificate pins b = -1/L; keep the top eigenvalue
     # strictly inside [mu, L] so the mass matrix stays nonsingular.
     top = 0.975 * L if spec.needs_smoothness else L
     obj = QuadraticObjective.log_spaced(dim, mu, top)
     k = spec.k_opt(mu, L) if k is None else k
     t0, t1 = spec.t_range(k, mu, L)
-    traj = integrate(SYSTEMS[spec.system], obj, np.ones(dim), np.zeros(dim),
-                     t0=t0, t1=t1, dt=dt, params=spec.params(mu, L))
-    return traj, spec.energy(traj, k, mu, L)
+    params = spec.params(mu, L)
+    traj = integrate(system, obj, np.ones(dim), np.zeros(dim),
+                     t0=t0, t1=t1, dt=dt, params=params)
+    pair = apply_sequence(initial_pair(system), spec.ops)
+    return traj, pair_energy(pair, spec.gamma, traj, {**params, "k": k})
 
 
 def monotonicity_check(name: str, mu: float = 1.0, L: float = 4.0, dim: int = 10,

@@ -58,6 +58,10 @@ class RestartSpec:
             raise ValueError("l must be positive")
         if self.c <= 1:
             raise ValueError("c must exceed 1")
+        if self.rounds < 1:
+            raise ValueError(f"rounds must be at least 1, got {self.rounds!r}")
+        if self.dim < 1:
+            raise ValueError(f"dim must be at least 1, got {self.dim!r}")
 
     @property
     def T(self) -> float:

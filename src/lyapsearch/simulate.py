@@ -47,6 +47,8 @@ class QuadraticObjective:
 
     @staticmethod
     def log_spaced(dim: int, mu: float, L: float, xstar: np.ndarray | None = None):
+        if dim < 1:
+            raise ValueError(f"log-spaced eigenvalues need dim >= 1, got dim={dim!r}")
         if not 0 < mu <= L:
             raise ValueError(f"log-spaced eigenvalues need 0 < mu <= L, got mu={mu!r}, L={L!r}")
         eigs = np.geomspace(mu, L, dim) if mu < L else np.full(dim, mu)
@@ -91,10 +93,32 @@ class Trajectory:
     xs: np.ndarray  # (n, dim)
     vs: np.ndarray  # (n, dim), dx/dt
     gaps: np.ndarray = field(init=False)
+    _inner: dict[tuple[int, int], np.ndarray] = field(init=False, repr=False,
+                                                      default_factory=dict)
 
     def __post_init__(self):
-        d = self.xs - self.objective.xstar
-        self.gaps = 0.5 * np.einsum("j,ij,ij->i", self.objective.eigenvalues, d, d)
+        self.gaps = 0.5 * self.inner(1, 2)
+
+    def inner(self, i: int, j: int) -> np.ndarray:
+        """<v_i, v_j> along the trajectory for i, j <= 4, computed once per (i, j).
+
+        v2 = E v1 and v4 = E v3 for the diagonal Hessian E, so each product is
+        an einsum "j,ij,ij->i" over the stored states, x - x* and dx/dt,
+        weighted by the eigenvalues to the power of how many of i, j are even.
+        Neither v2 nor v4 is built as an array, and x - x* is formed
+        STEP_CHUNK rows at a time.
+        """
+        key = (min(i, j), max(i, j))
+        if key not in self._inner:
+            weights = self.objective.eigenvalues ** ((i - 1) % 2 + (j - 1) % 2)
+            out = np.empty(len(self.times))
+            for start in range(0, len(out), STEP_CHUNK):
+                rows = slice(start, start + STEP_CHUNK)
+                states = [self.xs[rows] - self.objective.xstar if k <= 2 else self.vs[rows]
+                          for k in key]
+                out[rows] = np.einsum("j,ij,ij->i", weights, *states)
+            self._inner[key] = out
+        return self._inner[key]
 
     def basis_vectors(self) -> tuple[np.ndarray, ...]:
         """(v1..v5) arrays of shape (n, dim); v5 is recovered from the ODE."""
@@ -142,6 +166,8 @@ def integrate(system: OdeSystemSpec, obj: QuadraticObjective, x0, v0,
     """
     if dt <= 0:
         raise SimulationError("dt must be positive")
+    if not t1 > t0:
+        raise SimulationError(f"integration needs t1 > t0, got t0={t0!r}, t1={t1!r}")
     params = dict(params or {})
     unbound = set().union(*(c.free_symbols() for c in system.coeffs)) - set(params)
     if unbound:
@@ -282,8 +308,7 @@ def measure_rate(traj: Trajectory, gamma: GammaForm, params: Mapping[str, float]
 # -- conservation oracle -----------------------------------------------------------
 
 
-def pointwise_multipliers(traj: Trajectory, basis: tuple[np.ndarray, ...]
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def pointwise_multipliers(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """lambda(t), theta(t) from their defining identities, plus a validity mask.
 
     lambda: f* - f - <grad f, x* - x> = lambda/2 ||x - x*||^2
@@ -291,44 +316,62 @@ def pointwise_multipliers(traj: Trajectory, basis: tuple[np.ndarray, ...]
     Each multiplier is defined wherever its own denominator is nonzero; the
     returned mask marks points where both are.  An undefined multiplier only
     ever scales a vanishing quadratic term (lambda sits on the (1,1) diagonal,
-    theta on (3,3)), so the zero fill keeps evaluated forms exact.  basis is
-    traj.basis_vectors().
+    theta on (3,3)), so the zero fill keeps evaluated forms exact.
     """
-    v1, _v2, v3, v4, _v5 = basis
-    n1 = np.einsum("ij,ij->i", v1, v1)
-    n3 = np.einsum("ij,ij->i", v3, v3)
-    bregman = -traj.gaps + np.einsum("ij,ij->i", traj.objective.eigenvalues * v1, v1)
+    n1, n3 = traj.inner(1, 1), traj.inner(3, 3)
+    bregman = -traj.gaps + traj.inner(1, 2)
     ok1 = np.sqrt(n1) > 1e-12
     ok3 = np.sqrt(n3) > 1e-12
     lam = np.where(ok1, 2.0 * bregman / np.where(ok1, n1, 1.0), 0.0)
-    theta = np.where(ok3, np.einsum("ij,ij->i", v4, v3) / np.where(ok3, n3, 1.0), 0.0)
+    theta = np.where(ok3, traj.inner(3, 4) / np.where(ok3, n3, 1.0), 0.0)
     return lam, theta, ok1 & ok3
+
+
+def _quadratic_form(matrix_entry, dim: int, gamma: GammaForm, params: Mapping[str, float],
+                    t: np.ndarray, lam: np.ndarray, theta: np.ndarray, inner) -> np.ndarray:
+    """sum over i <= j <= dim of (2 - [i = j]) * entry(i, j)(t) * inner(i, j)."""
+    total = np.zeros_like(t)
+    for i in range(1, dim + 1):
+        for j in range(i, dim + 1):
+            entry = matrix_entry(i, j)
+            if not entry:
+                continue
+            weight = 1.0 if i == j else 2.0
+            terms = float_terms(gamma.substitute(entry), ("lambda", "theta"))
+            coeff = evaluate(bind_terms(terms, params), t, lam, theta)
+            total += weight * coeff * inner(i, j)
+    return total
+
+
+def _egamma(gamma: GammaForm, traj: Trajectory, params: Mapping[str, float]) -> np.ndarray:
+    return np.exp(np.asarray(gamma.value(traj.times, dict(params)), dtype=float))
+
+
+def pair_energy(pair: PQPair, gamma: GammaForm, traj: Trajectory,
+                params: Mapping[str, float]) -> np.ndarray:
+    """E(t) = e^gamma (p-form + gap) along a trajectory, lambda and theta pointwise.
+
+    Every inner product is Trajectory.inner, so the basis is never built.
+    """
+    lam, theta, _mask = pointwise_multipliers(traj)
+    p_form = _quadratic_form(pair.p_entry, 3, gamma, params, traj.times, lam, theta, traj.inner)
+    return _egamma(gamma, traj, params) * (p_form + traj.gaps)
 
 
 def pair_forms_on_trajectory(pair: PQPair, gamma: GammaForm, traj: Trajectory,
                              params: Mapping[str, float]):
-    """Arrays E(t) = e^gamma (p-form + gap) and e^gamma q-form along a trajectory."""
+    """Arrays E(t) (pair_energy), e^gamma q-form and the multipliers' validity mask.
+
+    Only the products with v5 read Trajectory.basis_vectors().
+    """
+    lam, theta, mask = pointwise_multipliers(traj)
     vs = traj.basis_vectors()
-    lam, theta, mask = pointwise_multipliers(traj, vs)
-    t = traj.times
-    egamma = np.exp(np.asarray(gamma.value(t, dict(params)), dtype=float))
 
-    def quad(matrix_entry, dim):
-        total = np.zeros_like(t)
-        for i in range(1, dim + 1):
-            for j in range(i, dim + 1):
-                entry = matrix_entry(i, j)
-                if not entry:
-                    continue
-                weight = 1.0 if i == j else 2.0
-                terms = float_terms(gamma.substitute(entry), ("lambda", "theta"))
-                coeff = evaluate(bind_terms(terms, params), t, lam, theta)
-                total += weight * coeff * np.einsum("ij,ij->i", vs[i - 1], vs[j - 1])
-        return total
+    def inner(i, j):
+        return traj.inner(i, j) if j < 5 else np.einsum("ij,ij->i", vs[i - 1], vs[4])
 
-    energy = egamma * (quad(pair.p_entry, 3) + traj.gaps)
-    q_form = egamma * quad(pair.q_entry, 5)
-    return energy, q_form, mask
+    q_form = _quadratic_form(pair.q_entry, 5, gamma, params, traj.times, lam, theta, inner)
+    return pair_energy(pair, gamma, traj, params), _egamma(gamma, traj, params) * q_form, mask
 
 
 def conservation_check(pair: PQPair, gamma: GammaForm, traj: Trajectory,

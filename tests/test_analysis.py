@@ -14,6 +14,7 @@ from lyapsearch.analysis import (K_CAP, PRESCAN_POINTS, REL_FLOOR, BootstrapPrec
                                  compile_conditions, feasible, max_rate, psd_conditions,
                                  time_grid, verify_catalog)
 from lyapsearch.expr import Expr, GAMMA1, LINEAR, LOG, POWER, ZERO, parse_expr
+from lyapsearch.lyapunov import CATALOG as CERTIFICATES
 from lyapsearch.pq import PQPair, _sym_matrix, apply_sequence, initial_pair
 from lyapsearch.systems import CATALOG
 
@@ -37,31 +38,37 @@ def build(system, ops, bindings=None):
                   pair.provenance, pair.has_gap)
 
 
-# Certified winners, reconstructed from their operation sequences.  The entries
-# below are the published closed forms; matching them entry-wise pins down the
-# whole operation pipeline.
+# Certified winners: the operation sequences of the certificate table in
+# lyapunov.CATALOG.  The entries below are the published closed forms; matching
+# them entry-wise pins down the whole operation pipeline and anchors the
+# certificates to the published matrices.
+def certificate(name, bindings=None):
+    spec = CERTIFICATES[name]
+    return build(spec.system, spec.ops, bindings)
+
+
 def damped_newton_winner():
-    return build("damped-newton", ("A1", "E1", "F1"))
+    return certificate("damped-newton")
 
 
 def gradient_flow_winner():
-    return build("first-order-hessian", ("A1",), {"b": 0})
+    return certificate("gradient-flow", {"b": 0})
 
 
 def first_order_winner():
-    return build("first-order-hessian", ("A1", "B3", "E1", "F1"))
+    return certificate("first-order-hessian")
 
 
 def sc_nag_winner():
-    return build("second-order-hessian", ("A1", "B1", "B2", "B3"), {"b": 0})
+    return certificate("sc-nag", {"b": 0})
 
 
 def second_order_winner():
-    return build("second-order-hessian", ("A1", "B1", "B2", "E1", "F1"))
+    return certificate("second-order-hessian")
 
 
 def nag_winner():
-    return build("nag", ("A1", "B1", "B2", "B3"))
+    return certificate("nag-convex")
 
 
 def nag_bootstrap_pair():
@@ -69,7 +76,7 @@ def nag_bootstrap_pair():
 
 
 def generalized_nag_winner():
-    return build("generalized-nag", ("A1", "B1", "B3", "B2"))
+    return certificate("generalized-nag")
 
 
 def test_winning_pairs_match_published_matrices():
@@ -94,9 +101,10 @@ def test_winning_pairs_match_published_matrices():
          {(1, 1): HALF * LAM * (g - B * g ** 2 - B * G2),
           (1, 3): HALF * (A * g - g ** 2 - G2),
           (3, 3): A + B * THETA - Fraction(3, 2) * g}),
-        (nag_winner(),
-         {(1, 1): HALF * (R * g * T_INV - g ** 2 - G2), (1, 3): HALF * g, (3, 3): HALF},
-         {(3, 3): R * T_INV - Fraction(3, 2) * g}),
+        *((certificate(name),
+           {(1, 1): HALF * (R * g * T_INV - g ** 2 - G2), (1, 3): HALF * g, (3, 3): HALF},
+           {(3, 3): R * T_INV - Fraction(3, 2) * g})
+          for name in ("nag-convex", "nag-strong-log", "nag-strong-exp")),
         (nag_bootstrap_pair(),
          {(1, 1): HALF * R * g * T_INV, (1, 3): HALF * g, (3, 3): HALF},
          {(1, 3): HALF * (-1 * g ** 2 - G2), (3, 3): R * T_INV - Fraction(3, 2) * g}),

@@ -1,7 +1,12 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lyapsearch
 from lyapsearch.cli import _parse_param_grid, main
 
 
@@ -90,6 +95,34 @@ def test_curvature_interval_must_be_ordered_and_positive(tmp_path, capsys, argv,
         argv = argv + ["--out", str(tmp_path / "out.csv")]
     assert main(["--jobs", "1"] + argv) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["restart", "--l", "0.7", "--c", "2", "--dim", "0"], "dim must be at least 1"),
+    (["restart", "--l", "0.7", "--c", "2", "--rounds", "0"], "rounds must be at least 1"),
+    (["simulate", "--spec", "nag", "--param", "r=3", "--dim", "0", "--t1", "3"],
+     "need dim >= 1"),
+    (["simulate", "--spec", "nag", "--param", "r=3", "--t0", "5", "--t1", "1"],
+     "needs t1 > t0"),
+    (["simulate", "--spec", "nag", "--param", "r=3", "--t0", "2", "--t1", "2"],
+     "needs t1 > t0"),
+], ids=["restart-dim-0", "restart-rounds-0", "simulate-dim-0", "simulate-t1-before-t0",
+        "simulate-t1-at-t0"])
+def test_bad_sizes_are_errors(capsys, argv, message):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert message in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(lyapsearch.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "lyapsearch", "verify-catalog",
+                           "--rows", "damped-newton"], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "damped-newton" in done.stdout
 
 
 def test_verify_catalog_subset(tmp_path, capsys):

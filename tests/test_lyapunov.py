@@ -1,6 +1,10 @@
 import numpy as np
+import pytest
 
+from lyapsearch.analysis import catalog_rows, certified_time, grid_step_factor, max_rate
 from lyapsearch.lyapunov import CATALOG, monotonicity_check, run_certificate
+from lyapsearch.pq import apply_sequence, initial_pair
+from lyapsearch.systems import CATALOG as SYSTEMS
 
 
 def test_catalog_has_nine_entries():
@@ -10,6 +14,28 @@ def test_catalog_has_nine_entries():
 def test_all_certificates_non_increasing(lyapunov_increases):
     for name, increase in lyapunov_increases.items():
         assert increase <= 1e-8, f"{name}: {increase:+.3e}"
+
+
+@pytest.mark.parametrize("mu, L", [(1.0, 4.0), (0.5, 9.0)])
+def test_certificates_are_the_catalog_pairs(mu, L):
+    rows = {row.label: row for row in catalog_rows(mu, L)}
+    for name, spec in CATALOG.items():
+        row = rows[name]
+        query = row.query
+        assert (spec.system, spec.gamma) == (row.system, query.gamma), name
+        point = {**query.params, **{p: values[0] for p, values in query.grid.items()}}
+        assert all(len(values) == 1 for values in query.grid.values()), name
+        assert spec.params(mu, L) == point, name
+        pair = apply_sequence(initial_pair(SYSTEMS[spec.system]), spec.ops)
+        if row.expected_window is not None:
+            step = grid_step_factor()
+            window = certified_time(pair, query, row.k_probe)
+            assert row.expected_window / step ** 2 <= window <= row.expected_window * step ** 2
+        elif row.k_range is not None:
+            assert row.k_range[0] <= max_rate(pair, query).k_max < row.k_range[1], name
+        else:
+            k = max_rate(pair, query).k_max
+            assert k == pytest.approx(row.expected_k, rel=row.rel_tol), name
 
 
 def test_certificate_dominates_weighted_gap():

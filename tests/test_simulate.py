@@ -3,15 +3,15 @@ import random
 import numpy as np
 import pytest
 
-from lyapsearch.expr import LINEAR, LOG
-from lyapsearch.pq import apply_sequence, initial_pair
+from lyapsearch.expr import LINEAR, LOG, POWER, Expr
+from lyapsearch.pq import PQPair, _sym_matrix, apply_sequence, initial_pair
 from lyapsearch.sequences import generate_sequences
 from lyapsearch.simulate import (STEP_CHUNK, QuadraticObjective, SimulationError,
                                  SingularMassMatrixError, Trajectory, _prefix_products,
-                                 conservation_check, integrate, measure_rate)
+                                 conservation_check, integrate, measure_rate, pair_energy)
 from lyapsearch.systems import CATALOG, load_system
 
-from conftest import naive_eval
+from conftest import naive_eval, random_expr, random_pair
 
 GF_PARAMS = {"b": 0.0}
 
@@ -281,6 +281,48 @@ def test_halving_dt_changes_final_gap_little():
                          t0=1.0, t1=10.0, dt=dt, params={"r": 3.0})
         finals.append(traj.gaps[-1])
     assert abs(finals[0] - finals[1]) <= 1e-6 * abs(finals[1])
+
+
+def _reference_energy(pair, gamma, traj, params):
+    """e^gamma (p-form + gap) point by point from v1..v4 and the multipliers'
+    definitions, with every entry evaluated term by term."""
+    obj = traj.objective
+    v = traj.basis_vectors()
+    entries = {(i, j): gamma.substitute(pair.p_entry(i, j))
+               for i in range(1, 4) for j in range(i, 4)}
+    out = np.empty_like(traj.times)
+    for n, t in enumerate(traj.times):
+        x, dx = traj.xs[n], traj.vs[n]
+        gap = obj.value(x) - obj.fstar
+        lam = 2 * (obj.fstar - obj.value(x) - obj.grad(x) @ (obj.xstar - x)) / (
+            (x - obj.xstar) @ (x - obj.xstar))
+        theta = (obj.eigenvalues * dx) @ dx / (dx @ dx)
+        bindings = {**params, "lambda": lam, "theta": theta}
+        form = sum((1 if i == j else 2) * naive_eval(e, t, bindings) * (v[i - 1][n] @ v[j - 1][n])
+                   for (i, j), e in entries.items())
+        out[n] = np.exp(gamma.value(t, params)) * (form + gap)
+    return out
+
+
+@pytest.mark.parametrize("gamma", [LINEAR, LOG, POWER], ids=lambda g: g.name)
+def test_pair_energy_matches_explicit_basis_reference(rng, gamma):
+    # lambda and theta in every P entry, (1,2), (2,2) and (2,3) included, which
+    # no certificate uses; the random velocity keeps theta defined at t0.
+    lam, theta, one = Expr.symbol("lambda"), Expr.symbol("theta"), Expr.number(1)
+    obj = QuadraticObjective.log_spaced(6, 0.5, 9.0, xstar=np.linspace(-1.0, 1.0, 6))
+    nprng = np.random.default_rng(5)
+    params = {"k": 0.7, "a": 1.3, "b": -0.4, "r": 2.5, "alpha": 0.5}
+    traj = integrate(CATALOG["hessian-nag"], obj, nprng.normal(size=6), nprng.normal(size=6),
+                     t0=1.0, t1=1.2, dt=1e-3, params={"r": 2.5, "b": -0.4})
+    for _ in range(4):
+        base = random_pair(rng)
+        p_entries = {(i, j): base.p_entry(i, j) + lam * (one + random_expr(rng))
+                     + theta * (one + random_expr(rng))
+                     for i in range(1, 4) for j in range(i, 4)}
+        pair = PQPair(_sym_matrix(3, p_entries), base.Q, has_gap=True)
+        ours = pair_energy(pair, gamma, traj, params)
+        ref = _reference_energy(pair, gamma, traj, params)
+        np.testing.assert_allclose(ours, ref, rtol=1e-12)
 
 
 def test_conservation_identity_basic_sequences():
