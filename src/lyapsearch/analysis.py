@@ -13,10 +13,11 @@ allow a floor of 1e-12 times the summed magnitudes of the terms involved,
 taken before they merge, so a minor that vanishes identically in exact
 arithmetic is not failed by the rounding of its float coefficients.  Each pair
 and parameter point is compiled once into tables of the coefficient of
-k^p * t^e per minor; at a given k these settle every minor whose coefficients
+k^p * t^e per minor; at each k these settle every minor whose coefficients
 all clear the floor, and only the rest are evaluated on the grid.  The largest
 feasible k is then located by bisection, preceded by a coarse pre-scan that
-guards against non-monotone feasibility.
+guards against non-monotone feasibility; the pre-scan's ks are checked
+together, in one pass over arrays.
 
 Queries that share a gamma form share each pair's minors, and queries with
 the same corners share its whole condition set; verify_catalog runs the rows
@@ -46,6 +47,7 @@ T_GRID_LO = 1e-2
 T_GRID_HI = 1e6
 REL_FLOOR = 1e-12
 K_CAP = float(2 ** 16)
+GRID_BLOCK = 8  # suspect (k, minor) pairs per step of the t-grid check; bounds its temporaries
 
 
 class AnalysisError(Exception):
@@ -130,6 +132,12 @@ class RateQuery:
     t_domain: TDomain = field(default_factory=AllPositive)
 
     def __post_init__(self):
+        named = [("mu", self.mu)] + ([("L", self.L)] if self.L is not None else [])
+        named += [(f"parameter {n}", v) for n, v in self.params.items()]
+        named += [(f"parameter {n}", v) for n, values in self.grid.items() for v in values]
+        for name, value in named:
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not (self.convex or self.mu > 0):
             raise ValueError(f"a rate query needs mu > 0 unless convex, got mu={self.mu!r}")
         lo, hi = self._interval()
@@ -274,11 +282,11 @@ class CompiledConditions:
 
     coef[p, m, e] is the coefficient of k^p * t^e in minor m, and
     size[p, m, e] the sum of the magnitudes of the terms merged into it; e runs
-    over the pair's distinct exponents of t, in descending order.  At a given
-    k, c = sum_p k^p coef holds each minor's coefficient per exponent and
-    a = sum_p |k|^p size its scale.  A minor with every c >= -REL_FLOOR * a is
-    nonnegative for every t > 0 up to the floor, so only the other minors are
-    evaluated on the grid.
+    over the pair's distinct exponents of t, in descending order.  For each of
+    an array of ks, c = sum_p k^p coef holds each minor's coefficient per
+    exponent and a = sum_p |k|^p size its scale.  A minor with every
+    c >= -REL_FLOOR * a is nonnegative for every t > 0 up to the floor, so only
+    the other (k, minor) pairs, the suspects, are checked further.
     """
 
     __slots__ = ("coef", "size", "kexps", "tpowers", "shape")
@@ -292,35 +300,44 @@ class CompiledConditions:
         self.tpowers = tgrid[None, :] ** exps[:, None]
         self.shape = (n_minors, len(exps))
 
-    def _suspects(self, k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """c, a and c < -REL_FLOOR * a at k, for the minors with such a coefficient."""
-        kp = np.power(k, self.kexps)
-        c = (kp @ self.coef).reshape(self.shape)
-        a = (np.abs(kp) @ self.size).reshape(self.shape)
+    def _suspect_pairs(self, ks: np.ndarray):
+        """For each (k, minor) pair with a coefficient below the floor: the index
+        of its k, its c and a, and which of its c are below the floor."""
+        kp = np.power(ks[:, None], self.kexps)
+        shape = (len(ks),) + self.shape
+        c = (kp @ self.coef).reshape(shape)
+        a = (np.abs(kp) @ self.size).reshape(shape)
         neg = c < -REL_FLOOR * a
-        rows = neg.any(axis=1)
-        return c[rows], a[rows], neg[rows]
+        ki, mi = np.nonzero(neg.any(axis=2))
+        return ki, c[ki, mi], a[ki, mi], neg[ki, mi]
 
     def _grid_bad(self, c: np.ndarray, a: np.ndarray) -> np.ndarray:
-        values = c @ self.tpowers
-        return (values < -REL_FLOOR * (a @ self.tpowers)).any(axis=0)
+        """Per row of c and a, the grid points where that minor is below the floor."""
+        return c @ self.tpowers < -REL_FLOOR * (a @ self.tpowers)
 
     def violations(self, k: float) -> np.ndarray:
         """Boolean mask over the grid where some minor goes negative at k."""
-        c, a, _neg = self._suspects(k)
-        return self._grid_bad(c, a)
+        _ki, c, a, _neg = self._suspect_pairs(np.array([k], dtype=float))
+        return self._grid_bad(c, a).any(axis=0)
 
-    def feasible(self, k: float, check_leading: bool) -> bool:
-        c, a, neg = self._suspects(k)
-        if not len(c):
-            return True
-        if check_leading:
+    def feasible(self, ks: np.ndarray, check_leading: bool) -> np.ndarray:
+        """One flag per k: every minor is nonnegative on the grid and, with
+        check_leading, leads with a nonnegative coefficient as t grows."""
+        ki, c, a, neg = self._suspect_pairs(ks)
+        ok = np.ones(len(ks), dtype=bool)
+        if check_leading and len(ki):
             # The leading exponent at k is the first whose |c| exceeds the floor;
             # a minor with no coefficient below the floor leads with a positive one.
             first = (neg | (c > REL_FLOOR * a)).argmax(axis=1)
-            if neg[np.arange(len(c)), first].any():
-                return False
-        return not self._grid_bad(c, a).any()
+            ok[ki[neg[np.arange(len(ki)), first]]] = False
+        # The grid goes GRID_BLOCK suspects at a time, skipping the ks already
+        # settled, so its temporaries stay at GRID_BLOCK rows of the grid.
+        pending = np.flatnonzero(ok[ki])
+        while len(pending):
+            rows, pending = pending[:GRID_BLOCK], pending[GRID_BLOCK:]
+            ok[ki[rows[self._grid_bad(c[rows], a[rows]).any(axis=1)]]] = False
+            pending = pending[ok[ki[pending]]]
+        return ok
 
 
 def compile_conditions(conds: PsdConditionSet, bindings: Mapping[str, float],
@@ -353,7 +370,8 @@ def feasible(conds: PsdConditionSet, k: float, query: RateQuery,
     if _compiled is None:
         tgrid = time_grid(query.t_domain)
         _compiled = compile_conditions(conds, bindings or query.params, tgrid)
-    return _compiled.feasible(k, check_leading=not isinstance(query.t_domain, Window))
+    leading = not isinstance(query.t_domain, Window)
+    return bool(_compiled.feasible(np.array([k], dtype=float), leading)[0])
 
 
 # -- rate maximization --------------------------------------------------------------
@@ -377,16 +395,19 @@ PRESCAN_POINTS = 65
 BISECT_REL_TOL = 1e-6
 
 
-def _bisect_max_k(check, k_hi: float) -> tuple[float, str]:
-    """Largest k with check(k) on [0, k_hi], assuming a feasible prefix."""
-    status = "ok"
-    ks = np.linspace(0.0, k_hi, PRESCAN_POINTS)
-    flags = [check(k) for k in ks]
-    first_bad = next(i for i, ok in enumerate(flags) if not ok)
-    if not all(flags[:first_bad]) or any(flags[first_bad:]):
-        status = "nonmonotone"
+def _bisect_max_k(check, ks: np.ndarray, flags: np.ndarray) -> tuple[float, str]:
+    """Largest k with check(k) on [0, ks[-1]], from the pre-scan flags at ks.
+
+    Bisection runs between the last pre-scan k before the first infeasible one
+    and that one; a feasible pre-scan k after it makes the result nonmonotone.
+    """
+    if not flags[0] or flags.all():
+        raise AnalysisError(f"the pre-scan up to k={ks[-1]:g} needs a feasible first k "
+                            f"and an infeasible one, got {flags.sum()} of {len(flags)} feasible")
+    first_bad = int(np.argmin(flags))
+    status = "nonmonotone" if flags[first_bad:].any() else "ok"
     lo, hi = ks[first_bad - 1], ks[first_bad]
-    while hi - lo > BISECT_REL_TOL * k_hi:
+    while hi - lo > BISECT_REL_TOL * ks[-1]:
         mid = 0.5 * (lo + hi)
         if check(mid):
             lo = mid
@@ -423,6 +444,7 @@ def max_rate(pair: PQPair, query: RateQuery, group_id: int | None = None) -> Rat
 def _maximize(conds: PsdConditionSet, query: RateQuery, group_id: int | None) -> RateResult:
     """max_rate on a pair's condition set."""
     tgrid = time_grid(query.t_domain)
+    leading = not isinstance(query.t_domain, Window)
     best: RateResult | None = None
     all_infeasible = True
     for point in query.grid_points():
@@ -443,7 +465,8 @@ def _maximize(conds: PsdConditionSet, query: RateQuery, group_id: int | None) ->
         if status == "cap":
             k_best = k_hi
         else:
-            k_best, status = _bisect_max_k(check, k_hi)
+            ks = np.linspace(0.0, k_hi, PRESCAN_POINTS)
+            k_best, status = _bisect_max_k(check, ks, compiled.feasible(ks, leading))
         validity = _certified_range(compiled, k_best, tgrid, query.t_domain)
         result = RateResult(
             group_id=group_id,
@@ -616,6 +639,11 @@ def verify_catalog(mu: float = 1.0, L: float = 4.0, jobs: int | None = None,
     """
     table = catalog_rows(mu, L)
     if rows is not None:
+        labels = [row.label for row in table]
+        unknown = [label for label in rows if label not in labels]
+        if unknown:
+            raise ValueError(f"unknown catalog rows {', '.join(unknown)}; "
+                             f"valid rows are {', '.join(labels)}")
         table = [row for row in table if row.label in rows]
     cache: dict[str, list[PairGroup]] = dict(enumerations or {})
 

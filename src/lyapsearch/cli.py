@@ -44,6 +44,12 @@ def _parse_param_grid(text: str) -> tuple[str, tuple[float, ...]]:
     return name.strip(), values
 
 
+def _parse_jobs(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number of workers >= 1, got {text!r}")
+    return int(text)
+
+
 def _parse_t_domain(text: str):
     try:
         if text == "all":
@@ -62,7 +68,7 @@ def _parse_t_domain(text: str):
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lyapsearch")
-    parser.add_argument("--jobs", type=int, default=None,
+    parser.add_argument("--jobs", type=_parse_jobs, default=None,
                         help="analysis worker pool size (default: all cores)")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized runs")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lyapsearch.analysis import (K_CAP, PRESCAN_POINTS, REL_FLOOR, BootstrapPreconditionError,
+from lyapsearch.analysis import (K_CAP, PRESCAN_POINTS, REL_FLOOR, T_GRID_HI, T_GRID_LO,
+                                 AllPositive, AnalysisError, BootstrapPreconditionError,
                                  DiagonalParameterError, Eventually, InfeasiblePairError,
                                  PsdConditionSet, RateQuery, Window, analyze_groups,
                                  bootstrap_candidates, bootstrap_rate_check, _analyze_queries,
@@ -300,6 +301,24 @@ def test_monotone_feasibility_prefix():
     assert all(flags[:first_bad]) and not any(flags[first_bad:])
 
 
+def test_bisect_max_k_on_synthetic_prescans():
+    ks = np.linspace(0.0, 1.0, PRESCAN_POINTS)
+    edge = 0.3  # between ks[19] and ks[20]
+
+    def check(k):
+        return k <= edge
+
+    # Bisection halves [19/64, 20/64] until it is at most 1e-6 wide, i.e. 2^-20.
+    exact = math.floor(edge * 2 ** 20) / 2 ** 20
+    assert _bisect_max_k(check, ks, ks <= edge) == (exact, "ok")
+    late = ks <= edge
+    late[40] = True
+    assert _bisect_max_k(check, ks, late) == (exact, "nonmonotone")
+    for flags in (np.ones(PRESCAN_POINTS, dtype=bool), ks > edge):
+        with pytest.raises(AnalysisError, match="needs a feasible first k and an infeasible"):
+            _bisect_max_k(check, ks, flags)
+
+
 class _ReferenceMinor:
     """One minor compiled and checked on its own, term row by term row.
 
@@ -366,8 +385,9 @@ _DIFFERENTIAL_CASES = [pytest.param(row.system, row.query, id=row.label)
 def test_feasible_matches_per_minor_reference(system, query, enumerations):
     """Per-pair tables against the per-minor evaluator, at the ks max_rate settles on.
 
-    Flags are compared at k = 0, the doubling, the 65-point pre-scan and
-    k_max; violation masks at k = 0, the first infeasible pre-scan k and k_max.
+    Flags are compared at k = 0, the doubling, the 65-point pre-scan (one k at
+    a time and all of them in one batch) and k_max; violation masks at k = 0,
+    the first infeasible pre-scan k and k_max.
     The merged coefficients and magnitudes must be bit-identical.
     """
     tgrid = time_grid(query.t_domain)
@@ -401,13 +421,32 @@ def test_feasible_matches_per_minor_reference(system, query, enumerations):
             k_hi = 1.0
             while same(k_hi) and k_hi < K_CAP:
                 k_hi *= 2.0
-            flags = [same(k) for k in np.linspace(0.0, k_hi, PRESCAN_POINTS)]
+            ks = np.linspace(0.0, k_hi, PRESCAN_POINTS)
+            flags = [same(k) for k in ks]
+            batched = compiled.feasible(ks, leading)
+            assert batched.tolist() == flags, f"{where}, pre-scan up to k={k_hi}"
             if all(flags):
                 k_max = k_hi
             else:
-                same(np.linspace(0.0, k_hi, PRESCAN_POINTS)[flags.index(False)], mask=True)
-                k_max = _bisect_max_k(check, k_hi)[0]
+                same(ks[flags.index(False)], mask=True)
+                k_max = _bisect_max_k(check, ks, batched)[0]
             same(k_max, mask=True)
+
+
+def test_batched_flags_keep_each_k_and_check():
+    # t^2 - k t + 1 dips below 0 on the grid only for k > 2, with a positive
+    # leading coefficient; 1 - k t / 10^7 fails only the leading check for
+    # 0 < k < 10, since it stays above 0.9 up to the grid's end at t = 10^6.
+    minors = (parse_expr("1*t^2 - 1*k*t + 1"), parse_expr("1 - 1/10000000*k*t"))
+    conds = PsdConditionSet(((1.0, 1.0),), minors)
+    ks = np.array([0.0, 1.0, 3.0])
+    for domain, expected in ((AllPositive(), [True, False, False]),
+                             (Window(T_GRID_LO, T_GRID_HI), [True, True, False])):
+        query = RateQuery(LINEAR, mu=1.0, t_domain=domain)
+        compiled = compile_conditions(conds, {}, time_grid(domain))
+        leading = isinstance(domain, AllPositive)
+        assert compiled.feasible(ks, leading).tolist() == expected
+        assert [feasible(conds, k, query, _compiled=compiled) for k in ks] == expected
 
 
 def test_identically_zero_minor_survives_float_rounding():

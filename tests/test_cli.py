@@ -84,12 +84,13 @@ def test_verify_catalog_needs_mu_below_L(capsys, mu, L):
     (["search", "--spec", "damped-newton", "--mu", "2", "--L", "1"], "got [2.0, 1.0]"),
     (["search", "--spec", "damped-newton", "--mu", "-1"], "needs mu > 0 unless convex"),
     (["search", "--spec", "damped-newton", "--mu", "2e6"], "got [2000000.0, 1048576.0]"),
+    (["search", "--spec", "damped-newton", "--L", "inf"], "L must be finite, got inf"),
     (["simulate", "--spec", "nag", "--param", "r=3", "--mu", "4", "--L", "1", "--t1", "3"],
      "need 0 < mu <= L"),
     (["simulate", "--spec", "nag", "--param", "r=3", "--mu", "-1", "--t1", "3"],
      "need 0 < mu <= L"),
 ], ids=["search-L-below-mu", "search-negative-mu", "search-mu-above-lambda-cap",
-        "simulate-L-below-mu", "simulate-negative-mu"])
+        "search-L-inf", "simulate-L-below-mu", "simulate-negative-mu"])
 def test_curvature_interval_must_be_ordered_and_positive(tmp_path, capsys, argv, message):
     if argv[0] == "search":
         argv = argv + ["--out", str(tmp_path / "out.csv")]
@@ -113,6 +114,30 @@ def test_bad_sizes_are_errors(capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["search", "--spec", "second-order-hessian", "--param", "a=nan", "--param", "b=0"],
+     "parameter a must be finite, got nan"),
+    (["search", "--spec", "second-order-hessian", "--param-grid", "a=1,inf", "--param", "b=0"],
+     "parameter a must be finite, got inf"),
+    (["verify-catalog", "--rows", "bogus"],
+     "unknown catalog rows bogus; valid rows are damped-newton, gradient-flow,"),
+    (["verify-catalog", "--rows", "foo,damped-newton"], "unknown catalog rows foo;"),
+], ids=["search-param-nan", "search-param-grid-inf", "verify-catalog-unknown-row",
+        "verify-catalog-unknown-among-known"])
+def test_bad_values_are_errors_not_results(capsys, argv, message):
+    assert main(["--jobs", "1"] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert message in captured.err
+    assert not captured.out
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_a_usage_error(capsys, jobs):
+    assert main(["--jobs", jobs, "verify-catalog", "--rows", "damped-newton"]) == 1
+    assert "argument --jobs: expected a whole number of workers >= 1" in capsys.readouterr().err
 
 
 def test_python_dash_m_runs_the_cli():
