@@ -19,9 +19,15 @@ feasible k is then located by bisection, preceded by a coarse pre-scan that
 guards against non-monotone feasibility; the pre-scan's ks are checked
 together, in one pass over arrays.
 
-Queries that share a gamma form share each pair's minors, and queries with
-the same corners share its whole condition set; verify_catalog runs the rows
-that share a system and a gamma form together, one group at a time.
+The exact work is shared across pairs through a MinorTable, made for one
+gamma form and the corners of the queries it serves: gamma is substituted
+once per distinct entry, each distinct principal submatrix's determinant is
+built once and bound once per corner, and each distinct bound minor gets its
+float term table once.  A run over groups threads one table through them and
+drops it at the end: analyze_groups, and verify_catalog for the rows that
+share a system and a gamma form.  With a pool, each task makes its own table
+for a contiguous run of groups.  Queries with the same corners share a pair's
+whole condition set.
 """
 
 from __future__ import annotations
@@ -29,14 +35,14 @@ from __future__ import annotations
 import itertools
 import math
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .expr import (Expr, GammaForm, LINEAR, LOG, POWER, ZERO, ZeroExpressionError, bind_terms,
-                   float_terms)
+from .expr import (Expr, FloatTerm, GammaForm, LINEAR, LOG, POWER, ZERO, ZeroExpressionError,
+                   bind_terms, float_terms)
 from .pq import PQPair
 from .sequences import PairGroup, enumerate_pairs
 from .systems import CATALOG, OdeSystemSpec
@@ -48,6 +54,7 @@ T_GRID_HI = 1e6
 REL_FLOOR = 1e-12
 K_CAP = float(2 ** 16)
 GRID_BLOCK = 8  # suspect (k, minor) pairs per step of the t-grid check; bounds its temporaries
+RUNS_PER_WORKER = 4  # contiguous runs of groups per pool worker, each with its own MinorTable
 
 
 class AnalysisError(Exception):
@@ -172,13 +179,16 @@ class RateQuery:
 class PsdConditionSet:
     corners: tuple[tuple[float, float], ...]
     minors: tuple[Expr, ...]  # nonzero minors of every corner, deduplicated
+    # float_terms(minor, ("k",)) of each minor, when already at hand.
+    tables: InitVar[Sequence[tuple[FloatTerm, ...]] | None] = None
     # float_terms(minor, ("k",)) of every minor, concatenated in minor order,
     # and the index of the minor each term belongs to.
     terms: tuple = field(init=False, repr=False)
     term_minors: tuple[int, ...] = field(init=False, repr=False)
 
-    def __post_init__(self):
-        tables = [float_terms(minor, ("k",)) for minor in self.minors]
+    def __post_init__(self, tables):
+        if tables is None:
+            tables = [float_terms(minor, ("k",)) for minor in self.minors]
         self.terms = tuple(itertools.chain.from_iterable(tables))
         self.term_minors = tuple(itertools.chain.from_iterable(
             itertools.repeat(i, len(table)) for i, table in enumerate(tables)))
@@ -200,16 +210,6 @@ def _det(matrix: list[list[Expr]]) -> Expr:
     return total
 
 
-def _principal_minors(matrix, dim: int) -> list[Expr]:
-    support = [i for i in range(dim) if any(matrix[i][j] for j in range(dim))]
-    minors = []
-    for size in range(1, len(support) + 1):
-        for subset in itertools.combinations(support, size):
-            sub = [[matrix[i][j] for j in subset] for i in subset]
-            minors.append(_det(sub))
-    return minors
-
-
 def _check_diagonal_parameters(pair: PQPair) -> None:
     for matrix, dim in ((pair.P, 3), (pair.Q, 5)):
         for i in range(dim):
@@ -221,57 +221,121 @@ def _check_diagonal_parameters(pair: PQPair) -> None:
                         f"lambda/theta in off-diagonal entry ({i + 1},{j + 1})")
 
 
+class MinorTable:
+    """The exact minor work of many pairs under one gamma form and set of corners.
+
+    Pairs of one system share most of their entries, and so most of their
+    principal submatrices and minors.  The table holds each raw entry's gamma
+    substitution, interned; for each distinct principal submatrix, keyed by
+    its interned entries, the index of its minor bound at each corner, or None
+    where that minor vanishes; and each distinct bound minor once, with its
+    float_terms(minor, ("k",)).  So gamma is substituted once per distinct
+    entry, a determinant is built once per distinct nonzero submatrix and
+    bound once per corner, and a term table is made once per distinct minor.
+    The symbolic determinants themselves are not kept.  Binding commutes with
+    the determinant, and a row that vanishes at a corner only adds minors
+    that vanish there, so the bound minors are the nonzero minors of the
+    corner-substituted matrices.
+
+    A table lives for one run over a list of pairs; the corners of every
+    query it serves are fixed when it is made.
+    """
+
+    def __init__(self, gamma: GammaForm, corner_sets: Iterable[Iterable[tuple[float, float]]]):
+        self.gamma = gamma
+        corners = dict.fromkeys(c for cs in corner_sets for c in cs)
+        self._corner_index = {c: i for i, c in enumerate(corners)}
+        self._bindings = [{"lambda": Fraction(lam), "theta": Fraction(theta)}
+                          for lam, theta in corners]
+        self._entry_ids: dict[Expr, int] = {}  # raw entry -> id of its substitution
+        self._entries: list[Expr] = [ZERO]     # substituted entries by id
+        self._entry_index: dict[Expr, int] = {ZERO: 0}
+        self._submatrices: dict[tuple[int, ...], tuple[int | None, ...]] = {}
+        self._minor_ids: dict[Expr, int] = {}
+        self._minors: list[Expr] = []
+        self._tables: list[tuple[FloatTerm, ...]] = []
+
+    def _entry_id(self, entry: Expr) -> int:
+        eid = self._entry_ids.get(entry)
+        if eid is None:
+            substituted = self.gamma.substitute(entry)
+            eid = self._entry_index.get(substituted)
+            if eid is None:
+                eid = self._entry_index[substituted] = len(self._entries)
+                self._entries.append(substituted)
+            self._entry_ids[entry] = eid
+        return eid
+
+    def _bound_minors(self, key: tuple[int, ...]) -> tuple[int | None, ...]:
+        """Per corner, the index of the bound minor of the submatrix key, or None."""
+        indices = self._submatrices.get(key)
+        if indices is None:
+            n = math.isqrt(len(key))
+            minor = _det([[self._entries[eid] for eid in key[r * n:(r + 1) * n]]
+                          for r in range(n)])
+            if minor:
+                indices = tuple(self._minor_index(minor.subs_params(binding))
+                                for binding in self._bindings)
+            else:
+                indices = (None,) * len(self._bindings)
+            self._submatrices[key] = indices
+        return indices
+
+    def _minor_index(self, minor: Expr) -> int | None:
+        if not minor:
+            return None
+        index = self._minor_ids.get(minor)
+        if index is None:
+            index = self._minor_ids[minor] = len(self._minors)
+            self._minors.append(minor)
+            self._tables.append(float_terms(minor, ("k",)))
+        return index
+
+    def conditions(self, pair: PQPair,
+                   corner_sets: Sequence[tuple[tuple[float, float], ...]]
+                   ) -> list[PsdConditionSet]:
+        """psd_conditions(pair, gamma, corners) for each of the corner sets.
+
+        The minors come corner-major, then in subset order, P before Q, and
+        deduplicated by equality; equal corner sets share one condition set.
+        """
+        if not pair.has_gap:
+            raise AnalysisError("pair lacks the objective-gap term; apply A1 first")
+        _check_diagonal_parameters(pair)
+        subset_minors = []
+        for matrix, dim in ((pair.P, 3), (pair.Q, 5)):
+            ids = [[self._entry_id(e) for e in row] for row in matrix]
+            support = [i for i in range(dim) if any(ids[i])]
+            for size in range(1, len(support) + 1):
+                for subset in itertools.combinations(support, size):
+                    key = tuple(ids[i][j] for i in subset for j in subset)
+                    if any(key):
+                        subset_minors.append(self._bound_minors(key))
+        by_corners: dict[tuple[tuple[float, float], ...], PsdConditionSet] = {}
+        for corners in corner_sets:
+            if corners not in by_corners:
+                positions = [self._corner_index[c] for c in corners]
+                union = dict.fromkeys(
+                    index for pos in positions for indices in subset_minors
+                    if (index := indices[pos]) is not None)
+                by_corners[corners] = PsdConditionSet(
+                    corners, tuple(self._minors[i] for i in union),
+                    [self._tables[i] for i in union])
+        return [by_corners[corners] for corners in corner_sets]
+
+
 def psd_conditions(pair: PQPair, gamma: GammaForm,
                    corners: Iterable[tuple[float, float]]) -> PsdConditionSet:
     """All principal minors of the support submatrices, at every (lambda, theta) corner.
 
-    Gamma is substituted and the minors are built once, with lambda and theta
-    still symbolic; each corner's values are then bound into them.  Binding
-    commutes with the determinant, and a row that vanishes at a corner only
-    adds minors that vanish there, so this yields the nonzero minors of the
-    corner-substituted matrices, in corner order and, within a corner, in
-    subset order.  They keep k, t and any free system parameters symbolic.
+    The minors are those of the gamma-substituted matrices with each corner's
+    lambda and theta bound: the nonzero ones, in corner order and, within a
+    corner, in subset order, deduplicated.  They keep k, t and any free
+    system parameters symbolic.  This is a MinorTable of one pair; a run over
+    many pairs shares one table instead.
     """
-    return _bind_corners(_symbolic_minors(pair, gamma), tuple(corners))
-
-
-def _symbolic_minors(pair: PQPair, gamma: GammaForm) -> list[Expr]:
-    """The first half of psd_conditions: substitute gamma and build the minors."""
-    if not pair.has_gap:
-        raise AnalysisError("pair lacks the objective-gap term; apply A1 first")
-    _check_diagonal_parameters(pair)
-    p_sub = [[gamma.substitute(e) for e in row] for row in pair.P]
-    q_sub = [[gamma.substitute(e) for e in row] for row in pair.Q]
-    return [m for m in _principal_minors(p_sub, 3) + _principal_minors(q_sub, 5) if m]
-
-
-def _bind_corners(symbolic: Sequence[Expr],
-                  corners: tuple[tuple[float, float], ...]) -> PsdConditionSet:
-    """The second half of psd_conditions: bind each corner and deduplicate."""
-    union: dict[Expr, None] = {}
-    for lam, theta in corners:
-        binding = {"lambda": Fraction(lam), "theta": Fraction(theta)}
-        for minor in symbolic:
-            bound = minor.subs_params(binding)
-            if bound:
-                union[bound] = None
-    return PsdConditionSet(corners, tuple(union))
-
-
-def _shared_conditions(pair: PQPair, queries: Sequence[RateQuery]) -> list[PsdConditionSet]:
-    """psd_conditions(pair, query.gamma, query.corners()) for each of the queries.
-
-    The queries must share one gamma form.  The minors are built once and
-    bound once per distinct corner tuple, so queries with the same corners
-    share one condition set.
-    """
-    symbolic = _symbolic_minors(pair, queries[0].gamma)
-    by_corners: dict[tuple[tuple[float, float], ...], PsdConditionSet] = {}
-    for query in queries:
-        corners = query.corners()
-        if corners not in by_corners:
-            by_corners[corners] = _bind_corners(symbolic, corners)
-    return [by_corners[query.corners()] for query in queries]
+    corners = tuple(corners)
+    return MinorTable(gamma, (corners,)).conditions(pair, (corners,))[0]
 
 
 # -- numeric feasibility ----------------------------------------------------------
@@ -507,30 +571,39 @@ class GroupRate:
     result: RateResult | None  # None when infeasible at k = 0
 
 
-def _analyze_one(args) -> list[GroupRate]:
-    group, queries = args
-    rates = []
-    for query, conds in zip(queries, _shared_conditions(group.representative, queries)):
-        try:
-            rates.append(GroupRate(group.group_id, _maximize(conds, query, group.group_id)))
-        except InfeasiblePairError:
-            rates.append(GroupRate(group.group_id, None))
-    return rates
+def _analyze_run(groups: Sequence[PairGroup],
+                 queries: Sequence[RateQuery]) -> list[list[GroupRate]]:
+    """Per group of a run, its GroupRate for each of the queries, from one MinorTable."""
+    corner_sets = [query.corners() for query in queries]
+    table = MinorTable(queries[0].gamma, corner_sets)
+    per_group = []
+    for group in groups:
+        rates = []
+        for query, conds in zip(queries, table.conditions(group.representative, corner_sets)):
+            try:
+                rates.append(GroupRate(group.group_id, _maximize(conds, query, group.group_id)))
+            except InfeasiblePairError:
+                rates.append(GroupRate(group.group_id, None))
+        per_group.append(rates)
+    return per_group
 
 
 def _analyze_queries(groups: Sequence[PairGroup], queries: Sequence[RateQuery],
                      jobs: int | None) -> list[list[GroupRate]]:
     """analyze_groups for each of the queries, which share one gamma form.
 
-    The work runs group by group, so only one group's condition sets are
-    held at a time in each process.
+    The work runs group by group through one MinorTable, so only one group's
+    condition sets are held at a time.  With a pool, each task takes a
+    contiguous run of groups and makes a table of its own.
     """
-    work = [(g, tuple(queries)) for g in groups]
     if jobs and jobs > 1:
+        n_runs = min(jobs * RUNS_PER_WORKER, len(groups)) or 1
+        bounds = [len(groups) * i // n_runs for i in range(n_runs + 1)]
+        runs = [(groups[lo:hi], queries) for lo, hi in zip(bounds, bounds[1:])]
         with multiprocessing.Pool(jobs) as pool:
-            per_group = pool.map(_analyze_one, work)
+            per_group = list(itertools.chain.from_iterable(pool.starmap(_analyze_run, runs)))
     else:
-        per_group = [_analyze_one(w) for w in work]
+        per_group = _analyze_run(groups, queries)
     per_group.sort(key=lambda rates: rates[0].group_id)
     return [[rates[i] for rates in per_group] for i in range(len(queries))]
 
@@ -634,8 +707,10 @@ def verify_catalog(mu: float = 1.0, L: float = 4.0, jobs: int | None = None,
                    enumerations: dict[str, list[PairGroup]] | None = None) -> CatalogReport:
     """Re-derive every catalog rate and compare against its expected value.
 
-    The rate rows that share a system and a gamma form run together, group by
-    group, so each group's minors are built once for all of them.
+    The rows run system by system, and each system's groups are released
+    once its rows are done.  The rate rows that share a system and a gamma
+    form run together, group by group through one MinorTable, so each
+    distinct minor is built once for all of them.
     """
     table = catalog_rows(mu, L)
     if rows is not None:
@@ -645,32 +720,32 @@ def verify_catalog(mu: float = 1.0, L: float = 4.0, jobs: int | None = None,
             raise ValueError(f"unknown catalog rows {', '.join(unknown)}; "
                              f"valid rows are {', '.join(labels)}")
         table = [row for row in table if row.label in rows]
-    cache: dict[str, list[PairGroup]] = dict(enumerations or {})
-
-    def groups_of(system: str) -> list[PairGroup]:
-        if system not in cache:
-            cache[system] = enumerate_pairs(CATALOG[system])
-        return cache[system]
-
-    outcomes: dict[str, RowOutcome] = {}
-    bundles: dict[tuple[str, GammaForm], list[CatalogRow]] = {}
+    enumerated: dict[str, list[PairGroup]] = dict(enumerations or {})
+    by_system: dict[str, list[CatalogRow]] = {}
     for row in table:
-        if row.expected_window is None:
-            bundles.setdefault((row.system, row.query.gamma), []).append(row)
-            continue
-        groups = groups_of(row.system)
-        observed = max(certified_time(g.representative, row.query, row.k_probe)
-                       for g in groups)
-        step = grid_step_factor()
-        passed = row.expected_window / step ** 2 <= observed <= row.expected_window * step ** 2
-        outcomes[row.label] = RowOutcome(
-            row.label, f"T={row.expected_window:.6g}", f"T={observed:.6g}",
-            passed, None, len(groups), 0)
-    for (system, _gamma), bundle in bundles.items():
-        groups = groups_of(system)
-        per_row = _analyze_queries(groups, [row.query for row in bundle], jobs)
-        for row, rates in zip(bundle, per_row):
-            outcomes[row.label] = _rate_outcome(row, rates, len(groups))
+        by_system.setdefault(row.system, []).append(row)
+    outcomes: dict[str, RowOutcome] = {}
+    for system, system_rows in by_system.items():
+        # Popped, so that nothing here holds a system's groups past its rows.
+        groups = (enumerated.pop(system) if system in enumerated
+                  else enumerate_pairs(CATALOG[system]))
+        bundles: dict[GammaForm, list[CatalogRow]] = {}
+        for row in system_rows:
+            if row.expected_window is None:
+                bundles.setdefault(row.query.gamma, []).append(row)
+                continue
+            observed = max(certified_time(g.representative, row.query, row.k_probe)
+                           for g in groups)
+            step = grid_step_factor()
+            passed = row.expected_window / step ** 2 <= observed <= row.expected_window * step ** 2
+            outcomes[row.label] = RowOutcome(
+                row.label, f"T={row.expected_window:.6g}", f"T={observed:.6g}",
+                passed, None, len(groups), 0)
+        for bundle in bundles.values():
+            per_row = _analyze_queries(groups, [row.query for row in bundle], jobs)
+            for row, rates in zip(bundle, per_row):
+                outcomes[row.label] = _rate_outcome(row, rates, len(groups))
+        del groups
     return CatalogReport([outcomes[row.label] for row in table])
 
 

@@ -23,6 +23,23 @@ def _parse_param(text: str) -> tuple[str, float]:
     return name.strip(), float(value)
 
 
+def _parse_finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _parse_finite_param(text: str) -> tuple[str, float]:
+    name, value = _parse_param(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"parameter {name} must be finite, got {text!r}")
+    return name, value
+
+
 def _parse_param_grid(text: str) -> tuple[str, tuple[float, ...]]:
     name, _, spec = text.partition("=")
     if not _:
@@ -94,23 +111,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="integrate a system and fit its decay rate")
     p.add_argument("--spec", required=True)
     p.add_argument("--gamma", choices=sorted(GAMMA_FORMS), default="linear")
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--L", type=float, default=4.0)
+    p.add_argument("--mu", type=_parse_finite, default=1.0)
+    p.add_argument("--L", type=_parse_finite, default=4.0)
     p.add_argument("--dim", type=int, default=10)
-    p.add_argument("--t0", type=float, default=1.0)
-    p.add_argument("--t1", type=float, default=100.0)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--param", type=_parse_param, action="append", default=[])
+    p.add_argument("--t0", type=_parse_finite, default=1.0)
+    p.add_argument("--t1", type=_parse_finite, default=100.0)
+    p.add_argument("--dt", type=_parse_finite, default=1e-3)
+    p.add_argument("--param", type=_parse_finite_param, action="append", default=[])
     p.add_argument("--csv", default=None)
 
     p = sub.add_parser("restart", help="run the clock-restart scheme")
-    p.add_argument("--l", type=float, required=True)
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--L", type=float, default=4.0)
+    p.add_argument("--l", type=_parse_finite, required=True)
+    p.add_argument("--c", type=_parse_finite, required=True)
+    p.add_argument("--mu", type=_parse_finite, default=1.0)
+    p.add_argument("--L", type=_parse_finite, default=4.0)
     p.add_argument("--dim", type=int, default=10)
     p.add_argument("--rounds", type=int, default=20)
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--dt", type=_parse_finite, default=1e-3)
     p.add_argument("--csv", default=None)
 
     p = sub.add_parser("dump-groups", help="enumerate and list the pair groups")

@@ -1,3 +1,5 @@
+import gc
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,13 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lyapsearch import analysis
 from lyapsearch.analysis import (K_CAP, PRESCAN_POINTS, REL_FLOOR, T_GRID_HI, T_GRID_LO,
                                  AllPositive, AnalysisError, BootstrapPreconditionError,
                                  DiagonalParameterError, Eventually, InfeasiblePairError,
-                                 PsdConditionSet, RateQuery, Window, analyze_groups,
+                                 MinorTable, PsdConditionSet, RateQuery, Window, analyze_groups,
                                  bootstrap_candidates, bootstrap_rate_check, _analyze_queries,
-                                 _bisect_max_k, _principal_minors, _shared_conditions,
-                                 catalog_rows, certified_time,
+                                 _bisect_max_k, _det, catalog_rows, certified_time,
                                  compile_conditions, feasible, max_rate, psd_conditions,
                                  time_grid, verify_catalog)
 from lyapsearch.expr import Expr, GAMMA1, LINEAR, LOG, POWER, ZERO, parse_expr
@@ -162,10 +164,18 @@ def test_psd_conditions_require_gap_term():
         psd_conditions(fresh, LINEAR, corners=[(1.0, 1.0)])
 
 
-def _reference_psd_minors(pair, gamma, corners):
-    """Minors built per corner, on matrices with lambda and theta already bound.
+def _principal_submatrices(matrix, dim):
+    """The principal submatrices over the rows with a nonzero entry, in subset order."""
+    support = [i for i in range(dim) if any(matrix[i][j] for j in range(dim))]
+    return [[[matrix[i][j] for j in subset] for i in subset]
+            for size in range(1, len(support) + 1)
+            for subset in itertools.combinations(support, size)]
 
-    This is how psd_conditions worked before it built the minors once per pair;
+
+def _reference_psd_minors(pair, gamma, corners):
+    """Minors built per pair and corner, on matrices with lambda and theta already bound.
+
+    This is how psd_conditions worked before minors were built once per pair;
     it returns the deduplicated nonzero minors in corner order.
     """
     p_sub = [[gamma.substitute(e) for e in row] for row in pair.P]
@@ -175,7 +185,8 @@ def _reference_psd_minors(pair, gamma, corners):
         binding = {"lambda": Fraction(lam), "theta": Fraction(theta)}
         p_c = [[e.subs_params(binding) for e in row] for row in p_sub]
         q_c = [[e.subs_params(binding) for e in row] for row in q_sub]
-        for m in _principal_minors(p_c, 3) + _principal_minors(q_c, 5):
+        for sub in _principal_submatrices(p_c, 3) + _principal_submatrices(q_c, 5):
+            m = _det(sub)
             if m:
                 union[m] = None
     return tuple(union)
@@ -200,17 +211,75 @@ def test_psd_conditions_match_per_corner_reference(system, query, enumerations):
     (("sc-nag", "second-order-hessian"), 20),
 ], ids=["first-order-hessian", "nag-log", "second-order-hessian-first-20"])
 def test_shared_conditions_match_psd_conditions_row_by_row(labels, n_groups, enumerations):
+    """One MinorTable shared by the rows and by every group gives each pair, for
+    each row, the condition set that psd_conditions builds for it alone."""
     rows = {row.label: row for row in catalog_rows(1.0, 4.0)}
     queries = [rows[label].query for label in labels]
-    same_corners = queries[0].corners() == queries[1].corners()
+    corner_sets = [query.corners() for query in queries]
+    same_corners = corner_sets[0] == corner_sets[1]
+    table = MinorTable(queries[0].gamma, corner_sets)
     for group in enumerations(rows[labels[0]].system)[:n_groups]:
         pair = group.representative
-        shared = _shared_conditions(pair, queries)
+        shared = table.conditions(pair, corner_sets)
         for query, conds in zip(queries, shared):
             reference = psd_conditions(pair, query.gamma, query.corners())
             assert conds.corners == reference.corners
             assert conds.minors == reference.minors, f"group {group.group_id}"
+            assert conds.terms == reference.terms
+            assert conds.term_minors == reference.term_minors
         assert (shared[0] is shared[1]) == same_corners
+
+
+def test_minor_table_builds_each_distinct_submatrix_once(enumerations, monkeypatch):
+    """Second-order-hessian under LINEAR: one determinant per distinct principal
+    submatrix with a nonzero entry, over all 210 gamma-substituted pairs.  Of
+    the 1 300 such submatrices, 971 have a nonzero determinant."""
+    groups = enumerations("second-order-hessian")
+    corners = RateQuery(LINEAR, mu=1.0).corners()
+    distinct = set()
+    for group in groups:
+        pair = group.representative
+        for matrix, dim in ((pair.P, 3), (pair.Q, 5)):
+            sub = [[LINEAR.substitute(e) for e in row] for row in matrix]
+            for m in _principal_submatrices(sub, dim):
+                if any(e for row in m for e in row):
+                    distinct.add(tuple(map(tuple, m)))
+    assert sum(1 for m in distinct if _det([list(row) for row in m])) == 971
+    built = []
+    depth = [0]
+
+    def counting_det(matrix):
+        if not depth[0]:
+            built.append(len(matrix))
+        depth[0] += 1
+        try:
+            return _det(matrix)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(analysis, "_det", counting_det)
+    table = MinorTable(LINEAR, [corners])
+    for group in groups:
+        table.conditions(group.representative, [corners])
+    assert len(built) == len(distinct) == 1300
+    for group in groups[:5]:  # a second pass builds nothing
+        table.conditions(group.representative, [corners])
+    assert len(built) == 1300
+
+
+def test_no_minor_table_outlives_its_call(enumerations):
+    def tables():
+        gc.collect()
+        return [obj for obj in gc.get_objects() if isinstance(obj, MinorTable)]
+
+    assert not tables()
+    report = verify_catalog(1.0, 4.0, jobs=1, rows=["damped-newton", "nag-convex"],
+                            enumerations={name: enumerations(name)
+                                          for name in ("damped-newton", "nag")})
+    assert report.passed
+    assert not tables()
+    analyze_groups(enumerations("nag"), RateQuery(LOG, mu=1.0, convex=True, params={"r": 3.0}))
+    assert not tables()
 
 
 def test_bundled_rows_match_rows_run_alone(enumerations):
@@ -607,6 +676,16 @@ def test_analyze_groups_matches_serial(enumerations):
         assert (a.result is None) == (b.result is None)
         if a.result:
             assert a.result.k_max == pytest.approx(b.result.k_max, abs=1e-12)
+
+
+def test_analyze_groups_pool_matches_serial_across_runs(enumerations):
+    """Runs of groups split differently at 2 and 3 workers; every result is equal."""
+    groups = enumerations("second-order-hessian")[:40]
+    query = RateQuery(LINEAR, mu=1.0, grid={"a": (1.0, 2.0), "b": (0.0, 1.0)})
+    serial = analyze_groups(groups, query, jobs=1)
+    assert [rate.group_id for rate in serial] == [group.group_id for group in groups]
+    assert analyze_groups(groups, query, jobs=2) == serial
+    assert analyze_groups(groups, query, jobs=3) == serial
 
 
 def test_bootstrap_candidates_and_preconditions(enumerations):

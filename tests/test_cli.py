@@ -134,6 +134,25 @@ def test_bad_values_are_errors_not_results(capsys, argv, message):
     assert not captured.out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--spec", "nag", "--param", "r=nan"],
+     "argument --param: parameter r must be finite, got 'r=nan'"),
+    (["simulate", "--spec", "nag", "--param", "r=3", "--dt", "nan"],
+     "argument --dt: expected a finite number, got 'nan'"),
+    (["simulate", "--spec", "nag", "--param", "r=3", "--t1", "inf"],
+     "argument --t1: expected a finite number, got 'inf'"),
+    (["restart", "--l", "nan", "--c", "2"], "argument --l: expected a finite number, got 'nan'"),
+    (["restart", "--l", "0.7", "--c", "2", "--mu=-inf"],
+     "argument --mu: expected a finite number, got '-inf'"),
+], ids=["simulate-param-nan", "simulate-dt-nan", "simulate-t1-inf", "restart-l-nan",
+        "restart-mu-minus-inf"])
+def test_non_finite_simulate_and_restart_inputs_are_usage_errors(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert not captured.out
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_jobs_below_one_is_a_usage_error(capsys, jobs):
     assert main(["--jobs", jobs, "verify-catalog", "--rows", "damped-newton"]) == 1
