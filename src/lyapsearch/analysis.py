@@ -22,7 +22,8 @@ together, in one pass over arrays.
 The exact work is shared across pairs through a MinorTable, made for one
 gamma form and the corners of the queries it serves: gamma is substituted
 once per distinct entry, each distinct principal submatrix's determinant is
-built once and bound once per corner, and each distinct bound minor gets its
+built once, from sub-determinants also built once, each distinct
+determinant is bound once per corner, and each distinct bound minor gets its
 float term table once.  A run over groups threads one table through them and
 drops it at the end: analyze_groups, and verify_catalog for the rows that
 share a system and a gamma form.  With a pool, each task makes its own table
@@ -62,7 +63,8 @@ class AnalysisError(Exception):
 
 
 class DiagonalParameterError(AnalysisError):
-    """lambda or theta found off the diagonal, breaking the corner reduction."""
+    """lambda or theta found off the diagonal or not affine on it, breaking the
+    corner reduction."""
 
 
 class InfeasiblePairError(AnalysisError):
@@ -196,29 +198,51 @@ class PsdConditionSet:
             raise AnalysisError("a minor has a negative power of k")
 
 
-def _det(matrix: list[list[Expr]]) -> Expr:
-    n = len(matrix)
+def _det(key: tuple[int, ...], entries: Sequence[Expr],
+         memo: dict[tuple[int, ...], Expr]) -> Expr:
+    """Determinant of the n x n block whose entry ids, row-major, are key.
+
+    Cofactor expansion along the first row; entries[0] is zero and is
+    skipped.  Each sub-block is keyed by its own entry ids, so a sub-block
+    shared by several blocks is expanded once per memo.
+    """
+    n = math.isqrt(len(key))
     if n == 1:
-        return matrix[0][0]
-    total = ZERO
-    for j in range(n):
-        if not matrix[0][j]:
-            continue
-        sub = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        term = matrix[0][j] * _det(sub)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+        return entries[key[0]]
+    det = memo.get(key)
+    if det is None:
+        det = ZERO
+        for j in range(n):
+            if not key[j]:
+                continue
+            sub = tuple(key[r * n + c] for r in range(1, n) for c in range(n) if c != j)
+            term = entries[key[j]] * _det(sub, entries, memo)
+            det = det + term if j % 2 == 0 else det - term
+        memo[key] = det
+    return det
+
+
+_CURVATURE = frozenset({"lambda", "theta"})
+_AFFINE_PARTS = ((), (("lambda", 1),), (("theta", 1),))
 
 
 def _check_diagonal_parameters(pair: PQPair) -> None:
+    """lambda and theta may enter only diagonal entries, and only affinely."""
     for matrix, dim in ((pair.P, 3), (pair.Q, 5)):
         for i in range(dim):
             for j in range(dim):
-                if i == j:
+                entry = matrix[i][j]
+                if not _CURVATURE & entry.free_symbols():
                     continue
-                if {"lambda", "theta"} & matrix[i][j].free_symbols():
+                if i != j:
                     raise DiagonalParameterError(
                         f"lambda/theta in off-diagonal entry ({i + 1},{j + 1})")
+                for _exp, mono, _coeff in entry.terms():
+                    part = tuple((sym, power) for sym, power in mono if sym in _CURVATURE)
+                    if part not in _AFFINE_PARTS:
+                        raise DiagonalParameterError(
+                            f"diagonal entry ({i + 1},{i + 1}) is not affine in lambda and "
+                            f"theta: it has a term in {'*'.join(f'{s}^{p}' for s, p in part)}")
 
 
 class MinorTable:
@@ -230,11 +254,14 @@ class MinorTable:
     its interned entries, the index of its minor bound at each corner, or None
     where that minor vanishes; and each distinct bound minor once, with its
     float_terms(minor, ("k",)).  So gamma is substituted once per distinct
-    entry, a determinant is built once per distinct nonzero submatrix and
-    bound once per corner, and a term table is made once per distinct minor.
-    The symbolic determinants themselves are not kept.  Binding commutes with
-    the determinant, and a row that vanishes at a corner only adds minors
-    that vanish there, so the bound minors are the nonzero minors of the
+    entry, a determinant is built once per distinct nonzero submatrix, each
+    distinct determinant is bound once per corner, and a term table is made
+    once per distinct minor.  The determinants come from a cofactor expansion
+    memoised on the entry ids of every sub-block it meets, principal or not,
+    so a sub-determinant shared by several subsets or pairs is built once;
+    that memo lives and dies with the table.  Binding commutes with the
+    determinant, and a row that vanishes at a corner only adds minors that
+    vanish there, so the bound minors are the nonzero minors of the
     corner-substituted matrices.
 
     A table lives for one run over a list of pairs; the corners of every
@@ -251,6 +278,8 @@ class MinorTable:
         self._entries: list[Expr] = [ZERO]     # substituted entries by id
         self._entry_index: dict[Expr, int] = {ZERO: 0}
         self._submatrices: dict[tuple[int, ...], tuple[int | None, ...]] = {}
+        self._dets: dict[tuple[int, ...], Expr] = {}  # sub-block entry ids -> determinant
+        self._bound: dict[Expr, tuple[int | None, ...]] = {}  # determinant -> _bound_minors
         self._minor_ids: dict[Expr, int] = {}
         self._minors: list[Expr] = []
         self._tables: list[tuple[FloatTerm, ...]] = []
@@ -270,14 +299,11 @@ class MinorTable:
         """Per corner, the index of the bound minor of the submatrix key, or None."""
         indices = self._submatrices.get(key)
         if indices is None:
-            n = math.isqrt(len(key))
-            minor = _det([[self._entries[eid] for eid in key[r * n:(r + 1) * n]]
-                          for r in range(n)])
-            if minor:
-                indices = tuple(self._minor_index(minor.subs_params(binding))
-                                for binding in self._bindings)
-            else:
-                indices = (None,) * len(self._bindings)
+            minor = _det(key, self._entries, self._dets)
+            indices = self._bound.get(minor)
+            if indices is None:
+                indices = self._bound[minor] = tuple(
+                    self._minor_index(minor.subs_params(binding)) for binding in self._bindings)
             self._submatrices[key] = indices
         return indices
 

@@ -6,6 +6,7 @@ import argparse
 import csv
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -83,8 +84,23 @@ def _parse_t_domain(text: str):
     raise argparse.ArgumentTypeError(f"bad t-domain {text!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes a value such as -1e-3 or -inf for a number.
+
+    argparse tells a negative number from an option by a pattern that knows
+    only forms like -5 and -.5, so `--mu -1e-3` would read as an option
+    missing its value; here the number reaches the option's own check.
+    Subparsers are made of the same class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="lyapsearch")
+    parser = _Parser(prog="lyapsearch")
     parser.add_argument("--jobs", type=_parse_jobs, default=None,
                         help="analysis worker pool size (default: all cores)")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized runs")

@@ -8,8 +8,12 @@ results is the search space the analysis ranks.
 
 Operations act on the pair alone, not on how it was reached, so the product is
 expanded stage by stage over distinct states rather than path by path: the
-23660 paths pass through only a few hundred distinct pairs, and each stage
-choice is applied once per distinct state.
+23660 paths pass through only a few hundred distinct pairs.  Each distinct
+pair is interned to an int state id when first reached, and a per-call table
+of transitions (state id, operation) -> state id runs apply_operation only on
+a miss, so a stage choice is a fold of table lookups and each distinct
+transition is applied once.  Provenance is not carried along the way: a
+group's representative is rebuilt from its first member's operations.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .pq import PQPair, apply_operation, apply_sequence, initial_pair
+from .pq import PQPair, apply_operation, initial_pair
 from .systems import OdeSystemSpec
 
 B_STAGES: tuple[tuple[str, ...], ...] = (
@@ -117,29 +121,46 @@ def enumerate_pairs(system: OdeSystemSpec) -> list[PairGroup]:
 
     Each stage maps the distinct states of the previous one, in first-occurrence
     order, through its choices in order, so the first insertion of a state is
-    its first occurrence and its pair carries that path's provenance.  A state
-    also carries the positions, in the product order of the stages so far, of
-    every prefix that reaches it; after the last stage these index
-    generate_sequences().
+    its first occurrence.  A state carries the positions, in the product order
+    of the stages so far, of every prefix that reaches it; after the last stage
+    these index generate_sequences(), and the smallest is the group's first
+    member, whose operations become the representative's provenance.
     """
-    base = apply_operation(initial_pair(system), "A1")
-    states: dict[tuple, tuple[PQPair, list[int]]] = {base.matrix_key(): (base, [0])}
+    pairs = [apply_operation(initial_pair(system), "A1")]  # by state id
+    state_ids = {pairs[0].matrix_key(): 0}
+    transitions: dict[tuple[int, str], int] = {}
+
+    def step(state: int, op: str) -> int:
+        target = transitions.get((state, op))
+        if target is None:
+            new = apply_operation(pairs[state], op)
+            target = state_ids.setdefault(new.matrix_key(), len(pairs))
+            if target == len(pairs):
+                pairs.append(new)
+            transitions[(state, op)] = target
+        return target
+
+    states: dict[int, list[int]] = {0: [0]}
     for stage in STAGES:
         size = len(stage)
-        reached: dict[tuple, tuple[PQPair, list[int]]] = {}
-        for pair, prefixes in states.values():
+        reached: dict[int, list[int]] = {}
+        for state, prefixes in states.items():
             for choice, ops in enumerate(stage):
-                new = apply_sequence(pair, ops)
-                key = new.matrix_key()
                 positions = [prefix * size + choice for prefix in prefixes]
-                if key in reached:
-                    reached[key][1].extend(positions)
+                target = functools.reduce(step, ops, state)
+                if target in reached:
+                    reached[target].extend(positions)
                 else:
-                    reached[key] = (new, positions)
+                    reached[target] = positions
         states = reached
     sequences = _sequences()
-    return [PairGroup(group_id, pair, [sequences[i] for i in sorted(positions)])
-            for group_id, (pair, positions) in enumerate(states.values())]
+    groups = []
+    for group_id, (state, positions) in enumerate(states.items()):
+        positions.sort()
+        pair = pairs[state]
+        representative = PQPair(pair.P, pair.Q, sequences[positions[0]].ops(), True)
+        groups.append(PairGroup(group_id, representative, [sequences[i] for i in positions]))
+    return groups
 
 
 def max_observed_gamma_order(groups: list[PairGroup]) -> int:

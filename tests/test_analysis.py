@@ -156,6 +156,16 @@ def test_psd_conditions_reject_offdiagonal_lambda():
         psd_conditions(bad, LINEAR, corners=[(1.0, 1.0)])
 
 
+@pytest.mark.parametrize("entry", [LAM * THETA, LAM * LAM, HALF + THETA * THETA * T_INV],
+                         ids=["lambda-theta", "lambda-squared", "theta-squared-with-constant"])
+def test_psd_conditions_reject_diagonal_lambda_theta_of_degree_two(entry):
+    """Only M0 + lambda D_lambda + theta D_theta keeps the corner reduction exact."""
+    for p, q in (({(1, 1): entry}, {}), ({}, {(3, 3): LAM + entry})):
+        bad = PQPair(P=_sym_matrix(3, p), Q=_sym_matrix(5, q), has_gap=True)
+        with pytest.raises(DiagonalParameterError, match="not affine in lambda and theta"):
+            psd_conditions(bad, LINEAR, corners=[(1.0, 1.0)])
+
+
 def test_psd_conditions_require_gap_term():
     from lyapsearch.analysis import AnalysisError
 
@@ -172,6 +182,20 @@ def _principal_submatrices(matrix, dim):
             for subset in itertools.combinations(support, size)]
 
 
+def _cofactor_det(matrix):
+    """Plain cofactor expansion along the first row, with no memo."""
+    n = len(matrix)
+    if n == 1:
+        return matrix[0][0]
+    total = ZERO
+    for j in range(n):
+        if not matrix[0][j]:
+            continue
+        term = matrix[0][j] * _cofactor_det([row[:j] + row[j + 1:] for row in matrix[1:]])
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
 def _reference_psd_minors(pair, gamma, corners):
     """Minors built per pair and corner, on matrices with lambda and theta already bound.
 
@@ -186,7 +210,7 @@ def _reference_psd_minors(pair, gamma, corners):
         p_c = [[e.subs_params(binding) for e in row] for row in p_sub]
         q_c = [[e.subs_params(binding) for e in row] for row in q_sub]
         for sub in _principal_submatrices(p_c, 3) + _principal_submatrices(q_c, 5):
-            m = _det(sub)
+            m = _cofactor_det(sub)
             if m:
                 union[m] = None
     return tuple(union)
@@ -244,16 +268,16 @@ def test_minor_table_builds_each_distinct_submatrix_once(enumerations, monkeypat
             for m in _principal_submatrices(sub, dim):
                 if any(e for row in m for e in row):
                     distinct.add(tuple(map(tuple, m)))
-    assert sum(1 for m in distinct if _det([list(row) for row in m])) == 971
+    assert sum(1 for m in distinct if _cofactor_det([list(row) for row in m])) == 971
     built = []
     depth = [0]
 
-    def counting_det(matrix):
+    def counting_det(*args):
         if not depth[0]:
-            built.append(len(matrix))
+            built.append(args[0])
         depth[0] += 1
         try:
-            return _det(matrix)
+            return _det(*args)
         finally:
             depth[0] -= 1
 
@@ -265,6 +289,23 @@ def test_minor_table_builds_each_distinct_submatrix_once(enumerations, monkeypat
     for group in groups[:5]:  # a second pass builds nothing
         table.conditions(group.representative, [corners])
     assert len(built) == 1300
+
+
+def test_memoised_det_matches_plain_cofactor(enumerations):
+    """Every block a second-order-hessian table expanded, principal or not, has
+    the determinant a plain cofactor expansion of its entries gives, and one
+    shared memo serves the principal submatrices of all 210 pairs."""
+    corners = RateQuery(LINEAR, mu=1.0).corners()
+    table = MinorTable(LINEAR, [corners])
+    for group in enumerations("second-order-hessian"):
+        table.conditions(group.representative, [corners])
+    memo = table._dets
+    assert all(key in memo for key in table._submatrices if len(key) > 1)
+    assert len(memo) == 2409  # 2x2 to 5x5 blocks; a 1x1 block is its entry
+    for key, det in memo.items():
+        n = math.isqrt(len(key))
+        matrix = [[table._entries[eid] for eid in key[r * n:(r + 1) * n]] for r in range(n)]
+        assert det == _cofactor_det(matrix), key
 
 
 def test_no_minor_table_outlives_its_call(enumerations):
@@ -671,7 +712,7 @@ def test_analyze_groups_matches_serial(enumerations):
     query = RateQuery(LOG, mu=1.0, convex=True, params={"r": 3.0})
     serial = analyze_groups(groups, query, jobs=1)
     parallel = analyze_groups(groups, query, jobs=2)
-    for a, b in zip(serial, parallel):
+    for a, b in zip(serial, parallel, strict=True):
         assert a.group_id == b.group_id
         assert (a.result is None) == (b.result is None)
         if a.result:

@@ -83,14 +83,17 @@ def test_verify_catalog_needs_mu_below_L(capsys, mu, L):
 @pytest.mark.parametrize("argv, message", [
     (["search", "--spec", "damped-newton", "--mu", "2", "--L", "1"], "got [2.0, 1.0]"),
     (["search", "--spec", "damped-newton", "--mu", "-1"], "needs mu > 0 unless convex"),
+    (["search", "--spec", "damped-newton", "--mu", "-1e-3"],
+     "needs mu > 0 unless convex, got mu=-0.001"),
     (["search", "--spec", "damped-newton", "--mu", "2e6"], "got [2000000.0, 1048576.0]"),
     (["search", "--spec", "damped-newton", "--L", "inf"], "L must be finite, got inf"),
     (["simulate", "--spec", "nag", "--param", "r=3", "--mu", "4", "--L", "1", "--t1", "3"],
      "need 0 < mu <= L"),
     (["simulate", "--spec", "nag", "--param", "r=3", "--mu", "-1", "--t1", "3"],
      "need 0 < mu <= L"),
-], ids=["search-L-below-mu", "search-negative-mu", "search-mu-above-lambda-cap",
-        "search-L-inf", "simulate-L-below-mu", "simulate-negative-mu"])
+], ids=["search-L-below-mu", "search-negative-mu", "search-negative-mu-exponent-form",
+        "search-mu-above-lambda-cap", "search-L-inf", "simulate-L-below-mu",
+        "simulate-negative-mu"])
 def test_curvature_interval_must_be_ordered_and_positive(tmp_path, capsys, argv, message):
     if argv[0] == "search":
         argv = argv + ["--out", str(tmp_path / "out.csv")]
@@ -107,8 +110,10 @@ def test_curvature_interval_must_be_ordered_and_positive(tmp_path, capsys, argv,
      "needs t1 > t0"),
     (["simulate", "--spec", "nag", "--param", "r=3", "--t0", "2", "--t1", "2"],
      "needs t1 > t0"),
+    (["simulate", "--spec", "nag", "--param", "r=3", "--t0", "-1e-3", "--t1", "3"],
+     "t0 must be positive"),
 ], ids=["restart-dim-0", "restart-rounds-0", "simulate-dim-0", "simulate-t1-before-t0",
-        "simulate-t1-at-t0"])
+        "simulate-t1-at-t0", "simulate-negative-t0-exponent-form"])
 def test_bad_sizes_are_errors(capsys, argv, message):
     assert main(argv) == 1
     err = capsys.readouterr().err

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from lyapsearch import sequences
 from lyapsearch.pq import apply_operation, apply_sequence, initial_pair
 from lyapsearch.sequences import (B_STAGES, C_STAGES, D_STAGES, M_STAGES, OperationSequence,
                                   TOTAL_SEQUENCES, dump_groups_csv, enumerate_pairs,
@@ -97,6 +98,28 @@ def test_dump_groups_csv(tmp_path, enumerations):
     assert len(rows) == 1 + len(groups)
     assert sum(int(r[1]) for r in rows[1:]) == 23660
     assert rows[1][2].startswith("A1")
+
+
+def test_each_distinct_transition_is_applied_once(monkeypatch):
+    """apply_operation runs once per distinct (pair, operation) the stages reach,
+    A1 on the initial pair included; every other step is a table lookup."""
+    calls = []
+
+    def counting(pair, op):
+        calls.append((pair.matrix_key(), op))
+        return apply_operation(pair, op)
+
+    monkeypatch.setattr(sequences, "apply_operation", counting)
+    counts = {}
+    for name, system in CATALOG.items():
+        calls.clear()
+        enumerate_pairs(system)
+        assert len(calls) == len(set(calls)), name
+        counts[name] = len(calls)
+    assert counts == {"damped-newton": 97, "first-order-hessian": 191,
+                      "second-order-hessian": 940, "nag": 80, "generalized-nag": 80,
+                      "hessian-nag": 940}
+    assert sum(counts.values()) == 2328
 
 
 def _reference_enumerate_pairs(system):
