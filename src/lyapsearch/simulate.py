@@ -6,11 +6,15 @@ Second-order systems integrate the state (x, dx/dt); first-order systems carry
 x alone and solve the (possibly Hessian-weighted) mass matrix for dx/dt.
 The objective's Hessian is diagonal, so each eigenmode obeys a linear ODE
 whose coefficients depend on t alone, and one RK4 step on a mode is a fixed
-linear map: 2x2 on (x - x*, dx/dt), or 1x1 on x - x* for first-order systems.
-The maps are built vectorised over steps and modes, and each state is the
-prefix product of the maps before it applied to the start: np.cumprod for the
-1x1 maps, an associative scan for the 2x2 ones.  The scheme is the classical
-one, without a Python call per stage or per step.
+linear map.  On a first-order mode, dx/dt = a(t) (x - x*), it is the scalar
+RK4 factor of a at the three stage times.  On a second-order mode the state is
+(x - x*, dx/dt) and the ODE matrix is the companion A = [[0, 1], [p, q]], with
+p = -stiffness/c5 and q = -damping/c5; the 2x2 step map is built from p and q
+directly, so each product with A costs 4 multiplies.  The maps are built
+vectorised over steps and modes, and each state is the prefix product of the
+maps before it applied to the start: np.cumprod for the scalar factors, an
+associative scan for the 2x2 maps.  The scheme is the classical one, without
+a Python call per stage or per step.
 
 The oracles here close the loop on the symbolic pipeline: along a trajectory
 the pair identity d/dt[e^gamma (p + f - f*)] + e^gamma q = 0 must hold exactly,
@@ -20,6 +24,7 @@ any residual beyond discretization error indicates a wrong operation rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -49,8 +54,9 @@ class QuadraticObjective:
     def log_spaced(dim: int, mu: float, L: float, xstar: np.ndarray | None = None):
         if dim < 1:
             raise ValueError(f"log-spaced eigenvalues need dim >= 1, got dim={dim!r}")
-        if not 0 < mu <= L:
-            raise ValueError(f"log-spaced eigenvalues need 0 < mu <= L, got mu={mu!r}, L={L!r}")
+        if not 0 < mu <= L < math.inf:
+            raise ValueError(f"log-spaced eigenvalues need 0 < mu <= L, L finite, "
+                             f"got mu={mu!r}, L={L!r}")
         eigs = np.geomspace(mu, L, dim) if mu < L else np.full(dim, mu)
         return QuadraticObjective(eigs, np.zeros(dim) if xstar is None else xstar)
 
@@ -159,15 +165,26 @@ def integrate(system: OdeSystemSpec, obj: QuadraticObjective, x0, v0,
     must be nonsingular at every stage time; for second-order systems the mass
     is c5, which must not vanish at any stage time.
 
-    Each eigenmode advances by its own RK4 step maps (see _step_maps), built
-    STEP_CHUNK steps at a time.  Within a chunk, the state after step i is the
-    prefix product M_i ... M_0 of the maps applied to the chunk's first state;
+    x0 and v0 have one entry per eigenmode of obj; t0, t1, dt and the step
+    count (t1 - t0) / dt must be finite.
+
+    Each eigenmode advances by its own RK4 step maps, built STEP_CHUNK steps
+    at a time: 2x2 companion-form maps for second-order systems
+    (_companion_step_maps), scalar factors for first-order ones
+    (_scalar_step_maps).  Within a chunk, the state after step i is the prefix
+    product M_i ... M_0 of the maps applied to the chunk's first state;
     second-order chunks get those products from _prefix_products.
     """
+    for name, value in (("t0", t0), ("t1", t1), ("dt", dt)):
+        if not math.isfinite(value):
+            raise SimulationError(f"{name} must be finite, got {value!r}")
     if dt <= 0:
         raise SimulationError("dt must be positive")
     if not t1 > t0:
         raise SimulationError(f"integration needs t1 > t0, got t0={t0!r}, t1={t1!r}")
+    if not math.isfinite((t1 - t0) / dt):
+        raise SimulationError(f"the step count (t1 - t0) / dt overflows, got t0={t0!r}, "
+                              f"t1={t1!r}, dt={dt!r}")
     params = dict(params or {})
     unbound = set().union(*(c.free_symbols() for c in system.coeffs)) - set(params)
     if unbound:
@@ -181,6 +198,10 @@ def integrate(system: OdeSystemSpec, obj: QuadraticObjective, x0, v0,
     eigs = obj.eigenvalues
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
+    for name, state in (("x0", x0), ("v0", v0)):
+        if state.shape != eigs.shape:
+            raise SimulationError(f"{name} must have shape {eigs.shape} to match the objective, "
+                                  f"got {state.shape}")
 
     n_steps = max(int(round((t1 - t0) / dt)), 1)
     times = t0 + dt * np.arange(n_steps + 1)
@@ -201,15 +222,14 @@ def integrate(system: OdeSystemSpec, obj: QuadraticObjective, x0, v0,
         if system.second_order:
             inertia = c[4]
             _check_mass(stage, np.broadcast_to(inertia, t.shape), "coefficient c5")
-            a = np.array([[zero, zero + 1.0], [-stiffness / inertia, -damping / inertia]])
-            p = _prefix_products(_step_maps(a, dt))
-            us[start + 1:stop + 1] = p[0, 0] * us[start] + p[0, 1] * vs[start]
-            vs[start + 1:stop + 1] = p[1, 0] * us[start] + p[1, 1] * vs[start]
+            prefix = _prefix_products(_companion_step_maps(-stiffness / inertia,
+                                                           -damping / inertia, dt))
+            us[start + 1:stop + 1] = prefix[0, 0] * us[start] + prefix[0, 1] * vs[start]
+            vs[start + 1:stop + 1] = prefix[1, 0] * us[start] + prefix[1, 1] * vs[start]
         else:
             _check_mass(stage, damping, "matrix c3 + c4*e")
             a = -stiffness / damping  # dx/dt = a (x - x*)
-            us[start + 1:stop + 1] = us[start] * np.cumprod(_step_maps(a[None, None], dt)[0, 0],
-                                                            axis=0)
+            us[start + 1:stop + 1] = us[start] * np.cumprod(_scalar_step_maps(a, dt), axis=0)
             vs[start:stop] = a[:, 0] * us[start:stop]
             vs[stop] = a[-1, 2] * us[stop]
 
@@ -225,22 +245,45 @@ def _check_mass(stage: np.ndarray, mass: np.ndarray, name: str) -> None:
         raise SingularMassMatrixError(f"mass {name} is singular at t={t:.6g}")
 
 
-def _step_maps(a: np.ndarray, h: float) -> np.ndarray:
-    """Classical RK4 step maps of du/dt = A(t) u.
+def _companion_step_maps(p: np.ndarray, q: np.ndarray, h: float) -> np.ndarray:
+    """Classical RK4 step maps of du/dt = A(t) u for the companion A = [[0, 1], [p, q]].
 
-    a holds the k x k matrix A at the stage times t, t + h/2, t + h of each
-    step, with shape (k, k, steps, 3, modes).  The step u -> M u has
+    p and q hold A's second row at the stage times t, t + h/2, t + h of each
+    step, with shape (steps, 3, modes).  The step u -> M u has
     M = I + h/6 (K1 + 2 K2 + 2 K3 + K4), where K1 = A(t),
     K2 = A(t + h/2)(I + h/2 K1), K3 = A(t + h/2)(I + h/2 K2) and
-    K4 = A(t + h)(I + h K3); the result has shape (k, k, steps, modes).
+    K4 = A(t + h)(I + h K3).  A product A B with a companion A is row 1 of B
+    over p * (row 0 of B) + q * (row 1 of B): 4 multiplies, not 8.  The
+    dropped terms are products with the exact 0 and 1 of A's first row, which
+    round to nothing, so M equals the generic 2x2 expansion bit for bit.  M is
+    returned entry-first, with shape (2, 2, steps, modes).
     """
-    a0, ah, a1 = a[..., 0, :], a[..., 1, :], a[..., 2, :]
-    eye = np.eye(len(a))[:, :, None, None]
-    k1 = a0
-    k2 = _matmul(ah, eye + h / 2 * k1)
-    k3 = _matmul(ah, eye + h / 2 * k2)
-    k4 = _matmul(a1, eye + h * k3)
-    return eye + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    def eye_plus(c, k):  # I + c K, entries in row-major order
+        return 1 + c * k[0], c * k[1], c * k[2], 1 + c * k[3]
+
+    def times_a(stage, b):  # A B, with A taken at the given stage time
+        ps, qs = p[:, stage], q[:, stage]
+        return b[2], b[3], ps * b[0] + qs * b[2], ps * b[1] + qs * b[3]
+
+    k1 = (0.0, 1.0, p[:, 0], q[:, 0])
+    k2 = times_a(1, eye_plus(h / 2, k1))
+    k3 = times_a(1, eye_plus(h / 2, k2))
+    k4 = times_a(2, eye_plus(h, k3))
+    m = eye_plus(h / 6, [a + 2 * b + 2 * c + d for a, b, c, d in zip(k1, k2, k3, k4)])
+    return np.array(m).reshape(2, 2, len(p), p.shape[-1])
+
+
+def _scalar_step_maps(a: np.ndarray, h: float) -> np.ndarray:
+    """Classical RK4 step factors of du/dt = a(t) u, shape (steps, modes).
+
+    a holds the stage values at t, t + h/2, t + h of each step, with shape
+    (steps, 3, modes); the stages are those of _companion_step_maps, 1x1.
+    """
+    k1 = a[:, 0]
+    k2 = a[:, 1] * (1 + h / 2 * k1)
+    k3 = a[:, 1] * (1 + h / 2 * k2)
+    k4 = a[:, 2] * (1 + h * k3)
+    return 1 + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def _prefix_products(m: np.ndarray) -> np.ndarray:

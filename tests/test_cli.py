@@ -9,6 +9,7 @@ import pytest
 import lyapsearch
 from lyapsearch.cli import _parse_param_grid, main
 
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 def read_csv(path):
     lines = path.read_text().splitlines()
@@ -104,6 +105,9 @@ def test_curvature_interval_must_be_ordered_and_positive(tmp_path, capsys, argv,
 @pytest.mark.parametrize("argv, message", [
     (["restart", "--l", "0.7", "--c", "2", "--dim", "0"], "dim must be at least 1"),
     (["restart", "--l", "0.7", "--c", "2", "--rounds", "0"], "rounds must be at least 1"),
+    (["restart", "--l", "0.7", "--c", "2", "--dt", "0"], "dt must be positive, got 0.0"),
+    (["restart", "--l", "0.7", "--c", "2", "--mu", "4", "--L", "1"],
+     "restart needs 0 < mu <= L, got mu=4.0, L=1.0"),
     (["simulate", "--spec", "nag", "--param", "r=3", "--dim", "0", "--t1", "3"],
      "need dim >= 1"),
     (["simulate", "--spec", "nag", "--param", "r=3", "--t0", "5", "--t1", "1"],
@@ -112,8 +116,9 @@ def test_curvature_interval_must_be_ordered_and_positive(tmp_path, capsys, argv,
      "needs t1 > t0"),
     (["simulate", "--spec", "nag", "--param", "r=3", "--t0", "-1e-3", "--t1", "3"],
      "t0 must be positive"),
-], ids=["restart-dim-0", "restart-rounds-0", "simulate-dim-0", "simulate-t1-before-t0",
-        "simulate-t1-at-t0", "simulate-negative-t0-exponent-form"])
+], ids=["restart-dim-0", "restart-rounds-0", "restart-dt-0", "restart-L-below-mu",
+        "simulate-dim-0", "simulate-t1-before-t0", "simulate-t1-at-t0",
+        "simulate-negative-t0-exponent-form"])
 def test_bad_sizes_are_errors(capsys, argv, message):
     assert main(argv) == 1
     err = capsys.readouterr().err
@@ -247,6 +252,16 @@ def test_restart_csv(tmp_path):
     assert len(rows) == 4  # round 0 plus three rounds
     factors = [float(r["factor"]) for r in rows[1:]]
     assert max(factors) < 0.1
+
+
+def test_restart_csv_matches_recorded_bytes(tmp_path):
+    # The README run; the fixture was written by the round-by-round integrator
+    # that the round map replaced.
+    out = tmp_path / "restart.csv"
+    assert main(["restart", "--l", "0.70710678", "--c", "2", "--mu", "1", "--rounds", "20",
+                 "--csv", str(out)]) == 0
+    fixture = FIXTURES / "restart-l0.70710678-c2-mu1-rounds20.csv"
+    assert out.read_bytes() == fixture.read_bytes()
 
 
 def test_dump_groups(tmp_path):

@@ -32,6 +32,27 @@ def test_invalid_parameters_rejected():
         RestartSpec(l=L_REF, c=1.0)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"dt": 0.0}, "dt must be positive, got 0.0"),
+    ({"dt": -1e-3}, "dt must be positive, got -0.001"),
+    ({"dt": math.nan}, "dt must be finite, got nan"),
+    ({"dt": math.inf}, "dt must be finite, got inf"),
+    ({"mu": math.nan}, "mu must be finite, got nan"),
+    ({"L": math.inf}, "L must be finite, got inf"),
+    ({"l": math.nan}, "l must be finite, got nan"),
+    ({"c": math.inf}, "c must be finite, got inf"),
+    ({"mu": 4.0, "L": 1.0}, r"restart needs 0 < mu <= L, got mu=4.0, L=1.0"),
+    ({"mu": 0.0}, r"restart needs 0 < mu <= L, got mu=0.0, L=4.0"),
+    ({"x0": np.ones(3)}, r"x0 must have shape \(4,\), got \(3,\)"),
+    ({"x0": np.ones(1)}, r"x0 must have shape \(4,\), got \(1,\)"),
+    ({"v0": 0.5}, r"v0 must have shape \(4,\), got \(\)"),
+], ids=["dt-zero", "dt-negative", "dt-nan", "dt-inf", "mu-nan", "L-inf", "l-nan", "c-inf",
+        "L-below-mu", "mu-zero", "x0-short", "x0-length-1", "v0-scalar"])
+def test_spec_rejects_bad_values_when_made(fields, message):
+    with pytest.raises(ValueError, match=message):
+        RestartSpec(**{"l": L_REF, "c": 2.0, "dim": 4, **fields})
+
+
 def test_unsafe_pair_warns():
     spec = RestartSpec(l=2.0, c=1.1, mu=1.0, rounds=1, dim=2, dt=1e-2)
     assert round_factor_bound(spec.c, spec.l) > 1.0
@@ -69,3 +90,22 @@ def test_state_continuity_across_rounds():
                          dt=spec.dt, params={"r": spec.damping})
         x, v = traj.xs[-1], traj.vs[-1]
     assert report.g_values[2] == pytest.approx(merit(spec, obj, x, v), rel=1e-12)
+
+
+def test_round_map_matches_round_by_round_integration():
+    # A start away from the unit states, with every mode moving, on a
+    # non-default (mu, L) and step.
+    rng = np.random.default_rng(11)
+    x0, v0 = rng.normal(size=5), rng.normal(size=5)
+    spec = RestartSpec(l=0.9, c=2.5, mu=0.5, L=9.0, rounds=6, dim=5, dt=2e-3, x0=x0, v0=v0)
+    report = run_restart(spec)
+    obj = QuadraticObjective.log_spaced(5, spec.mu, spec.L)
+    x, v = x0, v0
+    expected = [merit(spec, obj, x, v)]
+    for _ in range(spec.rounds):
+        traj = integrate(CATALOG["nag"], obj, x, v, t0=spec.T / spec.c, t1=spec.T,
+                         dt=spec.dt, params={"r": spec.damping})
+        x, v = traj.xs[-1], traj.vs[-1]
+        expected.append(merit(spec, obj, x, v))
+    assert report.g_values[0] == expected[0]
+    np.testing.assert_allclose(report.g_values, expected, rtol=1e-12, atol=0)

@@ -7,8 +7,9 @@ from lyapsearch.expr import LINEAR, LOG, POWER, Expr
 from lyapsearch.pq import PQPair, _sym_matrix, apply_sequence, initial_pair
 from lyapsearch.sequences import generate_sequences
 from lyapsearch.simulate import (STEP_CHUNK, QuadraticObjective, SimulationError,
-                                 SingularMassMatrixError, Trajectory, _prefix_products,
-                                 conservation_check, integrate, measure_rate, pair_energy)
+                                 SingularMassMatrixError, Trajectory, _companion_step_maps,
+                                 _prefix_products, _scalar_step_maps, conservation_check,
+                                 integrate, measure_rate, pair_energy)
 from lyapsearch.systems import CATALOG, load_system
 
 from conftest import naive_eval, random_expr, random_pair
@@ -124,6 +125,31 @@ def test_prefix_products_match_sequential_products(steps):
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
+def _generic_step_maps(a, h):
+    """RK4 step maps of du/dt = A(t) u by full k x k products; a is (k, k, steps, 3, modes)."""
+    def matmul(x, y):
+        return np.einsum("ij...,jk...->ik...", x, y)
+
+    a0, ah, a1 = a[..., 0, :], a[..., 1, :], a[..., 2, :]
+    eye = np.eye(len(a))[:, :, None, None]
+    k2 = matmul(ah, eye + h / 2 * a0)
+    k3 = matmul(ah, eye + h / 2 * k2)
+    k4 = matmul(a1, eye + h * k3)
+    return eye + h / 6 * (a0 + 2 * k2 + 2 * k3 + k4)
+
+
+def test_step_maps_match_the_generic_rk4_expansion():
+    # The specialised maps only drop products with A's exact 0 and 1 entries.
+    rng = np.random.default_rng(7)
+    p, q = -rng.uniform(0.5, 4.0, (2, 64, 3, 5))
+    h = 1e-2
+    zero = np.zeros_like(p)
+    companion = _generic_step_maps(np.array([[zero, zero + 1.0], [p, q]]), h)
+    np.testing.assert_allclose(_companion_step_maps(p, q, h), companion, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(_scalar_step_maps(q, h), _generic_step_maps(q[None, None], h)[0, 0],
+                               rtol=1e-15, atol=0)
+
+
 def test_integrate_matches_reference_on_spec_system(tmp_path):
     # A mass c5 that varies with t, a restoring c1 term, an off-origin
     # minimizer and a moving start.
@@ -207,6 +233,38 @@ def test_integrate_input_validation():
                   t0=0.0, t1=1.0, dt=1e-3, params={"r": 3.0})
     with pytest.raises(SimulationError):
         integrate(CATALOG["nag"], obj, np.ones(4), np.zeros(4), t0=1.0, t1=2.0, dt=1e-3)
+
+
+@pytest.mark.parametrize("times, message", [
+    ({"dt": np.inf}, "dt must be finite, got inf"),
+    ({"dt": np.nan}, "dt must be finite, got nan"),
+    ({"t1": np.inf}, "t1 must be finite, got inf"),
+    ({"t0": -np.inf}, "t0 must be finite, got -inf"),
+    ({"t0": -1e308, "t1": 1e308}, r"the step count \(t1 - t0\) / dt overflows"),
+], ids=["dt-inf", "dt-nan", "t1-inf", "t0-minus-inf", "span-overflows"])
+def test_integrate_rejects_non_finite_times(times, message):
+    obj = QuadraticObjective.log_spaced(4, 1.0, 4.0)
+    span = {"t0": 1.0, "t1": 2.0, "dt": 1e-3, **times}
+    with pytest.raises(SimulationError, match=message):
+        integrate(CATALOG["nag"], obj, np.ones(4), np.zeros(4), params={"r": 3.0}, **span)
+
+
+@pytest.mark.parametrize("x0, v0, message", [
+    (np.ones(1), np.zeros(4), r"x0 must have shape \(4,\) to match the objective, got \(1,\)"),
+    (np.ones(3), np.zeros(4), r"x0 must have shape \(4,\) to match the objective, got \(3,\)"),
+    (np.ones(4), 0.0, r"v0 must have shape \(4,\) to match the objective, got \(\)"),
+    (np.ones((4, 1)), np.zeros(4), r"x0 must have shape \(4,\) .* got \(4, 1\)"),
+], ids=["x0-length-1", "x0-length-3", "v0-scalar", "x0-column"])
+def test_integrate_requires_one_state_entry_per_mode(x0, v0, message):
+    obj = QuadraticObjective.log_spaced(4, 1.0, 4.0)
+    with pytest.raises(SimulationError, match=message):
+        integrate(CATALOG["damped-newton"], obj, x0, v0, t0=1.0, t1=2.0, dt=1e-2)
+
+
+@pytest.mark.parametrize("mu, L", [(1.0, np.inf), (1.0, np.nan), (np.nan, 4.0), (-np.inf, 4.0)])
+def test_log_spaced_rejects_non_finite_curvature(mu, L):
+    with pytest.raises(ValueError, match="need 0 < mu <= L, L finite"):
+        QuadraticObjective.log_spaced(3, mu, L)
 
 
 def test_singular_mass_matrix_detected():
