@@ -130,17 +130,17 @@ def run_restart(spec: RestartSpec) -> RestartReport:
     x = np.ones(spec.dim) if spec.x0 is None else np.asarray(spec.x0, dtype=float)
     v = np.zeros(spec.dim) if spec.v0 is None else np.asarray(spec.v0, dtype=float)
 
-    # Column j of each mode's round map is where the unit state e_j ends up.
+    # log_spaced puts x* at the origin, so x is the mode state x - x*.  Column
+    # j of each mode's round map is where the unit state e_j ends up.
     ones, zeros = np.ones(spec.dim), np.zeros(spec.dim)
     window = {"t0": spec.T / spec.c, "t1": spec.T, "dt": spec.dt, "params": params}
-    from_u = integrate(system, obj, obj.xstar + ones, zeros, **window)
-    from_v = integrate(system, obj, obj.xstar + zeros, ones, **window)
-    uu, vu = from_u.xs[-1] - obj.xstar, from_u.vs[-1]
-    uv, vv = from_v.xs[-1] - obj.xstar, from_v.vs[-1]
+    from_x = integrate(system, obj, ones, zeros, **window)
+    from_v = integrate(system, obj, zeros, ones, **window)
+    xx, vx = from_x.xs[-1], from_x.vs[-1]
+    xv, vv = from_v.xs[-1], from_v.vs[-1]
 
     g_values = [merit(spec, obj, x, v)]
-    u = x - obj.xstar
     for _ in range(spec.rounds):
-        u, v = uu * u + uv * v, vu * u + vv * v
-        g_values.append(merit(spec, obj, obj.xstar + u, v))
+        x, v = xx * x + xv * v, vx * x + vv * v
+        g_values.append(merit(spec, obj, x, v))
     return RestartReport(spec, g_values)
