@@ -14,10 +14,19 @@ taken before they merge, so a minor that vanishes identically in exact
 arithmetic is not failed by the rounding of its float coefficients.  Each pair
 and parameter point is compiled once into tables of the coefficient of
 k^p * t^e per minor; at each k these settle every minor whose coefficients
-all clear the floor, and only the rest are evaluated on the grid.  The largest
-feasible k is then located by bisection, preceded by a coarse pre-scan that
-guards against non-monotone feasibility; the pre-scan's ks are checked
-together, in one pass over arrays.
+all clear the floor, and only the rest are evaluated on the grid.  A pair's
+condition set keeps one BindingLayout per value of alpha, made on first use:
+each term's slot in the tables, its float coefficient and its factors.  A
+point is then bound with array multiplies and one summation per table, with
+no per-term Python work.
+
+The largest feasible k is searched in batches of ks, each checked in one pass
+over arrays.  After k = 0, checked alone, the doubling 1, 2, 4, ..., K_CAP is
+one batch; a coarse pre-scan up to the first infeasible doubling k, which
+guards against non-monotone feasibility, is another; and bisection then
+checks the midpoints of BISECT_LEVELS levels per batch.  Each batch holds the
+same ks as the one-at-a-time search would check, and more, and the search
+reads the same flags off it, so k_max and the status are the same.
 
 The exact work is shared across pairs through a MinorTable, made for one
 gamma form and the corners of the queries it serves: gamma is substituted
@@ -27,8 +36,9 @@ determinant is bound once per corner, and each distinct bound minor gets its
 float term table once.  A run over groups threads one table through them and
 drops it at the end: analyze_groups, and verify_catalog for the rows that
 share a system and a gamma form.  With a pool, each task makes its own table
-for a contiguous run of groups.  Queries with the same corners share a pair's
-whole condition set.
+for a contiguous run of groups, and carries only each group's id and
+representative pair, not its member sequences.  Queries with the same
+corners share a pair's whole condition set.
 """
 
 from __future__ import annotations
@@ -187,6 +197,11 @@ class PsdConditionSet:
     # and the index of the minor each term belongs to.
     terms: tuple = field(init=False, repr=False)
     term_minors: tuple[int, ...] = field(init=False, repr=False)
+    # Whether some exponent of t involves alpha, and the BindingLayout of the
+    # terms per value of alpha (None when none does), made on first use by
+    # compile_conditions.
+    alpha_exponents: bool = field(init=False, repr=False)
+    layouts: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self, tables):
         if tables is None:
@@ -196,6 +211,7 @@ class PsdConditionSet:
             itertools.repeat(i, len(table)) for i, table in enumerate(tables)))
         if any(powers[0] < 0 for _c, _p, _q, _mono, powers in self.terms):
             raise AnalysisError("a minor has a negative power of k")
+        self.alpha_exponents = any(q for _c, _p, q, _mono, _powers in self.terms)
 
 
 def _det(key: tuple[int, ...], entries: Sequence[Expr],
@@ -430,27 +446,96 @@ class CompiledConditions:
         return ok
 
 
+class BindingLayout:
+    """Where each term of a condition set lands in its compiled tables, at one alpha.
+
+    coef holds each term's float coefficient.  factors lists the distinct
+    (symbol, power) items of the terms' monomials, and factor_ids[j] gives,
+    for each term, the position in factors of the j-th item of its monomial,
+    or -1 past its end.  slots holds each term's flat index into a table of
+    the given shape, indexed (power of k, minor, column), where the columns
+    are the distinct exponents of t at this alpha, in descending order, held
+    in exps.
+
+    Binding a point computes each value ** power once, as a Python float, and
+    multiplies the j-th of them into every term for j = 0, 1, ..., so each
+    term gets its factors in monomial order, as bind_terms multiplies them
+    (past a monomial's end the factor is 1.0, which changes nothing).  The
+    products are then summed into their slots in term order.  So the tables
+    are bit-identical to merging bind_terms' output key by key.
+    """
+
+    __slots__ = ("coef", "factors", "factor_ids", "symbols", "slots", "shape", "exps")
+
+    def __init__(self, conds: PsdConditionSet, alpha: float | None):
+        n_minors = len(conds.minors)
+        if not conds.terms:
+            self.coef, self.slots = np.zeros(0), np.zeros(0, dtype=np.intp)
+            self.factors, self.factor_ids, self.symbols = (), (), frozenset()
+            self.shape, self.exps = (1, n_minors, 0), np.zeros(0)
+            return
+        coefs, ps, qs, monos, kpows = zip(*conds.terms)
+        self.coef = np.array(coefs, dtype=float)
+        t_exps = np.array(ps, dtype=float)
+        if alpha is not None:
+            q = np.array(qs, dtype=float)
+            t_exps = np.where(q != 0, t_exps + q * alpha, t_exps)
+        exps = np.array(sorted(set(t_exps.tolist())))
+        n_exps = len(exps)
+        kpow = np.array([kpow for (kpow,) in kpows], dtype=np.intp)
+        self.shape = (int(kpow.max()) + 1, n_minors, n_exps)
+        # Plain integer arithmetic: the flat index of (kpow, minor, column).
+        self.slots = ((kpow * n_minors + np.array(conds.term_minors, dtype=np.intp)) * n_exps
+                      + (n_exps - 1 - np.searchsorted(exps, t_exps)))
+        self.exps = exps[::-1].copy()
+        # Each distinct monomial once: its items' positions in factors.
+        mono_ids: dict = {}
+        term_monos = np.array([mono_ids.setdefault(mono, len(mono_ids)) for mono in monos],
+                              dtype=np.intp)
+        items = {item: i for i, item in enumerate(dict.fromkeys(
+            item for mono in mono_ids for item in mono))}
+        width = max(map(len, mono_ids))
+        rows = np.array([[items[item] for item in mono] + [-1] * (width - len(mono))
+                         for mono in mono_ids], dtype=np.intp).reshape(len(mono_ids), width)
+        self.factors = tuple(items)
+        self.factor_ids = tuple(rows[term_monos, j] for j in range(width))
+        self.symbols = frozenset(sym for sym, _power in items)
+
+    def bind(self, bindings: Mapping[str, float], tgrid: np.ndarray) -> CompiledConditions:
+        """The compiled tables at one point whose symbols are all in bindings."""
+        # The last entry, 1.0, is what position -1 picks.
+        values = np.array([float(bindings[sym] ** power) for sym, power in self.factors] + [1.0])
+        base = self.coef
+        for ids in self.factor_ids:
+            base = base * values[ids]
+        n_slots = math.prod(self.shape)
+        coef = np.bincount(self.slots, weights=base, minlength=n_slots)
+        size = np.bincount(self.slots, weights=np.abs(base), minlength=n_slots)
+        # Over no terms at all, bincount counts in ints.
+        return CompiledConditions(coef.astype(float, copy=False).reshape(self.shape),
+                                  size.astype(float, copy=False).reshape(self.shape),
+                                  self.exps, tgrid)
+
+
 def compile_conditions(conds: PsdConditionSet, bindings: Mapping[str, float],
                        tgrid: np.ndarray) -> CompiledConditions:
-    """Bind the parameters into the pair's term table and tabulate it by k^p * t^e."""
-    merged: dict[tuple[int, int, float], list[float]] = {}
-    for minor, (base, e, (kpow,)) in zip(conds.term_minors, bind_terms(conds.terms, bindings)):
-        key = (kpow, minor, e)
-        entry = merged.get(key)
-        if entry is None:
-            merged[key] = [base, abs(base)]
-        else:
-            entry[0] += base
-            entry[1] += abs(base)
-    exps = sorted({e for _kpow, _minor, e in merged}, reverse=True)
-    column = {e: i for i, e in enumerate(exps)}
-    shape = (max((kpow for kpow, _minor, _e in merged), default=0) + 1,
-             len(conds.minors), len(exps))
-    coef, size = np.zeros(shape), np.zeros(shape)
-    for (kpow, minor, e), (value, magnitude) in merged.items():
-        coef[kpow, minor, column[e]] = value
-        size[kpow, minor, column[e]] = magnitude
-    return CompiledConditions(coef, size, np.array(exps, dtype=float), tgrid)
+    """Bind the parameters into the pair's term table and tabulate it by k^p * t^e.
+
+    The condition set's BindingLayout for the bound alpha is made on first use
+    and kept on the set.  Raises UnboundSymbolError naming the first symbol,
+    in term order, that bindings lacks.
+    """
+    alpha = None
+    if conds.alpha_exponents:
+        if "alpha" not in bindings:
+            bind_terms(conds.terms, bindings)  # raises, naming the first missing symbol
+        alpha = float(bindings["alpha"])
+    layout = conds.layouts.get(alpha)
+    if layout is None:
+        layout = conds.layouts[alpha] = BindingLayout(conds, alpha)
+    if not layout.symbols.issubset(bindings):
+        bind_terms(conds.terms, bindings)
+    return layout.bind(bindings, tgrid)
 
 
 def feasible(conds: PsdConditionSet, k: float, query: RateQuery,
@@ -483,13 +568,22 @@ class RateResult:
 
 PRESCAN_POINTS = 65
 BISECT_REL_TOL = 1e-6
+BISECT_LEVELS = 4  # bisection levels whose midpoints are checked in one batch
+DOUBLING_KS = np.array([2.0 ** i for i in range(int(math.log2(K_CAP)) + 1)])  # 1, 2, ..., K_CAP
 
 
 def _bisect_max_k(check, ks: np.ndarray, flags: np.ndarray) -> tuple[float, str]:
     """Largest k with check(k) on [0, ks[-1]], from the pre-scan flags at ks.
 
-    Bisection runs between the last pre-scan k before the first infeasible one
-    and that one; a feasible pre-scan k after it makes the result nonmonotone.
+    check takes an array of ks and returns one flag per k.  Bisection runs
+    between the last pre-scan k before the first infeasible one and that
+    one; a feasible pre-scan k after it makes the result nonmonotone.
+
+    The bisection goes BISECT_LEVELS levels at a time: one call of check
+    takes the midpoints of every interval the next levels can reach, each
+    0.5 * (lo + hi) of its parent's ends and only while hi - lo is above the
+    tolerance, and the walk down through them moves lo and hi exactly as
+    checking one midpoint at a time would.
     """
     if not flags[0] or flags.all():
         raise AnalysisError(f"the pre-scan up to k={ks[-1]:g} needs a feasible first k "
@@ -497,12 +591,26 @@ def _bisect_max_k(check, ks: np.ndarray, flags: np.ndarray) -> tuple[float, str]
     first_bad = int(np.argmin(flags))
     status = "nonmonotone" if flags[first_bad:].any() else "ok"
     lo, hi = ks[first_bad - 1], ks[first_bad]
-    while hi - lo > BISECT_REL_TOL * ks[-1]:
-        mid = 0.5 * (lo + hi)
-        if check(mid):
-            lo = mid
-        else:
-            hi = mid
+    tol = BISECT_REL_TOL * ks[-1]
+    while hi - lo > tol:
+        mids, level = [], [(lo, hi)]
+        for _ in range(BISECT_LEVELS):
+            below = []
+            for a, b in level:
+                if b - a > tol:
+                    mid = 0.5 * (a + b)
+                    mids.append(mid)
+                    below += [(a, mid), (mid, b)]
+            level = below
+        feasible_at = dict(zip(mids, check(np.array(mids))))
+        for _ in range(BISECT_LEVELS):
+            if not hi - lo > tol:
+                break
+            mid = 0.5 * (lo + hi)
+            if feasible_at[mid]:
+                lo = mid
+            else:
+                hi = mid
     return lo, status
 
 
@@ -539,24 +647,17 @@ def _maximize(conds: PsdConditionSet, query: RateQuery, group_id: int | None) ->
     all_infeasible = True
     for point in query.grid_points():
         compiled = compile_conditions(conds, point, tgrid)
-
-        def check(k: float) -> bool:
-            return feasible(conds, k, query, _compiled=compiled)
-
-        if not check(0.0):
+        if not feasible(conds, 0.0, query, _compiled=compiled):
             continue
         all_infeasible = False
-        k_hi, status = 1.0, "ok"
-        while check(k_hi):
-            if k_hi >= K_CAP:
-                status = "cap"
-                break
-            k_hi *= 2.0
-        if status == "cap":
-            k_best = k_hi
+        # The doubling 1, 2, 4, ... stops at the first infeasible k, or at K_CAP.
+        doubling = compiled.feasible(DOUBLING_KS, leading)
+        if doubling.all():
+            k_best, status = K_CAP, "cap"
         else:
-            ks = np.linspace(0.0, k_hi, PRESCAN_POINTS)
-            k_best, status = _bisect_max_k(check, ks, compiled.feasible(ks, leading))
+            ks = np.linspace(0.0, DOUBLING_KS[np.argmin(doubling)], PRESCAN_POINTS)
+            k_best, status = _bisect_max_k(lambda batch: compiled.feasible(batch, leading),
+                                           ks, compiled.feasible(ks, leading))
         validity = _certified_range(compiled, k_best, tgrid, query.t_domain)
         result = RateResult(
             group_id=group_id,
@@ -597,19 +698,20 @@ class GroupRate:
     result: RateResult | None  # None when infeasible at k = 0
 
 
-def _analyze_run(groups: Sequence[PairGroup],
+def _analyze_run(pairs: Sequence[tuple[int, PQPair]],
                  queries: Sequence[RateQuery]) -> list[list[GroupRate]]:
-    """Per group of a run, its GroupRate for each of the queries, from one MinorTable."""
+    """Per (group id, representative) of a run, its GroupRate for each of the
+    queries, from one MinorTable."""
     corner_sets = [query.corners() for query in queries]
     table = MinorTable(queries[0].gamma, corner_sets)
     per_group = []
-    for group in groups:
+    for group_id, pair in pairs:
         rates = []
-        for query, conds in zip(queries, table.conditions(group.representative, corner_sets)):
+        for query, conds in zip(queries, table.conditions(pair, corner_sets)):
             try:
-                rates.append(GroupRate(group.group_id, _maximize(conds, query, group.group_id)))
+                rates.append(GroupRate(group_id, _maximize(conds, query, group_id)))
             except InfeasiblePairError:
-                rates.append(GroupRate(group.group_id, None))
+                rates.append(GroupRate(group_id, None))
         per_group.append(rates)
     return per_group
 
@@ -620,16 +722,19 @@ def _analyze_queries(groups: Sequence[PairGroup], queries: Sequence[RateQuery],
 
     The work runs group by group through one MinorTable, so only one group's
     condition sets are held at a time.  With a pool, each task takes a
-    contiguous run of groups and makes a table of its own.
+    contiguous run of groups and makes a table of its own.  A task carries
+    only what the analysis reads of a group, its id and representative pair,
+    not its member sequences.
     """
+    pairs = [(group.group_id, group.representative) for group in groups]
     if jobs and jobs > 1:
-        n_runs = min(jobs * RUNS_PER_WORKER, len(groups)) or 1
-        bounds = [len(groups) * i // n_runs for i in range(n_runs + 1)]
-        runs = [(groups[lo:hi], queries) for lo, hi in zip(bounds, bounds[1:])]
+        n_runs = min(jobs * RUNS_PER_WORKER, len(pairs)) or 1
+        bounds = [len(pairs) * i // n_runs for i in range(n_runs + 1)]
+        runs = [(pairs[lo:hi], queries) for lo, hi in zip(bounds, bounds[1:])]
         with multiprocessing.Pool(jobs) as pool:
             per_group = list(itertools.chain.from_iterable(pool.starmap(_analyze_run, runs)))
     else:
-        per_group = _analyze_run(groups, queries)
+        per_group = _analyze_run(pairs, queries)
     per_group.sort(key=lambda rates: rates[0].group_id)
     return [[rates[i] for rates in per_group] for i in range(len(queries))]
 

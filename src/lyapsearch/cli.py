@@ -156,8 +156,26 @@ def _open_out(path):
     return open(path, "w", newline="") if path else sys.stdout
 
 
+def _check_search_params(args, system, gamma) -> None:
+    """Every --param and --param-grid name is a free parameter of the system or
+    of the gamma form, and is given once."""
+    names = [name for name, _value in args.param] + [name for name, _values in args.param_grid]
+    known = system.free_params | gamma.params
+    for name in names:
+        if name not in known:
+            raise ValueError(
+                f"parameter {name!r} is neither a free parameter of system {system.name} "
+                f"({', '.join(sorted(system.free_params)) or 'none'}) nor of the {gamma.name} "
+                f"gamma form ({', '.join(sorted(gamma.params)) or 'none'})")
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"parameter {name!r} is given more than once "
+                             f"by --param and --param-grid")
+
+
 def _cmd_search(args) -> int:
     system = resolve_system(args.spec)
+    _check_search_params(args, system, GAMMA_FORMS[args.gamma])
     query = analysis.RateQuery(
         gamma=GAMMA_FORMS[args.gamma], mu=args.mu, L=args.L, convex=args.convex,
         params=dict(args.param), grid={n: v for n, v in args.param_grid},

@@ -496,10 +496,11 @@ class GammaForm:
     """A concrete growth law for gamma(t), defining all its derivatives.
 
     The rate coefficient stays symbolic (the parameter k); the power-law form
-    additionally uses the parameters r and alpha.
+    additionally uses the parameters r and alpha, listed in params.
     """
 
     name: str = ""
+    params: frozenset[str] = frozenset()
 
     def deriv(self, order: int) -> Expr:
         raise NotImplementedError
@@ -560,6 +561,7 @@ class _PowerGamma(GammaForm):
     """gamma(t) = k*(r/(1-alpha))*t^(1-alpha) for a fixed alpha in (0, 1)."""
 
     name = "power"
+    params = frozenset({"r", "alpha"})
 
     @functools.lru_cache(maxsize=None)
     def deriv(self, order: int) -> Expr:

@@ -63,6 +63,11 @@ class QuadraticObjective:
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", np.asarray(self.eigenvalues, dtype=float))
         object.__setattr__(self, "xstar", np.asarray(self.xstar, dtype=float))
+        if self.xstar.shape != self.eigenvalues.shape:
+            raise SimulationError(f"xstar must have shape {self.eigenvalues.shape} to match the "
+                                  f"eigenvalues, got {self.xstar.shape}")
+        if not np.isfinite(self.xstar).all():
+            raise SimulationError(f"xstar must be finite, got {self.xstar}")
 
     @property
     def dim(self) -> int:

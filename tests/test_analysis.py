@@ -2,13 +2,15 @@ import gc
 import itertools
 import math
 import random
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from lyapsearch import analysis
-from lyapsearch.analysis import (K_CAP, PRESCAN_POINTS, REL_FLOOR, T_GRID_HI, T_GRID_LO,
+from lyapsearch.analysis import (BISECT_LEVELS, BISECT_REL_TOL, DOUBLING_KS, K_CAP,
+                                 PRESCAN_POINTS, REL_FLOOR, T_GRID_HI, T_GRID_LO,
                                  AllPositive, AnalysisError, BootstrapPreconditionError,
                                  DiagonalParameterError, Eventually, InfeasiblePairError,
                                  MinorTable, PsdConditionSet, RateQuery, Window, analyze_groups,
@@ -16,9 +18,11 @@ from lyapsearch.analysis import (K_CAP, PRESCAN_POINTS, REL_FLOOR, T_GRID_HI, T_
                                  _bisect_max_k, _det, catalog_rows, certified_time,
                                  compile_conditions, feasible, max_rate, psd_conditions,
                                  time_grid, verify_catalog)
-from lyapsearch.expr import Expr, GAMMA1, LINEAR, LOG, POWER, ZERO, parse_expr
+from lyapsearch.expr import (Expr, GAMMA1, LINEAR, LOG, POWER, ZERO, UnboundSymbolError,
+                             bind_terms, parse_expr)
 from lyapsearch.lyapunov import CATALOG as CERTIFICATES
 from lyapsearch.pq import PQPair, _sym_matrix, apply_sequence, initial_pair
+from lyapsearch.sequences import PairGroup
 from lyapsearch.systems import CATALOG
 
 from conftest import naive_eval
@@ -429,6 +433,22 @@ def test_bisect_max_k_on_synthetic_prescans():
             _bisect_max_k(check, ks, flags)
 
 
+def test_bisection_checks_its_levels_in_batches():
+    ks = np.linspace(0.0, 1.0, PRESCAN_POINTS)
+    edge = 0.3
+    batches = []
+
+    def check(batch):
+        batches.append(len(batch))
+        return batch <= edge
+
+    assert _bisect_max_k(check, ks, ks <= edge) == (math.floor(edge * 2 ** 20) / 2 ** 20, "ok")
+    # [19/64, 20/64] halves 14 times, down to 2^-20; a batch holds every
+    # midpoint of its levels, 2^levels - 1 of them.
+    levels = [min(BISECT_LEVELS, 14 - done) for done in range(0, 14, BISECT_LEVELS)]
+    assert batches == [2 ** n - 1 for n in levels]
+
+
 class _ReferenceMinor:
     """One minor compiled and checked on its own, term row by term row.
 
@@ -539,8 +559,133 @@ def test_feasible_matches_per_minor_reference(system, query, enumerations):
                 k_max = k_hi
             else:
                 same(ks[flags.index(False)], mask=True)
-                k_max = _bisect_max_k(check, ks, batched)[0]
+                k_max = _bisect_max_k(lambda batch: compiled.feasible(batch, leading),
+                                      ks, batched)[0]
             same(k_max, mask=True)
+
+
+def _one_midpoint_bisection(check, ks, flags):
+    """_bisect_max_k checking one midpoint at a time."""
+    first_bad = int(np.argmin(flags))
+    status = "nonmonotone" if flags[first_bad:].any() else "ok"
+    lo, hi = ks[first_bad - 1], ks[first_bad]
+    while hi - lo > BISECT_REL_TOL * ks[-1]:
+        mid = 0.5 * (lo + hi)
+        if check(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, status
+
+
+@pytest.mark.parametrize("system, query", _DIFFERENTIAL_CASES)
+def test_batched_bisection_walks_the_one_midpoint_path(system, query, enumerations):
+    tgrid = time_grid(query.t_domain)
+    leading = not isinstance(query.t_domain, Window)
+    bisected = 0
+    for group in enumerations(system):
+        conds = psd_conditions(group.representative, query.gamma, query.corners())
+        for point in query.grid_points():
+            compiled = compile_conditions(conds, point, tgrid)
+            if not feasible(conds, 0.0, query, _compiled=compiled):
+                continue
+            doubling = compiled.feasible(DOUBLING_KS, leading)
+            if doubling.all():
+                continue
+            ks = np.linspace(0.0, DOUBLING_KS[np.argmin(doubling)], PRESCAN_POINTS)
+            flags = compiled.feasible(ks, leading)
+            batched = _bisect_max_k(lambda batch: compiled.feasible(batch, leading), ks, flags)
+            single = _one_midpoint_bisection(
+                lambda k: compiled.feasible(np.array([k]), leading)[0], ks, flags)
+            assert batched == single, f"group {group.group_id} at {point}"
+            bisected += 1
+    assert bisected
+
+
+def _dict_merge_compile(conds, bindings):
+    """coef, size and exponents of compile_conditions, by merging the output of
+    bind_terms key by key."""
+    merged = {}
+    for minor, (base, e, (kpow,)) in zip(conds.term_minors, bind_terms(conds.terms, bindings)):
+        key = (kpow, minor, e)
+        entry = merged.get(key)
+        if entry is None:
+            merged[key] = [base, abs(base)]
+        else:
+            entry[0] += base
+            entry[1] += abs(base)
+    exps = sorted({e for _kpow, _minor, e in merged}, reverse=True)
+    column = {e: i for i, e in enumerate(exps)}
+    shape = (max((kpow for kpow, _minor, _e in merged), default=0) + 1,
+             len(conds.minors), len(exps))
+    coef, size = np.zeros(shape), np.zeros(shape)
+    for (kpow, minor, e), (value, magnitude) in merged.items():
+        coef[kpow, minor, column[e]] = value
+        size[kpow, minor, column[e]] = magnitude
+    return coef, size, np.array(exps, dtype=float)
+
+
+_COMPILE_CASES = _DIFFERENTIAL_CASES + [
+    pytest.param("second-order-hessian",
+                 RateQuery(LINEAR, mu=0.7, grid={"a": (0.3, 1.7), "b": (0.7, 2.9)}),
+                 id="second-order-hessian-inexact-products"),
+    pytest.param("generalized-nag",
+                 RateQuery(POWER, mu=1.0, params={"r": 1.0}, grid={"alpha": (0.25, 0.5, 0.75)},
+                           t_domain=Eventually(1e4)),
+                 id="generalized-nag-power-alpha-grid")]
+
+
+@pytest.mark.parametrize("system, query", _COMPILE_CASES)
+def test_compile_conditions_matches_dict_merge(system, query, enumerations):
+    tgrid = time_grid(query.t_domain)
+    for group in enumerations(system):
+        conds = psd_conditions(group.representative, query.gamma, query.corners())
+        # Every point binds through the layouts kept on conds since the first.
+        for point in query.grid_points():
+            compiled = compile_conditions(conds, point, tgrid)
+            coef, size, exps = _dict_merge_compile(conds, point)
+            where = f"group {group.group_id} at {point}"
+            assert compiled.shape == coef.shape[1:], where
+            assert np.array_equal(compiled.coef, coef.reshape(len(coef), -1)), where
+            assert np.array_equal(compiled.size, size.reshape(len(size), -1)), where
+            assert np.array_equal(compiled.kexps, np.arange(len(coef))), where
+            assert np.array_equal(compiled.tpowers, tgrid[None, :] ** exps[:, None]), where
+
+
+def _unbound_name(compile_, conds, bindings):
+    try:
+        compile_(conds, bindings)
+    except UnboundSymbolError as exc:
+        return exc.name
+    return None
+
+
+@pytest.mark.parametrize("system, gamma, full, partials", [
+    ("second-order-hessian", LINEAR, {"a": 1.0, "b": 0.5}, ({}, {"a": 1.0}, {"b": 0.5})),
+    ("generalized-nag", POWER, {"r": 1.0, "alpha": 0.5},
+     ({}, {"r": 1.0}, {"alpha": 0.5}, {"alpha": 0.25})),
+])
+def test_compile_conditions_names_the_same_unbound_symbol(system, gamma, full, partials,
+                                                          enumerations):
+    tgrid = time_grid(AllPositive())
+    query = RateQuery(gamma, mu=1.0)
+    raised = set()
+    for group in enumerations(system)[:40]:
+        conds = psd_conditions(group.representative, gamma, query.corners())
+        for bindings in partials + (full,) + partials:  # before and after a layout is kept
+            name = _unbound_name(_dict_merge_compile, conds, bindings)
+            assert _unbound_name(lambda c, b: compile_conditions(c, b, tgrid),
+                                 conds, bindings) == name, f"group {group.group_id}, {bindings}"
+            raised.add(name)
+    assert len(raised - {None}) >= 2
+
+
+def test_pool_tasks_carry_no_member_sequences(enumerations):
+    # A lock cannot be pickled: the pool must not ship the groups' members.
+    groups = enumerations("nag")
+    query = RateQuery(LOG, mu=1.0, convex=True, params={"r": 3.0})
+    locked = [PairGroup(g.group_id, g.representative, [threading.Lock()]) for g in groups]
+    assert analyze_groups(locked, query, jobs=2) == analyze_groups(groups, query, jobs=1)
 
 
 def test_batched_flags_keep_each_k_and_check():

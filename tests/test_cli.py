@@ -52,6 +52,62 @@ def test_search_param_grid_parsing(tmp_path):
     assert smoothness_assisted and all("b=-0.25" in r["params"] for r in smoothness_assisted)
 
 
+# Searches recorded before the rate search was batched; every run must
+# reproduce them byte for byte, serially and with a pool.
+GOLDEN_SEARCHES = [
+    pytest.param("search-second-order-hessian-mu1-ab-grid.csv",
+                 ["--spec", "second-order-hessian", "--mu", "1",
+                  "--param-grid", "a=0.5,1,2", "--param-grid", "b=0,0.5,1"],
+                 id="second-order-hessian-ab-grid"),
+    pytest.param("search-generalized-nag-power-r1-alpha-grid.csv",
+                 ["--spec", "generalized-nag", "--gamma", "power", "--param", "r=1",
+                  "--param-grid", "alpha=0.25,0.5", "--t-domain", "eventually:10000"],
+                 id="generalized-nag-power-alpha-grid"),
+]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("fixture, argv", GOLDEN_SEARCHES)
+def test_search_reproduces_golden_csv(tmp_path, fixture, argv, jobs):
+    out = tmp_path / "search.csv"
+    assert main(["--jobs", jobs, "search"] + argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (FIXTURES / fixture).read_bytes()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--spec", "second-order-hessian", "--param-grid", "zz=1", "--param", "b=0"],
+     "parameter 'zz' is neither a free parameter of system second-order-hessian (a, b) "
+     "nor of the linear gamma form (none)"),
+    (["--spec", "second-order-hessian", "--param", "k=1"], "parameter 'k' is neither"),
+    (["--spec", "nag", "--param", "r=3", "--param", "alpha=0.5"],
+     "parameter 'alpha' is neither a free parameter of system nag (r)"),
+    (["--spec", "nag", "--param", "r=3", "--param-grid", "r=3,4"],
+     "parameter 'r' is given more than once"),
+    (["--spec", "second-order-hessian", "--param-grid", "a=1", "--param-grid", "a=2",
+      "--param", "b=0"], "parameter 'a' is given more than once"),
+    (["--spec", "nag", "--param", "r=3", "--param", "r=4"],
+     "parameter 'r' is given more than once"),
+], ids=["unknown-grid", "reserved-k", "alpha-without-power", "param-and-grid",
+        "grid-twice", "param-twice"])
+def test_search_rejects_unknown_and_repeated_parameters(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.csv"
+    assert main(["--jobs", "1", "search"] + argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert message in err
+    assert not out.exists()
+
+
+def test_search_takes_the_power_form_parameters(tmp_path):
+    # nag's coefficients hold only r; alpha is a parameter of the power gamma form.
+    out = tmp_path / "out.csv"
+    assert main(["--jobs", "1", "search", "--spec", "nag", "--gamma", "power", "--param", "r=1",
+                 "--param", "alpha=0.5", "--t-domain", "eventually:10000",
+                 "--out", str(out)]) == 0
+    _header, rows = read_csv(out)
+    assert rows and all(r["params"] == "alpha=0.5 r=1" for r in rows if r["k_max"])
+
+
 @pytest.mark.parametrize("spec", ["a=0:0:1", "a=1:-0.5:3", "a=0:1:inf"])
 def test_bad_param_grid_range_is_a_usage_error(tmp_path, capsys, spec):
     argv = ["--jobs", "1", "search", "--spec", "damped-newton", "--convex",

@@ -261,6 +261,22 @@ def test_integrate_requires_one_state_entry_per_mode(x0, v0, message):
         integrate(CATALOG["damped-newton"], obj, x0, v0, t0=1.0, t1=2.0, dt=1e-2)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: QuadraticObjective.log_spaced(3, 1.0, 4.0, xstar=np.array([0.5])),
+     r"xstar must have shape \(3,\) to match the eigenvalues, got \(1,\)"),
+    (lambda: QuadraticObjective([1.0, 2.0], np.zeros((2, 1))),
+     r"xstar must have shape \(2,\) to match the eigenvalues, got \(2, 1\)"),
+    (lambda: QuadraticObjective([1.0, 2.0], 0.0),
+     r"xstar must have shape \(2,\) to match the eigenvalues, got \(\)"),
+    (lambda: QuadraticObjective.log_spaced(3, 1.0, 4.0, xstar=np.array([0.0, np.nan, 1.0])),
+     "xstar must be finite"),
+    (lambda: QuadraticObjective([1.0], [np.inf]), "xstar must be finite"),
+], ids=["log-spaced-short", "column", "scalar", "nan", "inf"])
+def test_objective_requires_one_finite_minimiser_entry_per_mode(make, message):
+    with pytest.raises(SimulationError, match=message):
+        make()
+
+
 @pytest.mark.parametrize("mu, L", [(1.0, np.inf), (1.0, np.nan), (np.nan, 4.0), (-np.inf, 4.0)])
 def test_log_spaced_rejects_non_finite_curvature(mu, L):
     with pytest.raises(ValueError, match="need 0 < mu <= L, L finite"):
