@@ -38,22 +38,37 @@ drops it at the end: analyze_groups, and verify_catalog for the rows that
 share a system and a gamma form.  With a pool, each task makes its own table
 for a contiguous run of groups, and carries only each group's id and
 representative pair, not its member sequences.  Queries with the same
-corners share a pair's whole condition set.
+corners share a pair's whole condition set.  A run makes each query's t grid
+once, and the table keeps the grid's powers per set of exponents of t.
+
+That exact work is integer arithmetic.  The table keeps each substituted
+entry also as integers over one common denominator s, so the cofactor
+expansion of an n x n block adds and multiplies plain ints and yields s^n
+times its determinant.  Each corner binds lambda = Lam / D and theta =
+Theta / D in integers too: a term with lambda^a * theta^b gets the factor
+Lam^a * Theta^b * D^(n - a - b), a whole number because lambda and theta
+enter only diagonal entries, and affinely, so no product of n entries holds
+more than n of them.  A bound minor, over (D * s)^n and reduced by the gcd of
+that denominator and its numerators, has one form, on which it is interned.
+Fractions are made only for a minor seen for the first time: the Expr that
+its condition sets hand out.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import multiprocessing
+import operator
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .expr import (Expr, FloatTerm, GammaForm, LINEAR, LOG, POWER, ZERO, ZeroExpressionError,
-                   bind_terms, float_terms)
+from .expr import (Exponent, Expr, FloatTerm, GammaForm, LINEAR, LOG, Monomial, POWER, ZERO,
+                   ZeroExpressionError, _exp_part, _mono_mul, bind_terms, float_terms)
 from .pq import PQPair
 from .sequences import PairGroup, enumerate_pairs
 from .systems import CATALOG, OdeSystemSpec
@@ -193,6 +208,9 @@ class PsdConditionSet:
     minors: tuple[Expr, ...]  # nonzero minors of every corner, deduplicated
     # float_terms(minor, ("k",)) of each minor, when already at hand.
     tables: InitVar[Sequence[tuple[FloatTerm, ...]] | None] = None
+    # compile_conditions' t-power tables, shared by the condition sets of one
+    # MinorTable: (id of the t grid, exponents) -> (that grid, its powers).
+    tpower_cache: dict = field(default_factory=dict, repr=False, compare=False)
     # float_terms(minor, ("k",)) of every minor, concatenated in minor order,
     # and the index of the minor each term belongs to.
     terms: tuple = field(init=False, repr=False)
@@ -214,32 +232,85 @@ class PsdConditionSet:
         self.alpha_exponents = any(q for _c, _p, q, _mono, _powers in self.terms)
 
 
-def _det(key: tuple[int, ...], entries: Sequence[Expr],
-         memo: dict[tuple[int, ...], Expr]) -> Expr:
-    """Determinant of the n x n block whose entry ids, row-major, are key.
+_CURVATURE = frozenset({"lambda", "theta"})
+_AFFINE_PARTS = ((), (("lambda", 1),), (("theta", 1),))
 
-    Cofactor expansion along the first row; entries[0] is zero and is
-    skipped.  Each sub-block is keyed by its own entry ids, so a sub-block
-    shared by several blocks is expanded once per memo.
+
+@functools.lru_cache(maxsize=None)
+def _cofactor_keys(n: int) -> tuple[operator.itemgetter, ...]:
+    """Per column j, the getter of the entry ids of the minor of (0, j) of an n x n key."""
+    return tuple(operator.itemgetter(*(r * n + c for r in range(1, n) for c in range(n) if c != j))
+                 for j in range(n))
+
+
+def _det(key: tuple[int, ...], entries: Sequence[dict[int, int]],
+         memo: dict[tuple[int, ...], dict[int, int]], products: _Terms) -> dict[int, int]:
+    """s^n times the determinant of the n x n block whose entry ids, row-major, are key.
+
+    Entries and determinants are polynomials {term id: int}, each entry
+    scaled by the table's common denominator s.  Cofactor expansion along the
+    first row; entries[0] is zero and is skipped.  Each sub-block is keyed by
+    its own entry ids, so a sub-block shared by several blocks is expanded
+    once per memo.
     """
     n = math.isqrt(len(key))
     if n == 1:
         return entries[key[0]]
     det = memo.get(key)
     if det is None:
-        det = ZERO
-        for j in range(n):
+        acc: dict[int, int] = {}
+        for j, minor_of in enumerate(_cofactor_keys(n)):
             if not key[j]:
                 continue
-            sub = tuple(key[r * n + c] for r in range(1, n) for c in range(n) if c != j)
-            term = entries[key[j]] * _det(sub, entries, memo)
-            det = det + term if j % 2 == 0 else det - term
-        memo[key] = det
+            sub_key = minor_of(key)
+            if n == 2:
+                sub = entries[sub_key]  # a single entry id
+            else:
+                sub = memo.get(sub_key)
+                if sub is None:
+                    sub = _det(sub_key, entries, memo, products)
+            for ta, ca in entries[key[j]].items():
+                if j % 2:
+                    ca = -ca
+                for tb, cb in sub.items():
+                    t = products[ta, tb]
+                    acc[t] = acc.get(t, 0) + ca * cb
+        det = memo[key] = {t: c for t, c in acc.items() if c}
     return det
 
 
-_CURVATURE = frozenset({"lambda", "theta"})
-_AFFINE_PARTS = ((), (("lambda", 1),), (("theta", 1),))
+class _Terms(dict):
+    """The (exponent, monomial) keys of a MinorTable's polynomials, as int ids.
+
+    As a dict it maps a pair of term ids to the id of their product, made on
+    first use.  parts[id] holds the powers (a, b) of lambda and theta in the
+    term's monomial and the id of the term without them.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.terms: list[tuple[Exponent, Monomial]] = []
+        self.ids: dict[tuple[Exponent, Monomial], int] = {}
+        self.parts: list[tuple[tuple[int, int], int]] = []
+
+    def id(self, term: tuple[Exponent, Monomial]) -> int:
+        tid = self.ids.get(term)
+        if tid is None:
+            exp, mono = term
+            kept = tuple(item for item in mono if item[0] not in _CURVATURE)
+            rest = self.id((exp, kept)) if len(kept) < len(mono) else None
+            tid = self.ids[term] = len(self.terms)
+            self.terms.append(term)
+            powers = dict(mono)
+            self.parts.append(((powers.get("lambda", 0), powers.get("theta", 0)),
+                               tid if rest is None else rest))
+        return tid
+
+    def __missing__(self, pair: tuple[int, int]) -> int:
+        (ea, ma), (eb, mb) = self.terms[pair[0]], self.terms[pair[1]]
+        tid = self[pair] = self.id(
+            ((_exp_part(ea[0] + eb[0]), _exp_part(ea[1] + eb[1])), _mono_mul(ma, mb)))
+        return tid
 
 
 def _check_diagonal_parameters(pair: PQPair) -> None:
@@ -280,25 +351,44 @@ class MinorTable:
     vanish there, so the bound minors are the nonzero minors of the
     corner-substituted matrices.
 
+    The exact work runs on integers.  Each substituted entry is kept a second
+    time as {term id: int}, times the common denominator s of every entry
+    coefficient so far; when an entry brings a new denominator, s grows and
+    every scaled entry and memoised determinant is multiplied up with it.
+    The expansion of an n x n block then gives s^n times its determinant.  A
+    corner binds lambda = Lam / D and theta = Theta / D, over one denominator
+    D, by multiplying a term's coefficient by Lam^a * Theta^b * D^(n - a - b):
+    lambda and theta enter only diagonal entries, and affinely, so a product
+    of n entries carries a + b <= n of them, and the bound minor is the
+    result over (D * s)^n.  Divided by the gcd of that denominator and its
+    numerators, a minor has one form, on which minors are interned.  Only a
+    minor seen for the first time is made into the Fraction-based Expr that
+    the condition sets hand out.
+
     A table lives for one run over a list of pairs; the corners of every
-    query it serves are fixed when it is made.
+    query it serves are fixed when it is made.  It also keeps the t-power
+    tables of compile_conditions for the condition sets it makes.
     """
 
     def __init__(self, gamma: GammaForm, corner_sets: Iterable[Iterable[tuple[float, float]]]):
         self.gamma = gamma
         corners = dict.fromkeys(c for cs in corner_sets for c in cs)
         self._corner_index = {c: i for i, c in enumerate(corners)}
-        self._bindings = [{"lambda": Fraction(lam), "theta": Fraction(theta)}
-                          for lam, theta in corners]
+        self._corners = [_over_common_denominator(lam, theta) for lam, theta in corners]
         self._entry_ids: dict[Expr, int] = {}  # raw entry -> id of its substitution
         self._entries: list[Expr] = [ZERO]     # substituted entries by id
         self._entry_index: dict[Expr, int] = {ZERO: 0}
+        self._scale = 1                        # s, the common denominator of the entries
+        self._scaled: list[dict[int, int]] = [{}]  # s times each substituted entry
+        self._terms = _Terms()
         self._submatrices: dict[tuple[int, ...], tuple[int | None, ...]] = {}
-        self._dets: dict[tuple[int, ...], Expr] = {}  # sub-block entry ids -> determinant
-        self._bound: dict[Expr, tuple[int | None, ...]] = {}  # determinant -> _bound_minors
-        self._minor_ids: dict[Expr, int] = {}
+        self._dets: dict[tuple[int, ...], dict[int, int]] = {}  # sub-block entry ids -> s^n det
+        self._bound: dict[tuple, tuple[int | None, ...]] = {}  # (n, s^n det) -> _bound_minors
+        self._weights: dict[int, list[dict[tuple[int, int], int]]] = {}  # n -> per corner
+        self._minor_ids: dict[tuple[int, frozenset], int] = {}  # reduced form -> index
         self._minors: list[Expr] = []
         self._tables: list[tuple[FloatTerm, ...]] = []
+        self._tpower_cache: dict = {}
 
     def _entry_id(self, entry: Expr) -> int:
         eid = self._entry_ids.get(entry)
@@ -308,30 +398,75 @@ class MinorTable:
             if eid is None:
                 eid = self._entry_index[substituted] = len(self._entries)
                 self._entries.append(substituted)
+                self._scaled.append(self._scale_entry(substituted))
             self._entry_ids[entry] = eid
         return eid
+
+    def _scale_entry(self, entry: Expr) -> dict[int, int]:
+        """s times entry, as {term id: int}; s first grows to a multiple of its denominators."""
+        terms = list(entry.terms())
+        den = math.lcm(*(coeff.denominator for _exp, _mono, coeff in terms))
+        if self._scale % den:
+            self._rescale(den // math.gcd(self._scale, den))
+        return {self._terms.id((exp, mono)): coeff.numerator * (self._scale // coeff.denominator)
+                for exp, mono, coeff in terms}
+
+    def _rescale(self, factor: int) -> None:
+        """Multiply s by factor, with every scaled entry and memoised determinant."""
+        self._scale *= factor
+        self._scaled[:] = [{t: c * factor for t, c in entry.items()} for entry in self._scaled]
+        for key, det in self._dets.items():
+            f = factor ** math.isqrt(len(key))
+            self._dets[key] = {t: c * f for t, c in det.items()}
+        self._bound.clear()  # keyed on scaled determinants
 
     def _bound_minors(self, key: tuple[int, ...]) -> tuple[int | None, ...]:
         """Per corner, the index of the bound minor of the submatrix key, or None."""
         indices = self._submatrices.get(key)
         if indices is None:
-            minor = _det(key, self._entries, self._dets)
-            indices = self._bound.get(minor)
+            n = math.isqrt(len(key))
+            det = _det(key, self._scaled, self._dets, self._terms)
+            det_key = (n, frozenset(det.items()))
+            indices = self._bound.get(det_key)
             if indices is None:
-                indices = self._bound[minor] = tuple(
-                    self._minor_index(minor.subs_params(binding)) for binding in self._bindings)
+                weights = self._weights.get(n)
+                if weights is None:
+                    weights = self._weights[n] = [_corner_weights(corner, n)
+                                                  for corner in self._corners]
+                indices = self._bound[det_key] = tuple(
+                    self._minor_index(det, (d * self._scale) ** n, w)
+                    for (_lam, _theta, d), w in zip(self._corners, weights))
             self._submatrices[key] = indices
         return indices
 
-    def _minor_index(self, minor: Expr) -> int | None:
-        if not minor:
+    def _minor_index(self, det: dict[int, int], den: int,
+                     weights: dict[tuple[int, int], int]) -> int | None:
+        """The index of the minor of s^n det bound at a corner, or None where it vanishes.
+
+        weights holds the corner's _corner_weights, and den is (D * s)^n.
+        """
+        parts = self._terms.parts
+        bound: dict[int, int] = {}
+        for t, c in det.items():
+            powers, rest = parts[t]
+            bound[rest] = bound.get(rest, 0) + c * weights[powers]
+        numerators = [(t, c) for t, c in bound.items() if c]
+        if not numerators:
             return None
-        index = self._minor_ids.get(minor)
+        g = math.gcd(den, *(c for _t, c in numerators))
+        form = (den // g, frozenset((t, c // g) for t, c in numerators))
+        index = self._minor_ids.get(form)
         if index is None:
-            index = self._minor_ids[minor] = len(self._minors)
+            index = self._minor_ids[form] = len(self._minors)
+            minor = self._expr(form[1], form[0])
             self._minors.append(minor)
             self._tables.append(float_terms(minor, ("k",)))
         return index
+
+    def _expr(self, numerators: Iterable[tuple[int, int]], den: int) -> Expr:
+        """The Expr whose coefficient of each term id is its numerator / den."""
+        terms = self._terms.terms
+        return Expr({terms[t]: Fraction(c, den) for t, c in numerators})
 
     def conditions(self, pair: PQPair,
                    corner_sets: Sequence[tuple[tuple[float, float], ...]]
@@ -346,13 +481,12 @@ class MinorTable:
         _check_diagonal_parameters(pair)
         subset_minors = []
         for matrix, dim in ((pair.P, 3), (pair.Q, 5)):
-            ids = [[self._entry_id(e) for e in row] for row in matrix]
-            support = [i for i in range(dim) if any(ids[i])]
-            for size in range(1, len(support) + 1):
-                for subset in itertools.combinations(support, size):
-                    key = tuple(ids[i][j] for i in subset for j in subset)
-                    if any(key):
-                        subset_minors.append(self._bound_minors(key))
+            ids = [self._entry_id(e) for row in matrix for e in row]  # row-major
+            support = tuple(i for i in range(dim) if any(ids[i * dim:(i + 1) * dim]))
+            for cells in _principal_cells(dim, support):
+                key = tuple(map(ids.__getitem__, cells))
+                if any(key):
+                    subset_minors.append(self._bound_minors(key))
         by_corners: dict[tuple[tuple[float, float], ...], PsdConditionSet] = {}
         for corners in corner_sets:
             if corners not in by_corners:
@@ -362,8 +496,31 @@ class MinorTable:
                     if (index := indices[pos]) is not None)
                 by_corners[corners] = PsdConditionSet(
                     corners, tuple(self._minors[i] for i in union),
-                    [self._tables[i] for i in union])
+                    [self._tables[i] for i in union], tpower_cache=self._tpower_cache)
         return [by_corners[corners] for corners in corner_sets]
+
+
+@functools.lru_cache(maxsize=None)
+def _principal_cells(dim: int, support: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The row-major cells of a dim x dim matrix in each principal submatrix over
+    the rows in support, in subset order."""
+    return tuple(tuple(i * dim + j for i in subset for j in subset)
+                 for size in range(1, len(support) + 1)
+                 for subset in itertools.combinations(support, size))
+
+
+def _corner_weights(corner: tuple[int, int, int], n: int) -> dict[tuple[int, int], int]:
+    """Lam^a * Theta^b * D^(n - a - b) for each (a, b) with a + b <= n, at (Lam, Theta, D)."""
+    lam, theta, d = corner
+    return {(a, b): lam ** a * theta ** b * d ** (n - a - b)
+            for a in range(n + 1) for b in range(n + 1 - a)}
+
+
+def _over_common_denominator(lam: float, theta: float) -> tuple[int, int, int]:
+    """(Lam, Theta, D) with lambda = Lam / D and theta = Theta / D exactly."""
+    lam, theta = Fraction(lam), Fraction(theta)
+    d = math.lcm(lam.denominator, theta.denominator)
+    return lam.numerator * (d // lam.denominator), theta.numerator * (d // theta.denominator), d
 
 
 def psd_conditions(pair: PQPair, gamma: GammaForm,
@@ -397,14 +554,13 @@ class CompiledConditions:
 
     __slots__ = ("coef", "size", "kexps", "tpowers", "shape")
 
-    def __init__(self, coef: np.ndarray, size: np.ndarray, exps: np.ndarray,
-                 tgrid: np.ndarray):
-        n_kpows, n_minors, _n_exps = coef.shape
+    def __init__(self, coef: np.ndarray, size: np.ndarray, tpowers: np.ndarray):
+        n_kpows, n_minors, n_exps = coef.shape
         self.coef = coef.reshape(n_kpows, -1)
         self.size = size.reshape(n_kpows, -1)
         self.kexps = np.arange(n_kpows, dtype=float)
-        self.tpowers = tgrid[None, :] ** exps[:, None]
-        self.shape = (n_minors, len(exps))
+        self.tpowers = tpowers
+        self.shape = (n_minors, n_exps)
 
     def _suspect_pairs(self, ks: np.ndarray):
         """For each (k, minor) pair with a coefficient below the floor: the index
@@ -501,8 +657,9 @@ class BindingLayout:
         self.factor_ids = tuple(rows[term_monos, j] for j in range(width))
         self.symbols = frozenset(sym for sym, _power in items)
 
-    def bind(self, bindings: Mapping[str, float], tgrid: np.ndarray) -> CompiledConditions:
-        """The compiled tables at one point whose symbols are all in bindings."""
+    def bind(self, bindings: Mapping[str, float], tpowers: np.ndarray) -> CompiledConditions:
+        """The compiled tables at one point whose symbols are all in bindings,
+        over the grid whose powers of exps are tpowers."""
         # The last entry, 1.0, is what position -1 picks.
         values = np.array([float(bindings[sym] ** power) for sym, power in self.factors] + [1.0])
         base = self.coef
@@ -514,7 +671,7 @@ class BindingLayout:
         # Over no terms at all, bincount counts in ints.
         return CompiledConditions(coef.astype(float, copy=False).reshape(self.shape),
                                   size.astype(float, copy=False).reshape(self.shape),
-                                  self.exps, tgrid)
+                                  tpowers)
 
 
 def compile_conditions(conds: PsdConditionSet, bindings: Mapping[str, float],
@@ -522,8 +679,10 @@ def compile_conditions(conds: PsdConditionSet, bindings: Mapping[str, float],
     """Bind the parameters into the pair's term table and tabulate it by k^p * t^e.
 
     The condition set's BindingLayout for the bound alpha is made on first use
-    and kept on the set.  Raises UnboundSymbolError naming the first symbol,
-    in term order, that bindings lacks.
+    and kept on the set, and tgrid's powers of its exponents are taken once per
+    grid and set of exponents among the sets of one MinorTable.  Raises
+    UnboundSymbolError naming the first symbol, in term order, that bindings
+    lacks.
     """
     alpha = None
     if conds.alpha_exponents:
@@ -535,7 +694,14 @@ def compile_conditions(conds: PsdConditionSet, bindings: Mapping[str, float],
         layout = conds.layouts[alpha] = BindingLayout(conds, alpha)
     if not layout.symbols.issubset(bindings):
         bind_terms(conds.terms, bindings)
-    return layout.bind(bindings, tgrid)
+    # The entry holds the grid, so no other array can take its id meanwhile.
+    key = (id(tgrid), layout.exps.tobytes())
+    cached = conds.tpower_cache.get(key)
+    if cached is None:
+        tpowers = tgrid[None, :] ** layout.exps[:, None]
+        tpowers.flags.writeable = False
+        cached = conds.tpower_cache[key] = (tgrid, tpowers)
+    return layout.bind(bindings, cached[1])
 
 
 def feasible(conds: PsdConditionSet, k: float, query: RateQuery,
@@ -636,12 +802,13 @@ def max_rate(pair: PQPair, query: RateQuery, group_id: int | None = None) -> Rat
 
     Raises InfeasiblePairError when no grid point is PSD even at k = 0.
     """
-    return _maximize(psd_conditions(pair, query.gamma, query.corners()), query, group_id)
+    return _maximize(psd_conditions(pair, query.gamma, query.corners()), query, group_id,
+                     time_grid(query.t_domain))
 
 
-def _maximize(conds: PsdConditionSet, query: RateQuery, group_id: int | None) -> RateResult:
-    """max_rate on a pair's condition set."""
-    tgrid = time_grid(query.t_domain)
+def _maximize(conds: PsdConditionSet, query: RateQuery, group_id: int | None,
+              tgrid: np.ndarray) -> RateResult:
+    """max_rate on a pair's condition set, over tgrid, the query's time_grid."""
     leading = not isinstance(query.t_domain, Window)
     best: RateResult | None = None
     all_infeasible = True
@@ -701,15 +868,16 @@ class GroupRate:
 def _analyze_run(pairs: Sequence[tuple[int, PQPair]],
                  queries: Sequence[RateQuery]) -> list[list[GroupRate]]:
     """Per (group id, representative) of a run, its GroupRate for each of the
-    queries, from one MinorTable."""
+    queries, from one MinorTable and one time grid per query."""
     corner_sets = [query.corners() for query in queries]
+    tgrids = [time_grid(query.t_domain) for query in queries]
     table = MinorTable(queries[0].gamma, corner_sets)
     per_group = []
     for group_id, pair in pairs:
         rates = []
-        for query, conds in zip(queries, table.conditions(pair, corner_sets)):
+        for query, tgrid, conds in zip(queries, tgrids, table.conditions(pair, corner_sets)):
             try:
-                rates.append(GroupRate(group_id, _maximize(conds, query, group_id)))
+                rates.append(GroupRate(group_id, _maximize(conds, query, group_id, tgrid)))
             except InfeasiblePairError:
                 rates.append(GroupRate(group_id, None))
         per_group.append(rates)

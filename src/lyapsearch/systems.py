@@ -106,6 +106,16 @@ def load_system(path: str | Path) -> OdeSystemSpec:
     return spec
 
 
+class UnknownSystemError(KeyError):
+    """A system that is neither a catalog name nor a spec file.
+
+    A KeyError, whose str() would quote the message; this one prints it as is.
+    """
+
+    def __str__(self) -> str:
+        return str(self.args[0])
+
+
 def resolve_system(name_or_path: str) -> OdeSystemSpec:
     """Catalog name or path to a system-spec file."""
     if name_or_path in CATALOG:
@@ -113,4 +123,4 @@ def resolve_system(name_or_path: str) -> OdeSystemSpec:
     path = Path(name_or_path)
     if path.exists():
         return load_system(path)
-    raise KeyError(f"unknown system {name_or_path!r} (catalog: {sorted(CATALOG)})")
+    raise UnknownSystemError(f"unknown system {name_or_path!r} (catalog: {sorted(CATALOG)})")

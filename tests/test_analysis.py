@@ -19,13 +19,13 @@ from lyapsearch.analysis import (BISECT_LEVELS, BISECT_REL_TOL, DOUBLING_KS, K_C
                                  compile_conditions, feasible, max_rate, psd_conditions,
                                  time_grid, verify_catalog)
 from lyapsearch.expr import (Expr, GAMMA1, LINEAR, LOG, POWER, ZERO, UnboundSymbolError,
-                             bind_terms, parse_expr)
+                             bind_terms, float_terms, parse_expr)
 from lyapsearch.lyapunov import CATALOG as CERTIFICATES
 from lyapsearch.pq import PQPair, _sym_matrix, apply_sequence, initial_pair
 from lyapsearch.sequences import PairGroup
 from lyapsearch.systems import CATALOG
 
-from conftest import naive_eval
+from conftest import naive_eval, random_expr, random_pair
 
 HALF = Fraction(1, 2)
 LAM = Expr.symbol("lambda")
@@ -298,7 +298,9 @@ def test_minor_table_builds_each_distinct_submatrix_once(enumerations, monkeypat
 def test_memoised_det_matches_plain_cofactor(enumerations):
     """Every block a second-order-hessian table expanded, principal or not, has
     the determinant a plain cofactor expansion of its entries gives, and one
-    shared memo serves the principal submatrices of all 210 pairs."""
+    shared memo serves the principal submatrices of all 210 pairs.  The memo
+    holds an n x n block's determinant in integers, times s^n for the table's
+    common denominator s."""
     corners = RateQuery(LINEAR, mu=1.0).corners()
     table = MinorTable(LINEAR, [corners])
     for group in enumerations("second-order-hessian"):
@@ -309,7 +311,88 @@ def test_memoised_det_matches_plain_cofactor(enumerations):
     for key, det in memo.items():
         n = math.isqrt(len(key))
         matrix = [[table._entries[eid] for eid in key[r * n:(r + 1) * n]] for r in range(n)]
-        assert det == _cofactor_det(matrix), key
+        assert table._expr(det.items(), table._scale ** n) == _cofactor_det(matrix), key
+
+
+def _curved_entry(rng, entry):
+    """entry plus lambda and theta, each times a random term free of them."""
+    return (entry + LAM * random_expr(rng, max_terms=1, allow_gamma=False)
+            + THETA * random_expr(rng, max_terms=1, allow_gamma=False))
+
+
+def _with_curvature(pair, rng):
+    """The pair with lambda and theta added affinely to every diagonal entry."""
+    def curved(matrix):
+        return tuple(tuple(_curved_entry(rng, e) if i == j else e for j, e in enumerate(row))
+                     for i, row in enumerate(matrix))
+    return PQPair(curved(pair.P), curved(pair.Q), has_gap=True)
+
+
+def _with_new_first_row(pair, rng, extra=ZERO):
+    """The pair with the first row and column of P and Q drawn afresh, extra
+    added to their (1, 1) entries.  Every other entry is kept, so the
+    cofactor expansion along the first row meets the sub-blocks of pair."""
+    def redrawn(matrix):
+        rows = [list(row) for row in matrix]
+        for j in range(len(rows)):
+            rows[0][j] = rows[j][0] = random_expr(rng)
+        rows[0][0] = _curved_entry(rng, rows[0][0]) + extra
+        return tuple(map(tuple, rows))
+    return PQPair(redrawn(pair.P), redrawn(pair.Q), has_gap=True)
+
+
+def _check_table_against_reference(table, pair, gamma, corners, where):
+    """The table's minors of pair are the Fraction reference's, with their term tables."""
+    conds, = table.conditions(pair, [corners])
+    assert conds.minors == _reference_psd_minors(pair, gamma, corners), where
+    assert conds.terms == tuple(itertools.chain.from_iterable(
+        float_terms(m, ("k",)) for m in conds.minors)), where
+
+
+@pytest.mark.parametrize("mu, L", [(1.0, 4.0), (0.5, 9.0), (0.3, 7.1)])
+def test_integer_kernel_matches_fraction_reference(mu, L):
+    """One MinorTable over a run of random pairs gives each the minors of the
+    Fraction reference, and their float term tables.  The run is dyadic
+    pairs, then a pair whose 1/3 coefficient makes the table's common
+    denominator grow, then dyadic pairs that reuse the sub-determinants the
+    table built before it grew.  At (0.3, 7.1) the corners' denominator is
+    2^54, so the binding works on large integers."""
+    rng = random.Random(20251019)
+    gamma = LOG
+    corners = RateQuery(gamma, mu=mu, L=L).corners()
+    first = [_with_curvature(random_pair(rng), rng) for _ in range(4)]
+    with_third = _with_new_first_row(first[0], rng, extra=Expr.number(Fraction(1, 3)))
+    later = [_with_new_first_row(pair, rng) for pair in first]
+    table = MinorTable(gamma, [corners])
+    for i, pair in enumerate(first):
+        _check_table_against_reference(table, pair, gamma, corners, f"dyadic pair {i}")
+    assert table._scale % 3 and table._dets
+    _check_table_against_reference(table, with_third, gamma, corners, "pair with 1/3")
+    assert not table._scale % 3
+    for i, pair in enumerate(later):
+        _check_table_against_reference(table, pair, gamma, corners, f"later dyadic pair {i}")
+
+
+def test_minor_table_growing_its_denominator_keeps_equal_ints_apart():
+    """After the common denominator grows from 2 to 6, a / 3 scales to the same
+    integers that a did before; it must still come out as its own minor."""
+    table = MinorTable(LINEAR, [[(1.0, 1.0)]])
+    for p11 in (HALF * A, A, A * Fraction(1, 3), A * Fraction(1, 6)):
+        pair = PQPair(_sym_matrix(3, {(1, 1): p11}), _sym_matrix(5, {}), has_gap=True)
+        assert table.conditions(pair, [((1.0, 1.0),)])[0].minors == (p11,)
+
+
+@pytest.mark.parametrize("system", sorted(CATALOG))
+def test_integer_kernel_matches_fraction_reference_on_catalog(system, enumerations):
+    """Every catalog system at (0.3, 7.1), under each gamma form its catalog
+    rows use, through one table per system and gamma form."""
+    gammas = {row.query.gamma for row in catalog_rows(0.3, 7.1) if row.system == system}
+    for gamma in sorted(gammas, key=lambda g: g.name):
+        corners = RateQuery(gamma, mu=0.3, L=7.1).corners()
+        table = MinorTable(gamma, [corners])
+        for group in enumerations(system):
+            _check_table_against_reference(table, group.representative, gamma, corners,
+                                           f"{gamma.name}, group {group.group_id}")
 
 
 def test_no_minor_table_outlives_its_call(enumerations):
@@ -702,6 +785,20 @@ def test_batched_flags_keep_each_k_and_check():
         leading = isinstance(domain, AllPositive)
         assert compiled.feasible(ks, leading).tolist() == expected
         assert [feasible(conds, k, query, _compiled=compiled) for k in ks] == expected
+
+
+def test_tpower_tables_are_kept_per_grid():
+    """A condition set compiled again over the same grid reuses its t-power
+    table; another grid, even one with equal values, gets its own."""
+    conds = psd_conditions(damped_newton_winner(), LINEAR,
+                           RateQuery(LINEAR, mu=1.0, convex=True).corners())
+    for tgrid in (time_grid(AllPositive()), time_grid(Eventually(1e4)),
+                  time_grid(AllPositive())):
+        first, again = (compile_conditions(conds, {}, tgrid) for _ in range(2))
+        assert again.tpowers is first.tpowers
+        exps = conds.layouts[None].exps
+        assert np.array_equal(first.tpowers, tgrid[None, :] ** exps[:, None])
+    assert len(conds.tpower_cache) == 3
 
 
 def test_identically_zero_minor_survives_float_rounding():

@@ -74,6 +74,17 @@ def test_search_reproduces_golden_csv(tmp_path, fixture, argv, jobs):
     assert out.read_bytes() == (FIXTURES / fixture).read_bytes()
 
 
+# verify-catalog reports recorded before the minor kernel moved to integers;
+# a serial run must reproduce both the CSV and the table it prints.
+@pytest.mark.parametrize("mu, L, stem", [("1", "4", "catalog-mu1-L4"),
+                                         ("0.5", "9", "catalog-mu0.5-L9")])
+def test_verify_catalog_reproduces_golden_report(tmp_path, capsys, mu, L, stem):
+    out = tmp_path / "catalog.csv"
+    assert main(["--jobs", "1", "verify-catalog", "--mu", mu, "--L", L, "--out", str(out)]) == 0
+    assert out.read_bytes() == (FIXTURES / f"{stem}.csv").read_bytes()
+    assert capsys.readouterr().out == (FIXTURES / f"{stem}.out").read_text()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--spec", "second-order-hessian", "--param-grid", "zz=1", "--param", "b=0"],
      "parameter 'zz' is neither a free parameter of system second-order-hessian (a, b) "
@@ -273,6 +284,17 @@ def test_verify_catalog_mismatch_exit_code(monkeypatch):
 
 def test_unknown_catalog_name_is_usage_error():
     assert main(["simulate", "--spec", "no-such-system"]) == 1
+
+
+@pytest.mark.parametrize("command", ["search", "simulate", "dump-groups"])
+def test_unknown_system_error_is_plain_text(tmp_path, capsys, command):
+    argv = [command, "--spec", "nosuch"]
+    if command != "simulate":
+        argv += ["--out", str(tmp_path / "out.csv")]
+    assert main(["--jobs", "1"] + argv) == 1
+    assert capsys.readouterr().err == (
+        "error: unknown system 'nosuch' (catalog: ['damped-newton', 'first-order-hessian', "
+        "'generalized-nag', 'hessian-nag', 'nag', 'second-order-hessian'])\n")
 
 
 SPEC_TEMPLATE = ("name = broken\ncoeff_v1 = 0\ncoeff_v2 = 1\ncoeff_v3 = {v3}\n"
