@@ -10,16 +10,23 @@ linear map.  On a first-order mode, dx/dt = a(t) (x - x*), it is the scalar
 RK4 factor of a at the three stage times.  On a second-order mode the state is
 (x - x*, dx/dt) and the ODE matrix is the companion A = [[0, 1], [p, q]], with
 p = -stiffness/c5 and q = -damping/c5; the 2x2 step map is built from p and q
-directly, so each product with A costs 4 multiplies.  The maps are built
-vectorised over steps and modes, and each state is the prefix product of the
-maps before it applied to the start: np.cumprod for the scalar factors, an
-associative scan for the 2x2 maps.  The scheme is the classical one, without
-a Python call per stage or per step.
+directly, so each product with A costs 4 multiplies.  The stage coefficients
+are laid out stage-major, (3, steps, modes), so each stage is one contiguous
+block, and every coefficient keeps its natural broadcast shape: one without t
+stays a scalar or a row of modes.  When no coefficient depends on t, the maps
+are built once, at a steps-length of 1, and broadcast over the chunk; the
+same code builds them per step otherwise.  Each state is the prefix product
+of the maps before it applied to the start: np.cumprod for the scalar
+factors, an associative scan for the 2x2 maps.  The scheme is the classical
+one, without a Python call per stage or per step.
 
 The oracles here close the loop on the symbolic pipeline: along a trajectory
 the pair identity d/dt[e^gamma (p + f - f*)] + e^gamma q = 0 must hold exactly,
 with lambda and theta recovered pointwise from their defining identities, so
 any residual beyond discretization error indicates a wrong operation rule.
+What depends on the trajectory alone (the inner products <v_i, v_j>, the
+basis v1..v5 and the pointwise multipliers) is computed once per Trajectory,
+however many pairs are checked along it.
 """
 
 from __future__ import annotations
@@ -106,33 +113,71 @@ class Trajectory:
     gaps: np.ndarray = field(init=False)
     _inner: dict[tuple[int, int], np.ndarray] = field(init=False, repr=False,
                                                       default_factory=dict)
+    _basis: tuple[np.ndarray, ...] | None = field(init=False, repr=False, default=None)
+    _multipliers: tuple[np.ndarray, ...] | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         self.gaps = 0.5 * self.inner(1, 2)
 
     def inner(self, i: int, j: int) -> np.ndarray:
-        """<v_i, v_j> along the trajectory for i, j <= 4, computed once per (i, j).
+        """<v_i, v_j> along the trajectory for 1 <= i, j <= 5, computed once per (i, j).
 
-        v2 = E v1 and v4 = E v3 for the diagonal Hessian E, so each product is
-        an einsum "j,ij,ij->i" over the stored states, x - x* and dx/dt,
-        weighted by the eigenvalues to the power of how many of i, j are even.
-        Neither v2 nor v4 is built as an array, and x - x* is formed
-        STEP_CHUNK rows at a time.
+        v2 = E v1 and v4 = E v3 for the diagonal Hessian E, so each product of
+        v1..v4 is an einsum "j,ij,ij->i" over the stored states, x - x* and
+        dx/dt, weighted by the eigenvalues to the power of how many of i, j
+        are even.  Neither v2 nor v4 is built as an array, and x - x* is
+        formed STEP_CHUNK rows at a time, or not at all when x* is zero.
+        A product with v5 reads basis_vectors().
         """
+        if not (1 <= i <= 5 and 1 <= j <= 5):
+            raise ValueError(f"inner products need 1 <= i, j <= 5, got i={i!r}, j={j!r}")
         key = (min(i, j), max(i, j))
-        if key not in self._inner:
+        if key in self._inner:
+            return self._inner[key]
+        if key[1] == 5:
+            vs = self.basis_vectors()
+            out = np.einsum("ij,ij->i", vs[key[0] - 1], vs[4])
+        else:
+            xstar = self.objective.xstar
+            shifted = xstar.any()
             weights = self.objective.eigenvalues ** ((i - 1) % 2 + (j - 1) % 2)
             out = np.empty(len(self.times))
             for start in range(0, len(out), STEP_CHUNK):
                 rows = slice(start, start + STEP_CHUNK)
-                states = [self.xs[rows] - self.objective.xstar if k <= 2 else self.vs[rows]
-                          for k in key]
+                u = self.xs[rows] - xstar if shifted else self.xs[rows]
+                states = [u if k <= 2 else self.vs[rows] for k in key]
                 out[rows] = np.einsum("j,ij,ij->i", weights, *states)
-            self._inner[key] = out
-        return self._inner[key]
+        self._inner[key] = out
+        return out
+
+    def pointwise_multipliers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """lambda(t), theta(t) from their defining identities, plus a validity mask.
+
+        lambda: f* - f - <grad f, x* - x> = lambda/2 ||x - x*||^2
+        theta:  <hess f dx/dt, dx/dt> = theta ||dx/dt||^2
+        Each multiplier is defined wherever its own denominator is nonzero; the
+        mask marks points where both are.  An undefined multiplier only ever
+        scales a vanishing quadratic term (lambda sits on the (1,1) diagonal,
+        theta on (3,3)), so the zero fill keeps evaluated forms exact.  Built
+        once per trajectory.
+        """
+        if self._multipliers is None:
+            n1, n3 = self.inner(1, 1), self.inner(3, 3)
+            bregman = -self.gaps + self.inner(1, 2)
+            ok1 = np.sqrt(n1) > 1e-12
+            ok3 = np.sqrt(n3) > 1e-12
+            lam = np.where(ok1, 2.0 * bregman / np.where(ok1, n1, 1.0), 0.0)
+            theta = np.where(ok3, self.inner(3, 4) / np.where(ok3, n3, 1.0), 0.0)
+            self._multipliers = lam, theta, ok1 & ok3
+        return self._multipliers
 
     def basis_vectors(self) -> tuple[np.ndarray, ...]:
-        """(v1..v5) arrays of shape (n, dim); v5 is recovered from the ODE."""
+        """(v1..v5) arrays of shape (n, dim), built once; v5 is recovered from the ODE."""
+        if self._basis is None:
+            self._basis = self._build_basis()
+        return self._basis
+
+    def _build_basis(self) -> tuple[np.ndarray, ...]:
         obj, eigs = self.objective, self.objective.eigenvalues
         v1 = self.xs - obj.xstar
         v2 = eigs * v1
@@ -176,9 +221,13 @@ def integrate(system: OdeSystemSpec, obj: QuadraticObjective, x0, v0,
     Each eigenmode advances by its own RK4 step maps, built STEP_CHUNK steps
     at a time: 2x2 companion-form maps for second-order systems
     (_companion_step_maps), scalar factors for first-order ones
-    (_scalar_step_maps).  Within a chunk, the state after step i is the prefix
-    product M_i ... M_0 of the maps applied to the chunk's first state;
-    second-order chunks get those products from _prefix_products.
+    (_scalar_step_maps).  The coefficients are evaluated at the stage times,
+    shape (3, steps, 1), and keep their natural broadcast shapes; the map
+    builders take them stage-major, (3, steps, modes), with steps 1 when no
+    coefficient depends on t, and the maps are then broadcast over the chunk.
+    Within a chunk, the state after step i is the prefix product M_i ... M_0
+    of the maps applied to the chunk's first state; second-order chunks get
+    those products from _prefix_products.
     """
     for name, value in (("t0", t0), ("t1", t1), ("dt", dt)):
         if not math.isfinite(value):
@@ -215,38 +264,58 @@ def integrate(system: OdeSystemSpec, obj: QuadraticObjective, x0, v0,
     vs = np.empty_like(us)
     us[0] = x0 - obj.xstar
     vs[0] = v0
+    stage_offsets = np.array([0.0, dt / 2, dt])[:, None]
     for start in range(0, n_steps, STEP_CHUNK):
         stop = min(start + STEP_CHUNK, n_steps)
-        # The stage times t, t + h/2, t + h of each step, in the order RK4 visits them.
-        stage = times[start:stop, None] + np.array([0.0, dt / 2, dt])
+        chunk = (stop - start, len(eigs))
+        # The stage times t, t + h/2, t + h of each step, stage-major: (3, steps).
+        stage = times[start:stop] + stage_offsets
         t = stage[..., None]  # against the modes
         c = [evaluate(b, t) for b in coeffs]
-        zero = np.zeros(stage.shape + eigs.shape)
-        stiffness = zero + c[0] + c[1] * eigs
-        damping = zero + c[2] + c[3] * eigs
+        stiffness = c[0] + c[1] * eigs
+        damping = c[2] + c[3] * eigs
         if system.second_order:
             inertia = c[4]
-            _check_mass(stage, np.broadcast_to(inertia, t.shape), "coefficient c5")
-            prefix = _prefix_products(_companion_step_maps(-stiffness / inertia,
-                                                           -damping / inertia, dt))
+            _check_mass(stage, inertia, "coefficient c5")
+            p, q = _stage_major(-stiffness / inertia, -damping / inertia)
+            maps = _companion_step_maps(p, q, dt)
+            prefix = _prefix_products(np.broadcast_to(maps, (2, 2) + chunk))
             us[start + 1:stop + 1] = prefix[0, 0] * us[start] + prefix[0, 1] * vs[start]
             vs[start + 1:stop + 1] = prefix[1, 0] * us[start] + prefix[1, 1] * vs[start]
         else:
             _check_mass(stage, damping, "matrix c3 + c4*e")
-            a = -stiffness / damping  # dx/dt = a (x - x*)
-            us[start + 1:stop + 1] = us[start] * np.cumprod(_scalar_step_maps(a, dt), axis=0)
-            vs[start:stop] = a[:, 0] * us[start:stop]
-            vs[stop] = a[-1, 2] * us[stop]
+            (a,) = _stage_major(-stiffness / damping)  # dx/dt = a (x - x*)
+            factors = np.broadcast_to(_scalar_step_maps(a, dt), chunk)
+            us[start + 1:stop + 1] = us[start] * np.cumprod(factors, axis=0)
+            vs[start:stop] = a[0] * us[start:stop]
+            vs[stop] = a[2, -1] * us[stop]
 
     us += obj.xstar
     return Trajectory(system, obj, params, times, us, vs)
 
 
-def _check_mass(stage: np.ndarray, mass: np.ndarray, name: str) -> None:
-    """Raise at the first stage time where some mode's mass vanishes."""
-    singular = np.min(np.abs(mass), axis=-1) < 1e-12
+def _stage_major(*coeffs) -> list[np.ndarray]:
+    """The stage coefficients broadcast to one (3, steps, modes) shape.
+
+    steps is 1 when none of them depends on t: a coefficient without t has
+    the shape of a scalar or of a row of modes, and is not repeated.
+    """
+    shape = np.broadcast_shapes((3, 1, 1), *(np.shape(c) for c in coeffs))
+    return [np.broadcast_to(c, shape) for c in coeffs]
+
+
+def _check_mass(stage: np.ndarray, mass, name: str) -> None:
+    """Raise at the first stage time where some mode's mass vanishes.
+
+    First means in the order RK4 visits them: step by step, and stage by
+    stage within a step.  stage holds the stage times, shape (3, steps); mass
+    broadcasts against (3, steps, modes).
+    """
+    singular = np.abs(mass) < 1e-12
     if singular.any():
-        t = stage.ravel()[np.argmax(singular.ravel())]
+        shape = np.broadcast_shapes(np.shape(singular), stage.shape + (1,))
+        at = np.broadcast_to(singular, shape).any(axis=-1)
+        t = stage.T[at.T][0]
         raise SingularMassMatrixError(f"mass {name} is singular at t={t:.6g}")
 
 
@@ -254,8 +323,9 @@ def _companion_step_maps(p: np.ndarray, q: np.ndarray, h: float) -> np.ndarray:
     """Classical RK4 step maps of du/dt = A(t) u for the companion A = [[0, 1], [p, q]].
 
     p and q hold A's second row at the stage times t, t + h/2, t + h of each
-    step, with shape (steps, 3, modes).  The step u -> M u has
-    M = I + h/6 (K1 + 2 K2 + 2 K3 + K4), where K1 = A(t),
+    step, stage-major with shape (3, steps, modes), so each stage p[s] is one
+    contiguous block; steps is 1 for maps that do not depend on t.  The step
+    u -> M u has M = I + h/6 (K1 + 2 K2 + 2 K3 + K4), where K1 = A(t),
     K2 = A(t + h/2)(I + h/2 K1), K3 = A(t + h/2)(I + h/2 K2) and
     K4 = A(t + h)(I + h K3).  A product A B with a companion A is row 1 of B
     over p * (row 0 of B) + q * (row 1 of B): 4 multiplies, not 8.  The
@@ -267,27 +337,28 @@ def _companion_step_maps(p: np.ndarray, q: np.ndarray, h: float) -> np.ndarray:
         return 1 + c * k[0], c * k[1], c * k[2], 1 + c * k[3]
 
     def times_a(stage, b):  # A B, with A taken at the given stage time
-        ps, qs = p[:, stage], q[:, stage]
+        ps, qs = p[stage], q[stage]
         return b[2], b[3], ps * b[0] + qs * b[2], ps * b[1] + qs * b[3]
 
-    k1 = (0.0, 1.0, p[:, 0], q[:, 0])
+    k1 = (0.0, 1.0, p[0], q[0])
     k2 = times_a(1, eye_plus(h / 2, k1))
     k3 = times_a(1, eye_plus(h / 2, k2))
     k4 = times_a(2, eye_plus(h, k3))
     m = eye_plus(h / 6, [a + 2 * b + 2 * c + d for a, b, c, d in zip(k1, k2, k3, k4)])
-    return np.array(m).reshape(2, 2, len(p), p.shape[-1])
+    return np.array(m).reshape((2, 2) + p.shape[1:])
 
 
 def _scalar_step_maps(a: np.ndarray, h: float) -> np.ndarray:
     """Classical RK4 step factors of du/dt = a(t) u, shape (steps, modes).
 
-    a holds the stage values at t, t + h/2, t + h of each step, with shape
-    (steps, 3, modes); the stages are those of _companion_step_maps, 1x1.
+    a holds the stage values at t, t + h/2, t + h of each step, stage-major
+    with shape (3, steps, modes); the stages are those of _companion_step_maps,
+    1x1.
     """
-    k1 = a[:, 0]
-    k2 = a[:, 1] * (1 + h / 2 * k1)
-    k3 = a[:, 1] * (1 + h / 2 * k2)
-    k4 = a[:, 2] * (1 + h * k3)
+    k1 = a[0]
+    k2 = a[1] * (1 + h / 2 * k1)
+    k3 = a[1] * (1 + h / 2 * k2)
+    k4 = a[2] * (1 + h * k3)
     return 1 + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
@@ -356,25 +427,6 @@ def measure_rate(traj: Trajectory, gamma: GammaForm, params: Mapping[str, float]
 # -- conservation oracle -----------------------------------------------------------
 
 
-def pointwise_multipliers(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """lambda(t), theta(t) from their defining identities, plus a validity mask.
-
-    lambda: f* - f - <grad f, x* - x> = lambda/2 ||x - x*||^2
-    theta:  <hess f dx/dt, dx/dt> = theta ||dx/dt||^2
-    Each multiplier is defined wherever its own denominator is nonzero; the
-    returned mask marks points where both are.  An undefined multiplier only
-    ever scales a vanishing quadratic term (lambda sits on the (1,1) diagonal,
-    theta on (3,3)), so the zero fill keeps evaluated forms exact.
-    """
-    n1, n3 = traj.inner(1, 1), traj.inner(3, 3)
-    bregman = -traj.gaps + traj.inner(1, 2)
-    ok1 = np.sqrt(n1) > 1e-12
-    ok3 = np.sqrt(n3) > 1e-12
-    lam = np.where(ok1, 2.0 * bregman / np.where(ok1, n1, 1.0), 0.0)
-    theta = np.where(ok3, traj.inner(3, 4) / np.where(ok3, n3, 1.0), 0.0)
-    return lam, theta, ok1 & ok3
-
-
 def _quadratic_form(matrix_entry, dim: int, gamma: GammaForm, params: Mapping[str, float],
                     t: np.ndarray, lam: np.ndarray, theta: np.ndarray, inner) -> np.ndarray:
     """sum over i <= j <= dim of (2 - [i = j]) * entry(i, j)(t) * inner(i, j)."""
@@ -395,31 +447,34 @@ def _egamma(gamma: GammaForm, traj: Trajectory, params: Mapping[str, float]) -> 
     return np.exp(np.asarray(gamma.value(traj.times, dict(params)), dtype=float))
 
 
+def _p_form_plus_gap(pair: PQPair, gamma: GammaForm, traj: Trajectory,
+                     params: Mapping[str, float]) -> np.ndarray:
+    lam, theta, _mask = traj.pointwise_multipliers()
+    return _quadratic_form(pair.p_entry, 3, gamma, params, traj.times, lam, theta,
+                           traj.inner) + traj.gaps
+
+
 def pair_energy(pair: PQPair, gamma: GammaForm, traj: Trajectory,
                 params: Mapping[str, float]) -> np.ndarray:
     """E(t) = e^gamma (p-form + gap) along a trajectory, lambda and theta pointwise.
 
-    Every inner product is Trajectory.inner, so the basis is never built.
+    Every inner product it reads is Trajectory.inner of v1..v4, so the basis
+    is never built.
     """
-    lam, theta, _mask = pointwise_multipliers(traj)
-    p_form = _quadratic_form(pair.p_entry, 3, gamma, params, traj.times, lam, theta, traj.inner)
-    return _egamma(gamma, traj, params) * (p_form + traj.gaps)
+    return _egamma(gamma, traj, params) * _p_form_plus_gap(pair, gamma, traj, params)
 
 
 def pair_forms_on_trajectory(pair: PQPair, gamma: GammaForm, traj: Trajectory,
                              params: Mapping[str, float]):
     """Arrays E(t) (pair_energy), e^gamma q-form and the multipliers' validity mask.
 
-    Only the products with v5 read Trajectory.basis_vectors().
+    Only the products with v5 read Trajectory.basis_vectors(); e^gamma is
+    evaluated once for both forms.
     """
-    lam, theta, mask = pointwise_multipliers(traj)
-    vs = traj.basis_vectors()
-
-    def inner(i, j):
-        return traj.inner(i, j) if j < 5 else np.einsum("ij,ij->i", vs[i - 1], vs[4])
-
-    q_form = _quadratic_form(pair.q_entry, 5, gamma, params, traj.times, lam, theta, inner)
-    return pair_energy(pair, gamma, traj, params), _egamma(gamma, traj, params) * q_form, mask
+    lam, theta, mask = traj.pointwise_multipliers()
+    egamma = _egamma(gamma, traj, params)
+    q_form = _quadratic_form(pair.q_entry, 5, gamma, params, traj.times, lam, theta, traj.inner)
+    return egamma * _p_form_plus_gap(pair, gamma, traj, params), egamma * q_form, mask
 
 
 def conservation_check(pair: PQPair, gamma: GammaForm, traj: Trajectory,

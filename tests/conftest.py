@@ -1,6 +1,8 @@
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +73,17 @@ def lyapunov_increases():
     from lyapsearch.lyapunov import CATALOG as LCAT, monotonicity_check
 
     return {name: monotonicity_check(name, mu=1.0, L=4.0) for name in LCAT}
+
+
+@pytest.fixture(scope="session")
+def oracle_golden():
+    """Oracle values recorded as float.hex before the RK4 maps went stage-major.
+
+    monotonicity: per certificate, monotonicity_check at each (mu, L) of
+    points.  conservation: per system, conservation_check of each sequence on
+    that system's crosscheck run at L = 4 and step dt.
+    """
+    return json.loads((Path(__file__).parent / "fixtures" / "oracle-golden.json").read_text())
 
 
 @pytest.fixture(scope="session")

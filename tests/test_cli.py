@@ -342,6 +342,17 @@ def test_restart_csv_matches_recorded_bytes(tmp_path):
     assert out.read_bytes() == fixture.read_bytes()
 
 
+def test_simulate_csv_matches_recorded_bytes(tmp_path):
+    # Every coefficient of this run is free of t, so its RK4 maps are built
+    # once per chunk and broadcast; the fixture was written by the per-step
+    # build that this path replaced.
+    out = tmp_path / "simulate.csv"
+    assert main(["simulate", "--spec", "second-order-hessian", "--param", "a=2", "--param", "b=0",
+                 "--mu", "1", "--L", "4", "--t1", "20", "--dt", "0.01", "--csv", str(out)]) == 0
+    fixture = FIXTURES / "simulate-second-order-hessian-a2-b0.csv"
+    assert out.read_bytes() == fixture.read_bytes()
+
+
 def test_dump_groups(tmp_path):
     out = tmp_path / "groups.csv"
     assert main(["dump-groups", "--spec", "generalized-nag", "--out", str(out)]) == 0

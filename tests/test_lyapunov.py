@@ -11,6 +11,15 @@ def test_catalog_has_nine_entries():
     assert len(CATALOG) == 9
 
 
+def test_monotonicity_values_match_recorded_bits(oracle_golden, lyapunov_increases):
+    assert list(oracle_golden["monotonicity"]) == list(CATALOG)
+    for name, recorded in oracle_golden["monotonicity"].items():
+        for (mu, L), expected in zip(oracle_golden["points"], recorded, strict=True):
+            value = (lyapunov_increases[name] if (mu, L) == (1.0, 4.0)
+                     else monotonicity_check(name, mu=mu, L=L))
+            assert value.hex() == expected, (name, mu, L)
+
+
 def test_all_certificates_non_increasing(lyapunov_increases):
     for name, increase in lyapunov_increases.items():
         assert increase <= 1e-8, f"{name}: {increase:+.3e}"

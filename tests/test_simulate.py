@@ -8,8 +8,8 @@ from lyapsearch.pq import PQPair, _sym_matrix, apply_sequence, initial_pair
 from lyapsearch.sequences import generate_sequences
 from lyapsearch.simulate import (STEP_CHUNK, QuadraticObjective, SimulationError,
                                  SingularMassMatrixError, Trajectory, _companion_step_maps,
-                                 _prefix_products, _scalar_step_maps, conservation_check,
-                                 integrate, measure_rate, pair_energy)
+                                 _prefix_products, _scalar_step_maps, _stage_major,
+                                 conservation_check, integrate, measure_rate, pair_energy)
 from lyapsearch.systems import CATALOG, load_system
 
 from conftest import naive_eval, random_expr, random_pair
@@ -126,11 +126,11 @@ def test_prefix_products_match_sequential_products(steps):
 
 
 def _generic_step_maps(a, h):
-    """RK4 step maps of du/dt = A(t) u by full k x k products; a is (k, k, steps, 3, modes)."""
+    """RK4 step maps of du/dt = A(t) u by full k x k products; a is (k, k, 3, steps, modes)."""
     def matmul(x, y):
         return np.einsum("ij...,jk...->ik...", x, y)
 
-    a0, ah, a1 = a[..., 0, :], a[..., 1, :], a[..., 2, :]
+    a0, ah, a1 = a[:, :, 0], a[:, :, 1], a[:, :, 2]
     eye = np.eye(len(a))[:, :, None, None]
     k2 = matmul(ah, eye + h / 2 * a0)
     k3 = matmul(ah, eye + h / 2 * k2)
@@ -140,14 +140,35 @@ def _generic_step_maps(a, h):
 
 def test_step_maps_match_the_generic_rk4_expansion():
     # The specialised maps only drop products with A's exact 0 and 1 entries.
+    # Stage-major coefficients: (3 stages, 64 steps, 5 modes).
     rng = np.random.default_rng(7)
-    p, q = -rng.uniform(0.5, 4.0, (2, 64, 3, 5))
+    p, q = -rng.uniform(0.5, 4.0, (2, 3, 64, 5))
     h = 1e-2
     zero = np.zeros_like(p)
     companion = _generic_step_maps(np.array([[zero, zero + 1.0], [p, q]]), h)
     np.testing.assert_allclose(_companion_step_maps(p, q, h), companion, rtol=1e-15, atol=0)
     np.testing.assert_allclose(_scalar_step_maps(q, h), _generic_step_maps(q[None, None], h)[0, 0],
                                rtol=1e-15, atol=0)
+
+
+def test_maps_built_once_equal_maps_built_per_step():
+    # Coefficients without t keep the shape of a row of modes; their maps are
+    # built at a steps-length of 1 and broadcast over the chunk.
+    rng = np.random.default_rng(11)
+    p, q = -rng.uniform(0.5, 4.0, (2, 5))
+    h, chunk = 1e-2, (2, 2, 64, 5)
+    once = _stage_major(p, q)
+    assert [c.shape for c in once] == [(3, 1, 5)] * 2
+    # One coefficient with t gives both the full steps axis.
+    assert [c.shape for c in _stage_major(p, q / np.ones((3, 64, 1)))] == [(3, 64, 5)] * 2
+    per_step = [np.broadcast_to(c, (3, 64, 5)).copy() for c in (p, q)]
+    assert np.array_equal(np.broadcast_to(_companion_step_maps(*once, h), chunk),
+                          _companion_step_maps(*per_step, h))
+    assert np.array_equal(np.broadcast_to(_scalar_step_maps(once[1], h), chunk[2:]),
+                          _scalar_step_maps(per_step[1], h))
+    # A prefix scan over the broadcast maps reads them like stored ones.
+    assert np.array_equal(_prefix_products(np.broadcast_to(_companion_step_maps(*once, h), chunk)),
+                          _prefix_products(_companion_step_maps(*per_step, h)))
 
 
 def test_integrate_matches_reference_on_spec_system(tmp_path):
@@ -305,6 +326,23 @@ def test_singular_mass_at_half_step_detected(tmp_path):
     with pytest.raises(SingularMassMatrixError, match=r"t=0\.25$"):
         integrate(load_system(path), obj, np.ones(1), np.zeros(1),
                   t0=0.0, t1=1.0, dt=0.5, params={"b": -2.0})
+
+
+def test_singular_mass_names_the_earliest_stage_in_visiting_order(tmp_path):
+    # The mass (1 - 2t)(1 - 4t) vanishes at t = 0.25, the midpoint of the
+    # first step, and at t = 0.5, where the second step starts.  RK4 visits
+    # 0.25 first, though the stage-major layout stores every step's start
+    # before any midpoint.
+    path = tmp_path / "two-zeros.txt"
+    path.write_text("name = two-zeros\n"
+                    "coeff_v1 = 0\n"
+                    "coeff_v2 = 1\n"
+                    "coeff_v3 = 1\n"
+                    "coeff_v4 = -6*t^1 + 8*t^2\n"
+                    "coeff_v5 = 0\n")
+    obj = QuadraticObjective([1.0], np.zeros(1))
+    with pytest.raises(SingularMassMatrixError, match=r"t=0\.25$"):
+        integrate(load_system(path), obj, np.ones(1), np.zeros(1), t0=0.0, t1=1.0, dt=0.5)
 
 
 def test_vanishing_second_order_mass_detected(tmp_path):
@@ -482,3 +520,79 @@ def test_nag_convex_polynomial_rate():
                      t0=1.0, t1=60.0, dt=2e-3, params={"r": 3.0})
     fit = measure_rate(traj, LOG, {"k": 1.0}, window=(20.0, 60.0))
     assert fit.k >= 2.0 - 0.1
+
+
+# -- oracle arrays once per trajectory ---------------------------------------------
+
+# The conservation runs of the crosscheck benchmark workload at L = 4.
+_CONSERVATION_RUNS = {
+    "first-order-hessian": (LINEAR, {"k": 0.5, "b": 0.5}, (1.0, 5.0)),
+    "damped-newton": (LINEAR, {"k": 1.0}, (1.0, 5.0)),
+    "nag": (LOG, {"k": 2.0, "r": 3.0}, (1.0, 6.0)),
+}
+
+
+def _conservation_run(name, dt=1e-3):
+    system = CATALOG[name]
+    _gamma, params, (t0, t1) = _CONSERVATION_RUNS[name]
+    return integrate(system, QuadraticObjective.log_spaced(10, 1.0, 4.0), np.ones(10),
+                     np.zeros(10), t0=t0, t1=t1, dt=dt,
+                     params={p: params[p] for p in system.free_params})
+
+
+def test_conservation_values_match_recorded_bits(oracle_golden):
+    assert list(oracle_golden["conservation"]) == list(_CONSERVATION_RUNS)
+    for name, recorded in oracle_golden["conservation"].items():
+        gamma, params, _span = _CONSERVATION_RUNS[name]
+        traj = _conservation_run(name, oracle_golden["dt"])
+        for ops, expected in zip(oracle_golden["sequences"], recorded, strict=True):
+            pair = apply_sequence(initial_pair(CATALOG[name]), tuple(ops))
+            assert conservation_check(pair, gamma, traj, params).hex() == expected, (name, ops)
+
+
+def test_inner_serves_every_product_up_to_v5():
+    traj = _conservation_run("nag")
+    v = traj.basis_vectors()
+    for i in range(1, 6):
+        for j in range(1, 6):
+            expected = np.einsum("ij,ij->i", v[i - 1], v[j - 1])
+            np.testing.assert_allclose(traj.inner(i, j), expected, rtol=0,
+                                       atol=1e-12 * np.abs(expected).max())
+    # <v1, v5> is its own product, not <v1, v3>.
+    assert not np.allclose(traj.inner(1, 5), traj.inner(1, 3))
+    assert traj.inner(5, 1) is traj.inner(1, 5)
+
+
+@pytest.mark.parametrize("i, j", [(0, 0), (0, 1), (1, 6), (6, 6), (-1, 2)])
+def test_inner_rejects_indices_outside_one_to_five(i, j):
+    traj = _conservation_run("damped-newton")
+    with pytest.raises(ValueError, match="1 <= i, j <= 5"):
+        traj.inner(i, j)
+
+
+def test_conservation_checks_build_the_basis_once(monkeypatch):
+    rng = random.Random(16)
+    sequences = [seq.ops() for seq in rng.sample(generate_sequences(), 10)]
+    gamma, params, _span = _CONSERVATION_RUNS["nag"]
+    builds = []
+    build = Trajectory._build_basis
+    monkeypatch.setattr(Trajectory, "_build_basis",
+                        lambda traj: builds.append(traj) or build(traj))
+    shared = _conservation_run("nag")
+    pairs = [apply_sequence(initial_pair(CATALOG["nag"]), ops) for ops in sequences]
+    values = [conservation_check(pair, gamma, shared, params) for pair in pairs]
+    assert builds == [shared]
+    for pair, value in zip(pairs, values):
+        assert conservation_check(pair, gamma, _conservation_run("nag"), params) == value
+
+
+def test_pair_energy_alone_never_builds_the_basis(monkeypatch):
+    def refuse(traj):
+        raise AssertionError("basis built")
+
+    monkeypatch.setattr(Trajectory, "_build_basis", refuse)
+    gamma, params, _span = _CONSERVATION_RUNS["nag"]
+    traj = _conservation_run("nag")
+    pair = apply_sequence(initial_pair(CATALOG["nag"]), ("A1", "B1", "B2", "B3"))
+    assert np.isfinite(pair_energy(pair, gamma, traj, params)).all()
+    assert set(traj._inner) <= {(i, j) for i in range(1, 4) for j in range(i, 5)}
