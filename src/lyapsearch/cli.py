@@ -156,10 +156,9 @@ def _open_out(path):
     return open(path, "w", newline="") if path else sys.stdout
 
 
-def _check_search_params(args, system, gamma) -> None:
-    """Every --param and --param-grid name is a free parameter of the system or
-    of the gamma form, and is given once."""
-    names = [name for name, _value in args.param] + [name for name, _values in args.param_grid]
+def _check_params(names, system, gamma) -> None:
+    """Every parameter name given on the command line is a free parameter of the
+    system or of the gamma form, and is given once."""
     known = system.free_params | gamma.params
     for name in names:
         if name not in known:
@@ -169,13 +168,13 @@ def _check_search_params(args, system, gamma) -> None:
                 f"gamma form ({', '.join(sorted(gamma.params)) or 'none'})")
     for name in names:
         if names.count(name) > 1:
-            raise ValueError(f"parameter {name!r} is given more than once "
-                             f"by --param and --param-grid")
+            raise ValueError(f"parameter {name!r} is given more than once")
 
 
 def _cmd_search(args) -> int:
     system = resolve_system(args.spec)
-    _check_search_params(args, system, GAMMA_FORMS[args.gamma])
+    _check_params([name for name, _ in args.param + args.param_grid], system,
+                  GAMMA_FORMS[args.gamma])
     query = analysis.RateQuery(
         gamma=GAMMA_FORMS[args.gamma], mu=args.mu, L=args.L, convex=args.convex,
         params=dict(args.param), grid={n: v for n, v in args.param_grid},
@@ -226,11 +225,12 @@ def _cmd_verify_catalog(args) -> int:
 
 def _cmd_simulate(args) -> int:
     system = resolve_system(args.spec)
+    gamma = GAMMA_FORMS[args.gamma]
+    _check_params([name for name, _ in args.param], system, gamma)
     obj = sim.QuadraticObjective.log_spaced(args.dim, args.mu, args.L)
     params = dict(args.param)
     traj = sim.integrate(system, obj, np.ones(args.dim), np.zeros(args.dim),
                          t0=args.t0, t1=args.t1, dt=args.dt, params=params)
-    gamma = GAMMA_FORMS[args.gamma]
     fit = sim.measure_rate(traj, gamma, {**params, "k": 1.0})
     print(f"fitted k = {fit.k:.6g} (residual {fit.residual:.3g}, "
           f"window {fit.window[0]:.3g}..{fit.window[1]:.3g})")

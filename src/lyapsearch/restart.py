@@ -10,8 +10,9 @@ yields global linear convergence whenever the per-round factor is below one.
 
 On a quadratic objective every round integrates the same linear ODE over the
 same window, one decoupled mode per eigenvalue, so a round is a fixed 2x2 map
-per mode on (x - x*, dx/dt).  run_restart integrates that map's two columns
-once and applies it round after round.
+per mode on (x, dx/dt): the objective's minimiser sits at the origin, with
+f* = 0, so x is the offset x - x*.  run_restart integrates that map's two
+columns once and applies it round after round.
 """
 
 from __future__ import annotations
@@ -110,17 +111,17 @@ class RestartReport:
 
 
 def merit(spec: RestartSpec, obj: QuadraticObjective, x: np.ndarray, v: np.ndarray) -> float:
-    shift = v + spec.l * math.sqrt(spec.mu) * (x - obj.xstar)
-    return obj.value(x) - obj.fstar + 0.5 * float(np.dot(shift, shift))
+    shift = v + spec.l * math.sqrt(spec.mu) * x
+    return obj.value(x) + 0.5 * float(np.dot(shift, shift))
 
 
 def run_restart(spec: RestartSpec) -> RestartReport:
     """Apply each mode's round map spec.rounds times, resetting only the clock.
 
-    A round takes (x - x*, dx/dt) at clock T/c to its value at clock T, the
-    same linear map every round.  Its columns are the ends of two integrations
-    over [T/c, T], started from the unit states (x - x* = 1, dx/dt = 0) and
-    (x - x* = 0, dx/dt = 1) in every mode at once.
+    A round takes (x, dx/dt) at clock T/c to its value at clock T, the same
+    linear map every round.  Its columns are the ends of two integrations over
+    [T/c, T], started from the unit states (x = 1, dx/dt = 0) and
+    (x = 0, dx/dt = 1) in every mode at once.
     """
     if round_factor_bound(spec.c, spec.l) > 1.0:
         warnings.warn("the (c, l) pair does not guarantee contraction", stacklevel=2)
@@ -130,8 +131,7 @@ def run_restart(spec: RestartSpec) -> RestartReport:
     x = np.ones(spec.dim) if spec.x0 is None else np.asarray(spec.x0, dtype=float)
     v = np.zeros(spec.dim) if spec.v0 is None else np.asarray(spec.v0, dtype=float)
 
-    # log_spaced puts x* at the origin, so x is the mode state x - x*.  Column
-    # j of each mode's round map is where the unit state e_j ends up.
+    # Column j of each mode's round map is where the unit state e_j ends up.
     ones, zeros = np.ones(spec.dim), np.zeros(spec.dim)
     window = {"t0": spec.T / spec.c, "t1": spec.T, "dt": spec.dt, "params": params}
     from_x = integrate(system, obj, ones, zeros, **window)

@@ -6,11 +6,13 @@ Second-order systems integrate the state (x, dx/dt); first-order systems carry
 x alone and solve the (possibly Hessian-weighted) mass matrix for dx/dt.
 The objective's Hessian is diagonal, so each eigenmode obeys a linear ODE
 whose coefficients depend on t alone, and one RK4 step on a mode is a fixed
-linear map.  On a first-order mode, dx/dt = a(t) (x - x*), it is the scalar
-RK4 factor of a at the three stage times.  On a second-order mode the state is
-(x - x*, dx/dt) and the ODE matrix is the companion A = [[0, 1], [p, q]], with
-p = -stiffness/c5 and q = -damping/c5; the 2x2 step map is built from p and q
-directly, so each product with A costs 4 multiplies.  The stage coefficients
+linear map.  The flows are translation-invariant, so the minimiser sits at
+the origin and x is each mode's offset from it.  On a first-order mode,
+dx/dt = a(t) x, the map is the scalar RK4 factor of a at the three stage
+times.  On a second-order mode the state is (x, dx/dt) and the ODE matrix is
+the companion A = [[0, 1], [p, q]], with p = -stiffness/c5 and
+q = -damping/c5; the 2x2 step map is built from p and q directly, so each
+product with A costs 4 multiplies.  The stage coefficients
 are laid out stage-major, (3, steps, modes), so each stage is one contiguous
 block, and every coefficient keeps its natural broadcast shape: one without t
 stays a scalar or a row of modes.  When no coefficient depends on t, the maps
@@ -21,7 +23,7 @@ factors, an associative scan for the 2x2 maps.  The scheme is the classical
 one, without a Python call per stage or per step.
 
 The oracles here close the loop on the symbolic pipeline: along a trajectory
-the pair identity d/dt[e^gamma (p + f - f*)] + e^gamma q = 0 must hold exactly,
+the pair identity d/dt[e^gamma (p + f)] + e^gamma q = 0 must hold exactly,
 with lambda and theta recovered pointwise from their defining identities, so
 any residual beyond discretization error indicates a wrong operation rule.
 What depends on the trajectory alone (the inner products <v_i, v_j>, the
@@ -52,29 +54,34 @@ class SingularMassMatrixError(SimulationError):
 
 @dataclass(frozen=True)
 class QuadraticObjective:
-    """f(x) = sum_i e_i (x_i - x*_i)^2 / 2 on eigenvalues e_i in [mu, L]."""
+    """f(x) = sum_i e_i x_i^2 / 2 on eigenvalues e_i in [mu, L], minimised at 0 with f* = 0.
+
+    The flows are translation-invariant, so the minimiser sits at the origin.
+    The eigenvalues form a nonempty 1-D array of finite, nonnegative values:
+    f is convex, as every pointwise multiplier assumes.
+    """
 
     eigenvalues: np.ndarray
-    xstar: np.ndarray
 
     @staticmethod
-    def log_spaced(dim: int, mu: float, L: float, xstar: np.ndarray | None = None):
+    def log_spaced(dim: int, mu: float, L: float):
         if dim < 1:
             raise ValueError(f"log-spaced eigenvalues need dim >= 1, got dim={dim!r}")
         if not 0 < mu <= L < math.inf:
             raise ValueError(f"log-spaced eigenvalues need 0 < mu <= L, L finite, "
                              f"got mu={mu!r}, L={L!r}")
-        eigs = np.geomspace(mu, L, dim) if mu < L else np.full(dim, mu)
-        return QuadraticObjective(eigs, np.zeros(dim) if xstar is None else xstar)
+        return QuadraticObjective(np.geomspace(mu, L, dim) if mu < L else np.full(dim, mu))
 
     def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", np.asarray(self.eigenvalues, dtype=float))
-        object.__setattr__(self, "xstar", np.asarray(self.xstar, dtype=float))
-        if self.xstar.shape != self.eigenvalues.shape:
-            raise SimulationError(f"xstar must have shape {self.eigenvalues.shape} to match the "
-                                  f"eigenvalues, got {self.xstar.shape}")
-        if not np.isfinite(self.xstar).all():
-            raise SimulationError(f"xstar must be finite, got {self.xstar}")
+        eigs = np.asarray(self.eigenvalues, dtype=float)
+        object.__setattr__(self, "eigenvalues", eigs)
+        if eigs.ndim != 1 or not eigs.size:
+            raise SimulationError(f"eigenvalues must be a nonempty 1-D array, "
+                                  f"got shape {eigs.shape}")
+        bad = eigs[~(np.isfinite(eigs) & (eigs >= 0))]
+        if bad.size:
+            raise SimulationError(f"eigenvalues must be finite and nonnegative, "
+                                  f"got {float(bad[0])!r}")
 
     @property
     def dim(self) -> int:
@@ -88,16 +95,11 @@ class QuadraticObjective:
     def L(self) -> float:
         return float(self.eigenvalues.max())
 
-    @property
-    def fstar(self) -> float:
-        return 0.0
-
     def value(self, x: np.ndarray) -> float:
-        d = x - self.xstar
-        return 0.5 * float(np.dot(self.eigenvalues * d, d))
+        return 0.5 * float(np.dot(self.eigenvalues * x, x))
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        return self.eigenvalues * (x - self.xstar)
+        return self.eigenvalues * x
 
 
 @dataclass
@@ -122,12 +124,11 @@ class Trajectory:
     def inner(self, i: int, j: int) -> np.ndarray:
         """<v_i, v_j> along the trajectory for 1 <= i, j <= 5, computed once per (i, j).
 
-        v2 = E v1 and v4 = E v3 for the diagonal Hessian E, so each product of
-        v1..v4 is an einsum "j,ij,ij->i" over the stored states, x - x* and
-        dx/dt, weighted by the eigenvalues to the power of how many of i, j
-        are even.  Neither v2 nor v4 is built as an array, and x - x* is
-        formed STEP_CHUNK rows at a time, or not at all when x* is zero.
-        A product with v5 reads basis_vectors().
+        v1 = x, v2 = E v1, v3 = dx/dt and v4 = E v3 for the diagonal Hessian
+        E, so each product of v1..v4 is one einsum "j,ij,ij->i" over xs and
+        vs, weighted by the eigenvalues to the power of how many of i, j are
+        even; neither v2 nor v4 is built as an array.  A product with v5
+        reads basis_vectors().
         """
         if not (1 <= i <= 5 and 1 <= j <= 5):
             raise ValueError(f"inner products need 1 <= i, j <= 5, got i={i!r}, j={j!r}")
@@ -138,22 +139,16 @@ class Trajectory:
             vs = self.basis_vectors()
             out = np.einsum("ij,ij->i", vs[key[0] - 1], vs[4])
         else:
-            xstar = self.objective.xstar
-            shifted = xstar.any()
             weights = self.objective.eigenvalues ** ((i - 1) % 2 + (j - 1) % 2)
-            out = np.empty(len(self.times))
-            for start in range(0, len(out), STEP_CHUNK):
-                rows = slice(start, start + STEP_CHUNK)
-                u = self.xs[rows] - xstar if shifted else self.xs[rows]
-                states = [u if k <= 2 else self.vs[rows] for k in key]
-                out[rows] = np.einsum("j,ij,ij->i", weights, *states)
+            states = [self.xs if k <= 2 else self.vs for k in key]
+            out = np.einsum("j,ij,ij->i", weights, *states)
         self._inner[key] = out
         return out
 
     def pointwise_multipliers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """lambda(t), theta(t) from their defining identities, plus a validity mask.
 
-        lambda: f* - f - <grad f, x* - x> = lambda/2 ||x - x*||^2
+        lambda: <grad f, x> - f = lambda/2 ||x||^2, the minimiser at 0 with f* = 0
         theta:  <hess f dx/dt, dx/dt> = theta ||dx/dt||^2
         Each multiplier is defined wherever its own denominator is nonzero; the
         mask marks points where both are.  An undefined multiplier only ever
@@ -178,8 +173,8 @@ class Trajectory:
         return self._basis
 
     def _build_basis(self) -> tuple[np.ndarray, ...]:
-        obj, eigs = self.objective, self.objective.eigenvalues
-        v1 = self.xs - obj.xstar
+        eigs = self.objective.eigenvalues
+        v1 = self.xs
         v2 = eigs * v1
         v3 = self.vs
         v4 = eigs * v3
@@ -211,12 +206,13 @@ def integrate(system: OdeSystemSpec, obj: QuadraticObjective, x0, v0,
 
     Systems whose coefficients carry negative powers of t need t0 > 0.  For
     first-order systems the state is x alone; dx/dt solves
-    (c3 I + c4 hess f) dx/dt = -(c1 (x - x*) + c2 grad f), and the mass matrix
+    (c3 I + c4 hess f) dx/dt = -(c1 x + c2 grad f), and the mass matrix
     must be nonsingular at every stage time; for second-order systems the mass
     is c5, which must not vanish at any stage time.
 
     x0 and v0 have one entry per eigenmode of obj; t0, t1, dt and the step
-    count (t1 - t0) / dt must be finite.
+    count (t1 - t0) / dt must be finite.  The minimiser sits at the origin, so
+    each mode's state is x itself, in and out.
 
     Each eigenmode advances by its own RK4 step maps, built STEP_CHUNK steps
     at a time: 2x2 companion-form maps for second-order systems
@@ -260,9 +256,9 @@ def integrate(system: OdeSystemSpec, obj: QuadraticObjective, x0, v0,
     n_steps = max(int(round((t1 - t0) / dt)), 1)
     times = t0 + dt * np.arange(n_steps + 1)
 
-    us = np.empty((n_steps + 1, len(eigs)))  # x - x*
-    vs = np.empty_like(us)
-    us[0] = x0 - obj.xstar
+    xs = np.empty((n_steps + 1, len(eigs)))
+    vs = np.empty_like(xs)
+    xs[0] = x0
     vs[0] = v0
     stage_offsets = np.array([0.0, dt / 2, dt])[:, None]
     for start in range(0, n_steps, STEP_CHUNK):
@@ -280,18 +276,16 @@ def integrate(system: OdeSystemSpec, obj: QuadraticObjective, x0, v0,
             p, q = _stage_major(-stiffness / inertia, -damping / inertia)
             maps = _companion_step_maps(p, q, dt)
             prefix = _prefix_products(np.broadcast_to(maps, (2, 2) + chunk))
-            us[start + 1:stop + 1] = prefix[0, 0] * us[start] + prefix[0, 1] * vs[start]
-            vs[start + 1:stop + 1] = prefix[1, 0] * us[start] + prefix[1, 1] * vs[start]
+            xs[start + 1:stop + 1] = prefix[0, 0] * xs[start] + prefix[0, 1] * vs[start]
+            vs[start + 1:stop + 1] = prefix[1, 0] * xs[start] + prefix[1, 1] * vs[start]
         else:
             _check_mass(stage, damping, "matrix c3 + c4*e")
-            (a,) = _stage_major(-stiffness / damping)  # dx/dt = a (x - x*)
+            (a,) = _stage_major(-stiffness / damping)  # dx/dt = a x
             factors = np.broadcast_to(_scalar_step_maps(a, dt), chunk)
-            us[start + 1:stop + 1] = us[start] * np.cumprod(factors, axis=0)
-            vs[start:stop] = a[0] * us[start:stop]
-            vs[stop] = a[2, -1] * us[stop]
-
-    us += obj.xstar
-    return Trajectory(system, obj, params, times, us, vs)
+            xs[start + 1:stop + 1] = xs[start] * np.cumprod(factors, axis=0)
+            vs[start:stop] = a[0] * xs[start:stop]
+            vs[stop] = a[2, -1] * xs[stop]
+    return Trajectory(system, obj, params, times, xs, vs)
 
 
 def _stage_major(*coeffs) -> list[np.ndarray]:

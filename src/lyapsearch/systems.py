@@ -82,18 +82,25 @@ def load_system(path: str | Path) -> OdeSystemSpec:
 
     Format: 'key = value' lines with keys name, coeff_v1..coeff_v5 and an
     optional 'params = [a, b]' list (informational; free parameters are
-    inferred from the coefficients).  '#' starts a comment.
+    inferred from the coefficients).  Each key appears at most once, and no
+    other key is allowed.  '#' starts a comment.
     """
+    keys = ("name", *(f"coeff_v{i}" for i in range(1, 6)), "params")
     fields: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+    for number, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"malformed line in {path}: {raw!r}")
-        key, value = line.split("=", 1)
-        fields[key.strip()] = value.strip()
-    missing = [k for k in ("name", *(f"coeff_v{i}" for i in range(1, 6))) if k not in fields]
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} on line {number} of {path} "
+                             f"(valid keys: {', '.join(keys)})")
+        if key in fields:
+            raise ValueError(f"repeated key {key!r} on line {number} of {path}")
+        fields[key] = value
+    missing = [k for k in keys[:-1] if k not in fields]
     if missing:
         raise ValueError(f"system file {path} is missing {missing}")
     coeffs = tuple(parse_expr(fields[f"coeff_v{i}"]) for i in range(1, 6))

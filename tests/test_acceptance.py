@@ -12,7 +12,7 @@ import numpy as np
 from lyapsearch.analysis import (RateQuery, Window, analyze_groups, bootstrap_rate_check,
                                  certified_time, grid_step_factor, verify_catalog)
 from lyapsearch.expr import LINEAR, LOG
-from lyapsearch.lyapunov import CATALOG as CERTIFICATES, monotonicity_check
+from lyapsearch.lyapunov import certified_rate, monotonicity_check
 from lyapsearch.pq import apply_sequence, initial_pair
 from lyapsearch.sequences import generate_sequences
 from lyapsearch.simulate import QuadraticObjective, conservation_check, integrate, measure_rate
@@ -166,7 +166,7 @@ def test_c08_negative_control():
     # (sc-nag would not do: its E stays non-increasing on quadratics for every
     # k <= (4/3) sqrt(mu), see test_lyapunov.)
     mu, L = 1.0, 4.0
-    k = 1.2 * CERTIFICATES["gradient-flow"].k_opt(mu, L)
+    k = 1.2 * certified_rate("gradient-flow", mu, L)
     increase = monotonicity_check("gradient-flow", mu=mu, L=L, k=k)
     passed = increase > 1e-4
     report(8, f"negative control (gradient-flow, k = {k / mu:g} mu)", passed,
@@ -188,8 +188,7 @@ def test_c09_empirical_rates(enumerations):
                      t0=0.0, t1=20.0, dt=1e-3, params={"a": 2.0, "b": 0.0})
     results["sc-nag"] = (measure_rate(traj, LINEAR, {"k": 1.0}).k, 1.0)
 
-    flat = QuadraticObjective(np.concatenate([[1e-6], np.geomspace(0.5, 4.0, 9)]),
-                              np.zeros(10))
+    flat = QuadraticObjective(np.concatenate([[1e-6], np.geomspace(0.5, 4.0, 9)]))
     traj = integrate(CATALOG["nag"], flat, np.ones(10), np.zeros(10),
                      t0=1.0, t1=60.0, dt=2e-3, params={"r": 3.0})
     results["nag-convex"] = (measure_rate(traj, LOG, {"k": 1.0}, window=(20.0, 60.0)).k, 2.0)

@@ -85,24 +85,33 @@ def test_verify_catalog_reproduces_golden_report(tmp_path, capsys, mu, L, stem):
     assert capsys.readouterr().out == (FIXTURES / f"{stem}.out").read_text()
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["--spec", "second-order-hessian", "--param-grid", "zz=1", "--param", "b=0"],
+@pytest.mark.parametrize("command, argv, message", [
+    ("search", ["--spec", "second-order-hessian", "--param-grid", "zz=1", "--param", "b=0"],
      "parameter 'zz' is neither a free parameter of system second-order-hessian (a, b) "
      "nor of the linear gamma form (none)"),
-    (["--spec", "second-order-hessian", "--param", "k=1"], "parameter 'k' is neither"),
-    (["--spec", "nag", "--param", "r=3", "--param", "alpha=0.5"],
+    ("search", ["--spec", "second-order-hessian", "--param", "k=1"], "parameter 'k' is neither"),
+    ("search", ["--spec", "nag", "--param", "r=3", "--param", "alpha=0.5"],
      "parameter 'alpha' is neither a free parameter of system nag (r)"),
-    (["--spec", "nag", "--param", "r=3", "--param-grid", "r=3,4"],
+    ("search", ["--spec", "nag", "--param", "r=3", "--param-grid", "r=3,4"],
      "parameter 'r' is given more than once"),
-    (["--spec", "second-order-hessian", "--param-grid", "a=1", "--param-grid", "a=2",
-      "--param", "b=0"], "parameter 'a' is given more than once"),
-    (["--spec", "nag", "--param", "r=3", "--param", "r=4"],
+    ("search", ["--spec", "second-order-hessian", "--param-grid", "a=1", "--param-grid", "a=2",
+                "--param", "b=0"], "parameter 'a' is given more than once"),
+    ("search", ["--spec", "nag", "--param", "r=3", "--param", "r=4"],
+     "parameter 'r' is given more than once"),
+    ("simulate", ["--spec", "nag", "--param", "r=3", "--param", "q=5"],
+     "parameter 'q' is neither a free parameter of system nag (r)"),
+    ("simulate", ["--spec", "damped-newton", "--param", "r=3"],
+     "parameter 'r' is neither a free parameter of system damped-newton (none)"),
+    ("simulate", ["--spec", "nag", "--param", "r=3", "--param", "r=7"],
      "parameter 'r' is given more than once"),
 ], ids=["unknown-grid", "reserved-k", "alpha-without-power", "param-and-grid",
-        "grid-twice", "param-twice"])
-def test_search_rejects_unknown_and_repeated_parameters(tmp_path, capsys, argv, message):
+        "grid-twice", "param-twice", "simulate-unknown", "simulate-not-of-the-system",
+        "simulate-param-twice"])
+def test_search_rejects_unknown_and_repeated_parameters(tmp_path, capsys, command, argv,
+                                                        message):
     out = tmp_path / "out.csv"
-    assert main(["--jobs", "1", "search"] + argv + ["--out", str(out)]) == 1
+    flag = "--out" if command == "search" else "--csv"
+    assert main(["--jobs", "1", command] + argv + [flag, str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert message in err
@@ -342,15 +351,21 @@ def test_restart_csv_matches_recorded_bytes(tmp_path):
     assert out.read_bytes() == fixture.read_bytes()
 
 
-def test_simulate_csv_matches_recorded_bytes(tmp_path):
-    # Every coefficient of this run is free of t, so its RK4 maps are built
-    # once per chunk and broadcast; the fixture was written by the per-step
-    # build that this path replaced.
+@pytest.mark.parametrize("argv, stem", [
+    # Every coefficient is free of t: the RK4 maps are built once per chunk
+    # and broadcast.  The fixture was written by the per-step build.
+    (["--spec", "second-order-hessian", "--param", "a=2", "--param", "b=0"],
+     "simulate-second-order-hessian-a2-b0"),
+    # The damping r/t varies with t: the maps are built per step.
+    (["--spec", "nag", "--param", "r=3", "--gamma", "log"], "simulate-nag-r3-log"),
+    # A first-order system: scalar step factors and their cumulative product.
+    (["--spec", "first-order-hessian", "--param", "b=0.1"], "simulate-first-order-hessian-b0.1"),
+], ids=["second-order-t-free", "second-order-in-t", "first-order"])
+def test_simulate_csv_matches_recorded_bytes(tmp_path, argv, stem):
     out = tmp_path / "simulate.csv"
-    assert main(["simulate", "--spec", "second-order-hessian", "--param", "a=2", "--param", "b=0",
-                 "--mu", "1", "--L", "4", "--t1", "20", "--dt", "0.01", "--csv", str(out)]) == 0
-    fixture = FIXTURES / "simulate-second-order-hessian-a2-b0.csv"
-    assert out.read_bytes() == fixture.read_bytes()
+    assert main(["simulate"] + argv + ["--mu", "1", "--L", "4", "--t1", "20", "--dt", "0.01",
+                                       "--csv", str(out)]) == 0
+    assert out.read_bytes() == (FIXTURES / f"{stem}.csv").read_bytes()
 
 
 def test_dump_groups(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lyapsearch.analysis import catalog_rows, certified_time, grid_step_factor, max_rate
-from lyapsearch.lyapunov import CATALOG, monotonicity_check, run_certificate
+from lyapsearch.lyapunov import CATALOG, certified_rate, monotonicity_check, run_certificate
 from lyapsearch.pq import apply_sequence, initial_pair
 from lyapsearch.systems import CATALOG as SYSTEMS
 
@@ -27,15 +27,14 @@ def test_all_certificates_non_increasing(lyapunov_increases):
 
 @pytest.mark.parametrize("mu, L", [(1.0, 4.0), (0.5, 9.0)])
 def test_certificates_are_the_catalog_pairs(mu, L):
+    # Each certificate runs its row's system, gamma form and parameter point;
+    # its winning sequence must reach the row's rate on its own.
     rows = {row.label: row for row in catalog_rows(mu, L)}
     for name, spec in CATALOG.items():
         row = rows[name]
         query = row.query
-        assert (spec.system, spec.gamma) == (row.system, query.gamma), name
-        point = {**query.params, **{p: values[0] for p, values in query.grid.items()}}
         assert all(len(values) == 1 for values in query.grid.values()), name
-        assert spec.params(mu, L) == point, name
-        pair = apply_sequence(initial_pair(SYSTEMS[spec.system]), spec.ops)
+        pair = apply_sequence(initial_pair(SYSTEMS[row.system]), spec.ops)
         if row.expected_window is not None:
             step = grid_step_factor()
             window = certified_time(pair, query, row.k_probe)
@@ -51,9 +50,8 @@ def test_certificate_dominates_weighted_gap():
     # E was built to sit above e^gamma (f - f*); spot-check a couple of entries.
     for name, weight in (("sc-nag", lambda t, k: np.exp(k * t)),
                          ("nag-convex", lambda t, k: t ** k)):
-        spec = CATALOG[name]
         traj, energy = run_certificate(name)
-        k = spec.k_opt(1.0, 4.0)
+        k = certified_rate(name)
         assert np.all(energy >= weight(traj.times, k) * traj.gaps - 1e-12)
 
 
@@ -68,3 +66,10 @@ def test_monotone_strictly_past_certified_rate():
     # Between sqrt(mu) and (4/3) sqrt(mu): PSD of the boundary form fails, yet
     # E still cannot increase; only the rate-domination property is lost.
     assert monotonicity_check("sc-nag", k=1.2) <= 1e-8
+
+
+@pytest.mark.parametrize("mu, L", [(2.0, 2.0), (4.0, 1.0)], ids=["mu-equals-L", "mu-above-L"])
+def test_certificates_need_mu_below_L(mu, L):
+    # A certificate reads its catalog row, and the rows need 0 < mu < L.
+    with pytest.raises(ValueError, match="0 < mu < L"):
+        monotonicity_check("damped-newton", mu=mu, L=L)

@@ -41,8 +41,7 @@ def _reference_integrate(system, obj, x0, v0, t0, t1, dt, params):
     if system.second_order:
         def deriv(t, state):
             x, v = state
-            v1 = x - obj.xstar
-            acc = -(c[0](t) * v1 + c[1](t) * (eigs * v1) + (c[2](t) + c[3](t) * eigs) * v)
+            acc = -(c[0](t) * x + c[1](t) * (eigs * x) + (c[2](t) + c[3](t) * eigs) * v)
             return (v, acc / c[4](t))
 
         state = (x0.copy(), v0.copy())
@@ -54,8 +53,7 @@ def _reference_integrate(system, obj, x0, v0, t0, t1, dt, params):
         return times, np.array(xs), np.array(vs)
 
     def velocity(t, x):
-        v1 = x - obj.xstar
-        return -(c[0](t) * v1 + c[1](t) * (eigs * v1)) / (c[2](t) + c[3](t) * eigs)
+        return -(c[0](t) * x + c[1](t) * (eigs * x)) / (c[2](t) + c[3](t) * eigs)
 
     def deriv(t, state):
         (x,) = state
@@ -172,8 +170,7 @@ def test_maps_built_once_equal_maps_built_per_step():
 
 
 def test_integrate_matches_reference_on_spec_system(tmp_path):
-    # A mass c5 that varies with t, a restoring c1 term, an off-origin
-    # minimizer and a moving start.
+    # A mass c5 that varies with t, a restoring c1 term and a moving start.
     path = tmp_path / "varying-mass.txt"
     path.write_text("name = varying-mass\n"
                     "coeff_v1 = 1/2\n"
@@ -182,7 +179,7 @@ def test_integrate_matches_reference_on_spec_system(tmp_path):
                     "coeff_v4 = 1*b\n"
                     "coeff_v5 = 1 + 1/4*t^1\n")
     system = load_system(path)
-    obj = QuadraticObjective.log_spaced(6, 0.5, 8.0, xstar=np.linspace(-2.0, 3.0, 6))
+    obj = QuadraticObjective.log_spaced(6, 0.5, 8.0)
     _assert_matches_reference(system, obj, np.ones(6), np.linspace(1.0, -1.0, 6),
                               1.0, 1.0 + _REFERENCE_SPAN, 1e-3, {"r": 3.0, "b": 0.2})
 
@@ -193,7 +190,7 @@ def gradient_flow(obj, x0, **kw):
 
 
 def test_gradient_flow_matches_closed_form():
-    obj = QuadraticObjective([1.0], np.zeros(1))
+    obj = QuadraticObjective([1.0])
     traj = gradient_flow(obj, np.array([2.0]), t0=0.0, t1=5.0, dt=1e-3)
     exact = 2.0 * np.exp(-traj.times)
     assert np.max(np.abs(traj.xs[:, 0] - exact)) < 1e-9
@@ -202,13 +199,13 @@ def test_gradient_flow_matches_closed_form():
 
 
 def test_damped_newton_closed_form_oracle():
-    # hess f dx/dt = -grad f collapses to dx/dt = -(x - x*) for any quadratic,
-    # giving x(t) - x* = e^(t0 - t) (x0 - x*) exactly.
+    # hess f dx/dt = -grad f collapses to dx/dt = -x for any quadratic
+    # minimised at the origin, giving x(t) = e^(t0 - t) x0 exactly.
     obj = QuadraticObjective.log_spaced(6, 1.0, 4.0)
     x0 = np.linspace(1.0, 2.0, 6)
     traj = integrate(CATALOG["damped-newton"], obj, x0, np.zeros(6),
                      t0=0.0, t1=4.0, dt=1e-3)
-    exact = obj.xstar + np.exp(-traj.times)[:, None] * (x0 - obj.xstar)
+    exact = np.exp(-traj.times)[:, None] * x0
     assert np.max(np.abs(traj.xs - exact)) < 1e-8
     fit = measure_rate(traj, LINEAR, {"k": 1.0})
     assert fit.k == pytest.approx(2.0, rel=1e-4)
@@ -224,7 +221,7 @@ def test_sc_nag_rate_within_five_percent():
 
 def test_measure_rate_on_exact_exponential():
     # x(t) = e^-t on a single eigenvalue 2 gives gap = e^(-2t) exactly.
-    obj = QuadraticObjective([2.0], np.zeros(1))
+    obj = QuadraticObjective([2.0])
     times = np.linspace(0.0, 10.0, 2001)
     xs = np.exp(-times)[:, None]
     traj = Trajectory(CATALOG["first-order-hessian"], obj, GF_PARAMS, times, xs, -xs)
@@ -234,7 +231,7 @@ def test_measure_rate_on_exact_exponential():
 
 
 def test_fit_window_truncates_on_underflow():
-    obj = QuadraticObjective([2.0], np.zeros(1))
+    obj = QuadraticObjective([2.0])
     times = np.linspace(0.0, 10.0, 101)
     xs = np.exp(-times)[:, None]
     xs[-3:] = 0.0  # exact minimum reached: gap underflows
@@ -282,20 +279,18 @@ def test_integrate_requires_one_state_entry_per_mode(x0, v0, message):
         integrate(CATALOG["damped-newton"], obj, x0, v0, t0=1.0, t1=2.0, dt=1e-2)
 
 
-@pytest.mark.parametrize("make, message", [
-    (lambda: QuadraticObjective.log_spaced(3, 1.0, 4.0, xstar=np.array([0.5])),
-     r"xstar must have shape \(3,\) to match the eigenvalues, got \(1,\)"),
-    (lambda: QuadraticObjective([1.0, 2.0], np.zeros((2, 1))),
-     r"xstar must have shape \(2,\) to match the eigenvalues, got \(2, 1\)"),
-    (lambda: QuadraticObjective([1.0, 2.0], 0.0),
-     r"xstar must have shape \(2,\) to match the eigenvalues, got \(\)"),
-    (lambda: QuadraticObjective.log_spaced(3, 1.0, 4.0, xstar=np.array([0.0, np.nan, 1.0])),
-     "xstar must be finite"),
-    (lambda: QuadraticObjective([1.0], [np.inf]), "xstar must be finite"),
-], ids=["log-spaced-short", "column", "scalar", "nan", "inf"])
-def test_objective_requires_one_finite_minimiser_entry_per_mode(make, message):
+@pytest.mark.parametrize("eigenvalues, message", [
+    ([np.nan, 1.0], "eigenvalues must be finite and nonnegative, got nan"),
+    ([1.0, np.inf], "eigenvalues must be finite and nonnegative, got inf"),
+    ([-1.0, 1.0], r"eigenvalues must be finite and nonnegative, got -1\.0"),
+    ([[1.0, 2.0]], r"eigenvalues must be a nonempty 1-D array, got shape \(1, 2\)"),
+    ([], r"eigenvalues must be a nonempty 1-D array, got shape \(0,\)"),
+], ids=["nan", "inf", "negative", "2-d", "empty"])
+def test_objective_requires_finite_nonnegative_eigenvalues(eigenvalues, message):
+    # A NaN or infinite eigenvalue integrates to NaN gaps, and a negative one
+    # makes f negative, breaking the convexity the pointwise multipliers assume.
     with pytest.raises(SimulationError, match=message):
-        make()
+        QuadraticObjective(eigenvalues)
 
 
 @pytest.mark.parametrize("mu, L", [(1.0, np.inf), (1.0, np.nan), (np.nan, 4.0), (-np.inf, 4.0)])
@@ -322,7 +317,7 @@ def test_singular_mass_at_half_step_detected(tmp_path):
                     "coeff_v3 = 1\n"
                     "coeff_v4 = 1*b*t^1\n"
                     "coeff_v5 = 0\n")
-    obj = QuadraticObjective([2.0], np.zeros(1))
+    obj = QuadraticObjective([2.0])
     with pytest.raises(SingularMassMatrixError, match=r"t=0\.25$"):
         integrate(load_system(path), obj, np.ones(1), np.zeros(1),
                   t0=0.0, t1=1.0, dt=0.5, params={"b": -2.0})
@@ -340,7 +335,7 @@ def test_singular_mass_names_the_earliest_stage_in_visiting_order(tmp_path):
                     "coeff_v3 = 1\n"
                     "coeff_v4 = -6*t^1 + 8*t^2\n"
                     "coeff_v5 = 0\n")
-    obj = QuadraticObjective([1.0], np.zeros(1))
+    obj = QuadraticObjective([1.0])
     with pytest.raises(SingularMassMatrixError, match=r"t=0\.25$"):
         integrate(load_system(path), obj, np.ones(1), np.zeros(1), t0=0.0, t1=1.0, dt=0.5)
 
@@ -355,7 +350,7 @@ def test_vanishing_second_order_mass_detected(tmp_path):
                     "coeff_v3 = 1\n"
                     "coeff_v4 = 0\n"
                     "coeff_v5 = 1*t^1\n")
-    obj = QuadraticObjective([1.0, 2.0], np.zeros(2))
+    obj = QuadraticObjective([1.0, 2.0])
     with pytest.raises(SingularMassMatrixError, match=r"c5 is singular at t=0$") as err:
         integrate(load_system(path), obj, np.ones(2), np.zeros(2),
                   t0=0.0, t1=1.0, dt=0.5)
@@ -405,9 +400,8 @@ def _reference_energy(pair, gamma, traj, params):
     out = np.empty_like(traj.times)
     for n, t in enumerate(traj.times):
         x, dx = traj.xs[n], traj.vs[n]
-        gap = obj.value(x) - obj.fstar
-        lam = 2 * (obj.fstar - obj.value(x) - obj.grad(x) @ (obj.xstar - x)) / (
-            (x - obj.xstar) @ (x - obj.xstar))
+        gap = obj.value(x)
+        lam = 2 * (obj.grad(x) @ x - obj.value(x)) / (x @ x)
         theta = (obj.eigenvalues * dx) @ dx / (dx @ dx)
         bindings = {**params, "lambda": lam, "theta": theta}
         form = sum((1 if i == j else 2) * naive_eval(e, t, bindings) * (v[i - 1][n] @ v[j - 1][n])
@@ -421,7 +415,7 @@ def test_pair_energy_matches_explicit_basis_reference(rng, gamma):
     # lambda and theta in every P entry, (1,2), (2,2) and (2,3) included, which
     # no certificate uses; the random velocity keeps theta defined at t0.
     lam, theta, one = Expr.symbol("lambda"), Expr.symbol("theta"), Expr.number(1)
-    obj = QuadraticObjective.log_spaced(6, 0.5, 9.0, xstar=np.linspace(-1.0, 1.0, 6))
+    obj = QuadraticObjective.log_spaced(6, 0.5, 9.0)
     nprng = np.random.default_rng(5)
     params = {"k": 0.7, "a": 1.3, "b": -0.4, "r": 2.5, "alpha": 0.5}
     traj = integrate(CATALOG["hessian-nag"], obj, nprng.normal(size=6), nprng.normal(size=6),
@@ -515,7 +509,7 @@ def test_nag_convex_polynomial_rate():
     # One nearly flat direction plus curved ones; the fit window ends before the
     # flat mode's plateau dominates the gap.
     eigs = np.concatenate([[1e-6], np.geomspace(0.5, 4.0, 9)])
-    obj = QuadraticObjective(eigs, np.zeros(len(eigs)))
+    obj = QuadraticObjective(eigs)
     traj = integrate(CATALOG["nag"], obj, np.ones(10), np.zeros(10),
                      t0=1.0, t1=60.0, dt=2e-3, params={"r": 3.0})
     fit = measure_rate(traj, LOG, {"k": 1.0}, window=(20.0, 60.0))

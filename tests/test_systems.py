@@ -67,6 +67,20 @@ def test_load_system_errors(tmp_path):
     with pytest.raises(ValueError, match="declared"):
         load_system(extra)
 
+    repeated = tmp_path / "repeated.txt"
+    repeated.write_text(
+        "name = x\ncoeff_v1 = 0\ncoeff_v2 = 1\ncoeff_v3 = 1*r*t^-1\n"
+        "coeff_v4 = 0\ncoeff_v5 = 1\ncoeff_v3 = 5\n")
+    with pytest.raises(ValueError, match="repeated key 'coeff_v3' on line 7"):
+        load_system(repeated)
+
+    misspelt = tmp_path / "misspelt.txt"
+    misspelt.write_text(
+        "name = x\ncoeff_v1 = 0\ncoeff_v2 = 1\ncoeff_v3 = 1\n"
+        "coeff_v4 = 0\ncoeff_v5 = 0\n# a comment\ncoef_v6 = 7\n")
+    with pytest.raises(ValueError, match="unknown key 'coef_v6' on line 8"):
+        load_system(misspelt)
+
 
 def test_resolve_system():
     assert resolve_system("nag") is CATALOG["nag"]
