@@ -11,22 +11,27 @@ nonnegative on a log-spaced t grid of the query domain and, for unbounded
 domains, must have a nonnegative leading coefficient as t grows.  Both checks
 allow a floor of 1e-12 times the summed magnitudes of the terms involved,
 taken before they merge, so a minor that vanishes identically in exact
-arithmetic is not failed by the rounding of its float coefficients.  Each pair
-and parameter point is compiled once into tables of the coefficient of
-k^p * t^e per minor; at each k these settle every minor whose coefficients
-all clear the floor, and only the rest are evaluated on the grid.  A pair's
-condition set keeps one BindingLayout per value of alpha, made on first use:
-each term's slot in the tables, its float coefficient and its factors.  A
-point is then bound with array multiplies and one summation per table, with
-no per-term Python work.
+arithmetic is not failed by the rounding of its float coefficients.  A pair
+is compiled once per batch of parameter points into tables of the
+coefficient of k^p * t^e per minor and point; at each k these settle every
+minor whose coefficients all clear the floor, and only the rest are
+evaluated on the grid.  A pair's condition set keeps one BindingLayout per
+value of alpha, made on first use: each term's slot in the tables, its float
+coefficient and its factors.  The points that bind one alpha are then bound
+together with array multiplies and one summation per table, with no
+per-term Python work.
 
-The largest feasible k is searched in batches of ks, each checked in one pass
-over arrays.  After k = 0, checked alone, the doubling 1, 2, 4, ..., K_CAP is
-one batch; a coarse pre-scan up to the first infeasible doubling k, which
-guards against non-monotone feasibility, is another; and bisection then
-checks the midpoints of BISECT_LEVELS levels per batch.  Each batch holds the
-same ks as the one-at-a-time search would check, and more, and the search
-reads the same flags off it, so k_max and the status are the same.
+The largest feasible k is searched in stages, each checked for every live
+point of a batch in one pass over arrays: k = 0; the doubling 1, 2, 4, ...,
+K_CAP; a coarse pre-scan up to each point's first infeasible doubling k,
+which guards against non-monotone feasibility; and bisection, which checks
+the midpoints of BISECT_LEVELS levels per pass, each point to its own
+interval and tolerance.  A batch holds every grid point of the queries that
+share a pair's condition set and t domain, which in the catalog are the
+sc-nag and second-order-hessian rows.  Each pass holds, for each point, the
+same ks as a one-point, one-k-at-a-time search would check, and more, and
+the search reads the same flags off it, so k_max and the status are the
+same.
 
 The exact work is shared across pairs through a MinorTable, made for one
 gamma form and the corners of the queries it serves: gamma is substituted
@@ -37,9 +42,10 @@ float term table once.  A run over groups threads one table through them and
 drops it at the end: analyze_groups, and verify_catalog for the rows that
 share a system and a gamma form.  With a pool, each task makes its own table
 for a contiguous run of groups, and carries only each group's id and
-representative pair, not its member sequences.  Queries with the same
-corners share a pair's whole condition set.  A run makes each query's t grid
-once, and the table keeps the grid's powers per set of exponents of t.
+representative pair, not its member positions.  Queries with the same
+corners share a pair's whole condition set.  A run makes one t grid per t
+domain of its batches, and the table keeps the grid's powers per set of
+exponents of t.
 
 That exact work is integer arithmetic.  The table keeps each substituted
 entry also as integers over one common denominator s, so the cofactor
@@ -541,34 +547,40 @@ def psd_conditions(pair: PQPair, gamma: GammaForm,
 
 
 class CompiledConditions:
-    """A pair's minors with everything bound except k, evaluable over a fixed t grid.
+    """A pair's minors at a batch of parameter points, with everything bound
+    except k, evaluable over a fixed t grid.
 
-    coef[p, m, e] is the coefficient of k^p * t^e in minor m, and
-    size[p, m, e] the sum of the magnitudes of the terms merged into it; e runs
-    over the pair's distinct exponents of t, in descending order.  For each of
-    an array of ks, c = sum_p k^p coef holds each minor's coefficient per
-    exponent and a = sum_p |k|^p size its scale.  A minor with every
-    c >= -REL_FLOOR * a is nonnegative for every t > 0 up to the floor, so only
-    the other (k, minor) pairs, the suspects, are checked further.
+    coef[i, p, m * n_exps + e] is the coefficient of k^p * t^e in minor m at
+    the i-th point, and size the sum of the magnitudes of the terms merged
+    into it; e runs over the exponents of t of the points' layout, in
+    descending order.  For each k of a point, c = sum_p k^p coef holds each
+    minor's coefficient per exponent and a = sum_p |k|^p size its scale.  A
+    minor with every c >= -REL_FLOOR * a is nonnegative for every t > 0 up
+    to the floor, so only the other (point, k, minor) triples, the suspects,
+    are checked further.  One point is the batch of one.
     """
 
     __slots__ = ("coef", "size", "kexps", "tpowers", "shape")
 
     def __init__(self, coef: np.ndarray, size: np.ndarray, tpowers: np.ndarray):
-        n_kpows, n_minors, n_exps = coef.shape
-        self.coef = coef.reshape(n_kpows, -1)
-        self.size = size.reshape(n_kpows, -1)
+        n_points, n_kpows, n_minors, n_exps = coef.shape
+        self.coef = coef.reshape(n_points, n_kpows, -1)
+        self.size = size.reshape(n_points, n_kpows, -1)
         self.kexps = np.arange(n_kpows, dtype=float)
         self.tpowers = tpowers
         self.shape = (n_minors, n_exps)
 
-    def _suspect_pairs(self, ks: np.ndarray):
-        """For each (k, minor) pair with a coefficient below the floor: the index
-        of its k, its c and a, and which of its c are below the floor."""
-        kp = np.power(ks[:, None], self.kexps)
-        shape = (len(ks),) + self.shape
-        c = (kp @ self.coef).reshape(shape)
-        a = (np.abs(kp) @ self.size).reshape(shape)
+    def _suspect_pairs(self, ks: np.ndarray, points: Sequence[int] | None):
+        """For each (point, k, minor) with a coefficient below the floor: the
+        flat index of its k in ks, its c and a, and which of its c are below
+        the floor."""
+        coef, size = self.coef, self.size
+        if points is not None and len(points) < len(coef):
+            coef, size = coef[points], size[points]
+        kp = np.power(ks[..., None], self.kexps)
+        shape = (ks.size,) + self.shape
+        c = (kp @ coef).reshape(shape)
+        a = (np.abs(kp) @ size).reshape(shape)
         neg = c < -REL_FLOOR * a
         ki, mi = np.nonzero(neg.any(axis=2))
         return ki, c[ki, mi], a[ki, mi], neg[ki, mi]
@@ -577,16 +589,23 @@ class CompiledConditions:
         """Per row of c and a, the grid points where that minor is below the floor."""
         return c @ self.tpowers < -REL_FLOOR * (a @ self.tpowers)
 
-    def violations(self, k: float) -> np.ndarray:
-        """Boolean mask over the grid where some minor goes negative at k."""
-        _ki, c, a, _neg = self._suspect_pairs(np.array([k], dtype=float))
+    def violations(self, k: float, point: int = 0) -> np.ndarray:
+        """Boolean mask over the grid where some minor goes negative at k, at
+        the point of that index."""
+        _ki, c, a, _neg = self._suspect_pairs(np.array([[k]], dtype=float), [point])
         return self._grid_bad(c, a).any(axis=0)
 
-    def feasible(self, ks: np.ndarray, check_leading: bool) -> np.ndarray:
+    def feasible(self, ks: np.ndarray, check_leading: bool,
+                 points: Sequence[int] | None = None) -> np.ndarray:
         """One flag per k: every minor is nonnegative on the grid and, with
-        check_leading, leads with a nonnegative coefficient as t grows."""
-        ki, c, a, neg = self._suspect_pairs(ks)
-        ok = np.ones(len(ks), dtype=bool)
+        check_leading, leads with a nonnegative coefficient as t grows.
+
+        Row i of the 2-D ks holds ks of the i-th of points, the indices of
+        some points (all of them when None).  A nan k is padding: no minor
+        is a suspect at it, so it costs no check, and its flag means nothing.
+        """
+        ki, c, a, neg = self._suspect_pairs(ks, points)
+        ok = np.ones(ks.size, dtype=bool)
         if check_leading and len(ki):
             # The leading exponent at k is the first whose |c| exceeds the floor;
             # a minor with no coefficient below the floor leads with a positive one.
@@ -599,7 +618,7 @@ class CompiledConditions:
             rows, pending = pending[:GRID_BLOCK], pending[GRID_BLOCK:]
             ok[ki[rows[self._grid_bad(c[rows], a[rows]).any(axis=1)]]] = False
             pending = pending[ok[ki[pending]]]
-        return ok
+        return ok.reshape(ks.shape)
 
 
 class BindingLayout:
@@ -618,7 +637,9 @@ class BindingLayout:
     term gets its factors in monomial order, as bind_terms multiplies them
     (past a monomial's end the factor is 1.0, which changes nothing).  The
     products are then summed into their slots in term order.  So the tables
-    are bit-identical to merging bind_terms' output key by key.
+    are bit-identical to merging bind_terms' output key by key.  A batch of
+    points binds in one pass: point i's slots are offset by i tables, so one
+    summation gives every point the same sums, in the same term order.
     """
 
     __slots__ = ("coef", "factors", "factor_ids", "symbols", "slots", "shape", "exps")
@@ -657,43 +678,57 @@ class BindingLayout:
         self.factor_ids = tuple(rows[term_monos, j] for j in range(width))
         self.symbols = frozenset(sym for sym, _power in items)
 
-    def bind(self, bindings: Mapping[str, float], tpowers: np.ndarray) -> CompiledConditions:
-        """The compiled tables at one point whose symbols are all in bindings,
-        over the grid whose powers of exps are tpowers."""
-        # The last entry, 1.0, is what position -1 picks.
-        values = np.array([float(bindings[sym] ** power) for sym, power in self.factors] + [1.0])
-        base = self.coef
+    def bind(self, points: Sequence[Mapping[str, float]],
+             tpowers: np.ndarray) -> CompiledConditions:
+        """The compiled tables at points whose symbols are all bound, over the
+        grid whose powers of exps are tpowers."""
+        # The last entry of each row, 1.0, is what position -1 picks.
+        values = np.array([[float(bindings[sym] ** power) for sym, power in self.factors] + [1.0]
+                           for bindings in points])
+        base = self.coef[None]
         for ids in self.factor_ids:
-            base = base * values[ids]
+            base = base * values.take(ids, axis=1)
+        if len(base) < len(points):  # no term has a factor
+            base = base.repeat(len(points), axis=0)
         n_slots = math.prod(self.shape)
-        coef = np.bincount(self.slots, weights=base, minlength=n_slots)
-        size = np.bincount(self.slots, weights=np.abs(base), minlength=n_slots)
+        slots = self.slots
+        if len(points) > 1:
+            slots = (slots + n_slots * np.arange(len(points))[:, None]).ravel()
+        shape = (len(points),) + self.shape
+        coef = np.bincount(slots, weights=base.ravel(), minlength=n_slots * len(points))
+        size = np.bincount(slots, weights=np.abs(base).ravel(), minlength=n_slots * len(points))
         # Over no terms at all, bincount counts in ints.
-        return CompiledConditions(coef.astype(float, copy=False).reshape(self.shape),
-                                  size.astype(float, copy=False).reshape(self.shape),
-                                  tpowers)
+        return CompiledConditions(coef.astype(float, copy=False).reshape(shape),
+                                  size.astype(float, copy=False).reshape(shape), tpowers)
 
 
-def compile_conditions(conds: PsdConditionSet, bindings: Mapping[str, float],
+def compile_conditions(conds: PsdConditionSet, points: Sequence[Mapping[str, float]],
                        tgrid: np.ndarray) -> CompiledConditions:
-    """Bind the parameters into the pair's term table and tabulate it by k^p * t^e.
+    """Bind each of the points into the pair's term table and tabulate it by k^p * t^e.
 
-    The condition set's BindingLayout for the bound alpha is made on first use
-    and kept on the set, and tgrid's powers of its exponents are taken once per
-    grid and set of exponents among the sets of one MinorTable.  Raises
-    UnboundSymbolError naming the first symbol, in term order, that bindings
-    lacks.
+    The points share one BindingLayout, so where some exponent of t involves
+    alpha they must bind the same alpha.  The condition set's layout for that
+    alpha is made on first use and kept on the set, and tgrid's powers of its
+    exponents are taken once per grid and set of exponents among the sets of
+    one MinorTable.  Raises UnboundSymbolError for the first point that lacks
+    a symbol, naming the first such symbol in term order.
     """
     alpha = None
     if conds.alpha_exponents:
-        if "alpha" not in bindings:
-            bind_terms(conds.terms, bindings)  # raises, naming the first missing symbol
-        alpha = float(bindings["alpha"])
+        for bindings in points:
+            if "alpha" not in bindings:
+                bind_terms(conds.terms, bindings)  # raises, naming the first missing symbol
+        alphas = {float(bindings["alpha"]) for bindings in points}
+        if len(alphas) != 1:
+            raise AnalysisError(f"points compiled together must bind one alpha, "
+                                f"got {sorted(alphas)}")
+        (alpha,) = alphas
     layout = conds.layouts.get(alpha)
     if layout is None:
         layout = conds.layouts[alpha] = BindingLayout(conds, alpha)
-    if not layout.symbols.issubset(bindings):
-        bind_terms(conds.terms, bindings)
+    for bindings in points:
+        if not layout.symbols.issubset(bindings):
+            bind_terms(conds.terms, bindings)
     # The entry holds the grid, so no other array can take its id meanwhile.
     key = (id(tgrid), layout.exps.tobytes())
     cached = conds.tpower_cache.get(key)
@@ -701,18 +736,19 @@ def compile_conditions(conds: PsdConditionSet, bindings: Mapping[str, float],
         tpowers = tgrid[None, :] ** layout.exps[:, None]
         tpowers.flags.writeable = False
         cached = conds.tpower_cache[key] = (tgrid, tpowers)
-    return layout.bind(bindings, cached[1])
+    return layout.bind(points, cached[1])
 
 
 def feasible(conds: PsdConditionSet, k: float, query: RateQuery,
              bindings: Mapping[str, float] | None = None,
              _compiled: CompiledConditions | None = None) -> bool:
-    """True when every minor is nonnegative over the query's time domain at k."""
+    """True when every minor is nonnegative over the query's time domain at k,
+    at bindings (default the query's params), or at the one point of _compiled."""
     if _compiled is None:
         tgrid = time_grid(query.t_domain)
-        _compiled = compile_conditions(conds, bindings or query.params, tgrid)
+        _compiled = compile_conditions(conds, [bindings or query.params], tgrid)
     leading = not isinstance(query.t_domain, Window)
-    return bool(_compiled.feasible(np.array([k], dtype=float), leading)[0])
+    return bool(_compiled.feasible(np.array([[k]], dtype=float), leading)[0, 0])
 
 
 # -- rate maximization --------------------------------------------------------------
@@ -734,55 +770,106 @@ class RateResult:
 
 PRESCAN_POINTS = 65
 BISECT_REL_TOL = 1e-6
-BISECT_LEVELS = 4  # bisection levels whose midpoints are checked in one batch
+BISECT_LEVELS = 4  # bisection levels whose midpoints are checked in one pass
 DOUBLING_KS = np.array([2.0 ** i for i in range(int(math.log2(K_CAP)) + 1)])  # 1, 2, ..., K_CAP
 
 
-def _bisect_max_k(check, ks: np.ndarray, flags: np.ndarray) -> tuple[float, str]:
-    """Largest k with check(k) on [0, ks[-1]], from the pre-scan flags at ks.
+def _level_midpoints(lo: float, hi: float, tol: float) -> list[float]:
+    """The midpoints of every interval the next BISECT_LEVELS levels of
+    bisection from [lo, hi] can reach, each 0.5 * (lo + hi) of its parent's
+    ends and only while hi - lo is above tol."""
+    mids, level = [], [(lo, hi)]
+    for _ in range(BISECT_LEVELS):
+        below = []
+        for a, b in level:
+            if b - a > tol:
+                mid = 0.5 * (a + b)
+                mids.append(mid)
+                below += [(a, mid), (mid, b)]
+        level = below
+    return mids
 
-    check takes an array of ks and returns one flag per k.  Bisection runs
-    between the last pre-scan k before the first infeasible one and that
-    one; a feasible pre-scan k after it makes the result nonmonotone.
 
-    The bisection goes BISECT_LEVELS levels at a time: one call of check
-    takes the midpoints of every interval the next levels can reach, each
-    0.5 * (lo + hi) of its parent's ends and only while hi - lo is above the
-    tolerance, and the walk down through them moves lo and hi exactly as
+def _bisect_max_k(check, ks: np.ndarray, flags: np.ndarray) -> tuple[list[float], list[str]]:
+    """Per row of ks, the largest k with a feasible check on [0, ks[row, -1]],
+    from that row's pre-scan flags at its ks, and the row's status.
+
+    check takes a list of row indices and a 2-D array holding ks for each of
+    those rows, padded with nan, and returns one flag per k; the flags of the
+    padding are not read.  Each row bisects between the last pre-scan k
+    before its first infeasible one and that one, to its own tolerance; a
+    feasible pre-scan k after it makes the result nonmonotone.
+
+    Bisection goes BISECT_LEVELS levels at a time: one call of check takes,
+    for every row still bisecting, the _level_midpoints of its interval, and
+    the walk down through their flags moves each row's lo and hi exactly as
     checking one midpoint at a time would.
     """
-    if not flags[0] or flags.all():
-        raise AnalysisError(f"the pre-scan up to k={ks[-1]:g} needs a feasible first k "
-                            f"and an infeasible one, got {flags.sum()} of {len(flags)} feasible")
-    first_bad = int(np.argmin(flags))
-    status = "nonmonotone" if flags[first_bad:].any() else "ok"
-    lo, hi = ks[first_bad - 1], ks[first_bad]
-    tol = BISECT_REL_TOL * ks[-1]
-    while hi - lo > tol:
-        mids, level = [], [(lo, hi)]
-        for _ in range(BISECT_LEVELS):
-            below = []
-            for a, b in level:
-                if b - a > tol:
-                    mid = 0.5 * (a + b)
-                    mids.append(mid)
-                    below += [(a, mid), (mid, b)]
-            level = below
-        feasible_at = dict(zip(mids, check(np.array(mids))))
-        for _ in range(BISECT_LEVELS):
-            if not hi - lo > tol:
-                break
-            mid = 0.5 * (lo + hi)
-            if feasible_at[mid]:
-                lo = mid
-            else:
-                hi = mid
-    return lo, status
+    lo, hi, tol, statuses = [], [], [], []
+    for row_ks, row in zip(ks.tolist(), flags.tolist()):
+        if not row[0] or all(row):
+            raise AnalysisError(f"the pre-scan up to k={row_ks[-1]:g} needs a feasible first k "
+                                f"and an infeasible one, got {sum(row)} of {len(row)} feasible")
+        first_bad = row.index(False)
+        statuses.append("nonmonotone" if any(row[first_bad:]) else "ok")
+        lo.append(row_ks[first_bad - 1])
+        hi.append(row_ks[first_bad])
+        tol.append(BISECT_REL_TOL * row_ks[-1])
+    active = [r for r in range(len(lo)) if hi[r] - lo[r] > tol[r]]
+    while active:
+        mids = [_level_midpoints(lo[r], hi[r], tol[r]) for r in active]
+        width = max(map(len, mids))
+        batch = np.array([row_mids + [math.nan] * (width - len(row_mids)) for row_mids in mids])
+        for r, row_mids, row_flags in zip(active, mids, check(active, batch).tolist()):
+            feasible_at = dict(zip(row_mids, row_flags))
+            for _ in range(BISECT_LEVELS):
+                if not hi[r] - lo[r] > tol[r]:
+                    break
+                mid = 0.5 * (lo[r] + hi[r])
+                if feasible_at[mid]:
+                    lo[r] = mid
+                else:
+                    hi[r] = mid
+        active = [r for r in active if hi[r] - lo[r] > tol[r]]
+    return lo, statuses
 
 
-def _certified_range(compiled: CompiledConditions, k: float, tgrid: np.ndarray,
-                     domain: TDomain) -> tuple[float, float]:
-    bad = compiled.violations(k)
+def _max_ks(compiled: CompiledConditions, leading: bool) -> list[tuple[float, str] | None]:
+    """Per point of compiled, its largest feasible k and status, or None where
+    k = 0 is infeasible; each stage is one check of every point still live.
+
+    k = 0 comes first; then the doubling 1, 2, 4, ..., K_CAP, whose first
+    infeasible k bounds the pre-scan, or which makes the rate the cap when
+    all are feasible; then the pre-scan and the bisection.
+    """
+    n_points = len(compiled.coef)
+    found: list[tuple[float, str] | None] = [None] * n_points
+    at_zero = compiled.feasible(np.zeros((n_points, 1)), leading)[:, 0].tolist()
+    live = [i for i in range(n_points) if at_zero[i]]
+    if not live:
+        return found
+    doubling = compiled.feasible(np.repeat(DOUBLING_KS[None], len(live), axis=0), leading, live)
+    rest, k_hi = [], []
+    for i, row in zip(live, doubling.tolist()):
+        if all(row):
+            found[i] = (K_CAP, "cap")
+        else:
+            rest.append(i)
+            k_hi.append(DOUBLING_KS[row.index(False)])
+    if rest:
+        # np.linspace(0, k_hi, PRESCAN_POINTS) per row, as numpy computes it.
+        ks = np.array(k_hi)[:, None] / (PRESCAN_POINTS - 1) * np.arange(PRESCAN_POINTS)
+        ks[:, -1] = k_hi
+        bisected = _bisect_max_k(
+            lambda rows, batch: compiled.feasible(batch, leading, [rest[r] for r in rows]),
+            ks, compiled.feasible(ks, leading, rest))
+        for i, k, status in zip(rest, *bisected):
+            found[i] = (k, status)
+    return found
+
+
+def _certified_range(bad: np.ndarray, tgrid: np.ndarray, domain: TDomain) -> tuple[float, float]:
+    """The validity range of a rate whose violations over tgrid are bad."""
     if isinstance(domain, Window):
         # Largest certified prefix of the window.
         first_bad = int(np.argmax(bad)) if bad.any() else len(tgrid)
@@ -802,44 +889,55 @@ def max_rate(pair: PQPair, query: RateQuery, group_id: int | None = None) -> Rat
 
     Raises InfeasiblePairError when no grid point is PSD even at k = 0.
     """
-    return _maximize(psd_conditions(pair, query.gamma, query.corners()), query, group_id,
-                     time_grid(query.t_domain))
-
-
-def _maximize(conds: PsdConditionSet, query: RateQuery, group_id: int | None,
-              tgrid: np.ndarray) -> RateResult:
-    """max_rate on a pair's condition set, over tgrid, the query's time_grid."""
-    leading = not isinstance(query.t_domain, Window)
-    best: RateResult | None = None
-    all_infeasible = True
-    for point in query.grid_points():
-        compiled = compile_conditions(conds, point, tgrid)
-        if not feasible(conds, 0.0, query, _compiled=compiled):
-            continue
-        all_infeasible = False
-        # The doubling 1, 2, 4, ... stops at the first infeasible k, or at K_CAP.
-        doubling = compiled.feasible(DOUBLING_KS, leading)
-        if doubling.all():
-            k_best, status = K_CAP, "cap"
-        else:
-            ks = np.linspace(0.0, DOUBLING_KS[np.argmin(doubling)], PRESCAN_POINTS)
-            k_best, status = _bisect_max_k(lambda batch: compiled.feasible(batch, leading),
-                                           ks, compiled.feasible(ks, leading))
-        validity = _certified_range(compiled, k_best, tgrid, query.t_domain)
-        result = RateResult(
-            group_id=group_id,
-            k_max=k_best,
-            params=dict(point),
-            validity=validity,
-            supremum=isinstance(query.t_domain, Eventually),
-            status=status,
-            n_minors=len(conds.minors),
-        )
-        if best is None or result.k_max > best.k_max:
-            best = result
-    if all_infeasible or best is None:
+    result = _maximize(psd_conditions(pair, query.gamma, query.corners()), [query], group_id,
+                       time_grid(query.t_domain))[0]
+    if result is None:
         raise InfeasiblePairError("pair is not PSD at k = 0 for any grid point")
-    return best
+    return result
+
+
+def _maximize(conds: PsdConditionSet, queries: Sequence[RateQuery], group_id: int | None,
+              tgrid: np.ndarray) -> list[RateResult | None]:
+    """max_rate on a pair's condition set for each of the queries, which share
+    its corners and a t domain whose time_grid is tgrid; None for a query
+    with no grid point PSD at k = 0.
+
+    The grid points of all the queries run as one batch per alpha: one
+    compile_conditions call binds them, and each stage of the search checks
+    every live point in one pass.  A query's result is its first point with
+    the largest k, and only that point's validity range is computed.
+    """
+    domain = queries[0].t_domain
+    leading = not isinstance(domain, Window)
+    grids = [query.grid_points() for query in queries]
+    points = [point for grid in grids for point in grid]
+    # The points that bind one alpha, where some exponent of t involves it.
+    batches: dict = {}
+    for i, point in enumerate(points):
+        batches.setdefault(point.get("alpha") if conds.alpha_exponents else None, []).append(i)
+    # Per point: (k, status, its batch's CompiledConditions, its row there), or None.
+    found: list[tuple | None] = [None] * len(points)
+    for batch in batches.values():
+        compiled = compile_conditions(conds, [points[i] for i in batch], tgrid)
+        for row, (i, rate) in enumerate(zip(batch, _max_ks(compiled, leading))):
+            if rate is not None:
+                found[i] = rate + (compiled, row)
+    results: list[RateResult | None] = []
+    end = 0
+    for grid in grids:
+        start, end = end, end + len(grid)
+        best = None
+        for i in range(start, end):
+            if found[i] is not None and (best is None or found[i][0] > found[best][0]):
+                best = i
+        if best is None:
+            results.append(None)
+            continue
+        k, status, compiled, row = found[best]
+        validity = _certified_range(compiled.violations(k, row), tgrid, domain)
+        results.append(RateResult(group_id, k, dict(points[best]), validity,
+                                  isinstance(domain, Eventually), status, len(conds.minors)))
+    return results
 
 
 def certified_time(pair: PQPair, query: RateQuery, k: float) -> float:
@@ -848,7 +946,7 @@ def certified_time(pair: PQPair, query: RateQuery, k: float) -> float:
     tgrid = time_grid(query.t_domain)
     best = 0.0
     for point in query.grid_points():
-        bad = compile_conditions(conds, point, tgrid).violations(k)
+        bad = compile_conditions(conds, [point], tgrid).violations(k)
         if bad[0]:
             continue  # infeasible already at the left end of the grid
         first_bad = int(np.argmax(bad)) if bad.any() else len(tgrid)
@@ -868,18 +966,24 @@ class GroupRate:
 def _analyze_run(pairs: Sequence[tuple[int, PQPair]],
                  queries: Sequence[RateQuery]) -> list[list[GroupRate]]:
     """Per (group id, representative) of a run, its GroupRate for each of the
-    queries, from one MinorTable and one time grid per query."""
+    queries, from one MinorTable.  The queries that share corners and a t
+    domain share a condition set and a t grid, and each group runs them as
+    one batch."""
     corner_sets = [query.corners() for query in queries]
-    tgrids = [time_grid(query.t_domain) for query in queries]
+    batches: dict[tuple, list[int]] = {}
+    for i, (corners, query) in enumerate(zip(corner_sets, queries)):
+        batches.setdefault((corners, query.t_domain), []).append(i)
+    tgrids = {key: time_grid(key[1]) for key in batches}
     table = MinorTable(queries[0].gamma, corner_sets)
     per_group = []
     for group_id, pair in pairs:
-        rates = []
-        for query, tgrid, conds in zip(queries, tgrids, table.conditions(pair, corner_sets)):
-            try:
-                rates.append(GroupRate(group_id, _maximize(conds, query, group_id, tgrid)))
-            except InfeasiblePairError:
-                rates.append(GroupRate(group_id, None))
+        conds = table.conditions(pair, corner_sets)
+        rates: list[GroupRate | None] = [None] * len(queries)
+        for key, members in batches.items():
+            results = _maximize(conds[members[0]], [queries[i] for i in members], group_id,
+                                tgrids[key])
+            for i, result in zip(members, results):
+                rates[i] = GroupRate(group_id, result)
         per_group.append(rates)
     return per_group
 
@@ -892,7 +996,7 @@ def _analyze_queries(groups: Sequence[PairGroup], queries: Sequence[RateQuery],
     condition sets are held at a time.  With a pool, each task takes a
     contiguous run of groups and makes a table of its own.  A task carries
     only what the analysis reads of a group, its id and representative pair,
-    not its member sequences.
+    not its member positions.
     """
     pairs = [(group.group_id, group.representative) for group in groups]
     if jobs and jobs > 1:
@@ -958,7 +1062,7 @@ class CatalogReport:
 def catalog_rows(mu: float, L: float) -> list[CatalogRow]:
     """The verification table: one row per certified system configuration."""
     if not 0 < mu < L < math.inf:
-        raise ValueError(f"verify-catalog needs 0 < mu < L, got mu={mu!r}, L={L!r}")
+        raise ValueError(f"catalog rows need 0 < mu < L, got mu={mu!r}, L={L!r}")
     sqrt_mu = math.sqrt(mu)
     r_log = 5.0
     t_search_log = math.sqrt(((r_log - 1.0) / 2.0) ** 2 - 1.0) / sqrt_mu

@@ -188,12 +188,12 @@ def _cmd_search(args) -> int:
     writer.writerow(["group_id", "ops", "k_max", "params", "t_validity", "n_minors", "status"])
     for rate, group in zip(rates, groups):
         if rate.result is None:
-            writer.writerow([rate.group_id, group.sequences[0].label(), "", "", "", "", "infeasible-at-0"])
+            writer.writerow([rate.group_id, group.label(), "", "", "", "", "infeasible-at-0"])
             continue
         r = rate.result
         params = " ".join(f"{k}={v:g}" for k, v in sorted(r.params.items()))
         validity = f"{r.validity[0]:g}..{r.validity[1]:g}"
-        writer.writerow([rate.group_id, group.sequences[0].label(), f"{r.k_max:.8g}",
+        writer.writerow([rate.group_id, group.label(), f"{r.k_max:.8g}",
                          params, validity, r.n_minors, r.status])
     if args.out:
         out.close()
@@ -227,8 +227,12 @@ def _cmd_simulate(args) -> int:
     system = resolve_system(args.spec)
     gamma = GAMMA_FORMS[args.gamma]
     _check_params([name for name, _ in args.param], system, gamma)
-    obj = sim.QuadraticObjective.log_spaced(args.dim, args.mu, args.L)
     params = dict(args.param)
+    missing = sorted(gamma.params - params.keys())
+    if missing:
+        raise ValueError(f"the {gamma.name} gamma form needs parameter {missing[0]!r}; "
+                         f"give it with --param {missing[0]}=VALUE")
+    obj = sim.QuadraticObjective.log_spaced(args.dim, args.mu, args.L)
     traj = sim.integrate(system, obj, np.ones(args.dim), np.zeros(args.dim),
                          t0=args.t0, t1=args.t1, dt=args.dt, params=params)
     fit = sim.measure_rate(traj, gamma, {**params, "k": 1.0})

@@ -13,7 +13,9 @@ pair is interned to an int state id when first reached, and a per-call table
 of transitions (state id, operation) -> state id runs apply_operation only on
 a miss, so a stage choice is a fold of table lookups and each distinct
 transition is applied once.  Provenance is not carried along the way: a
-group's representative is rebuilt from its first member's operations.
+group's representative is rebuilt from its first member's operations.  A
+group keeps its members as their positions in the stage-product order, and
+decodes them into OperationSequences only when they are read.
 """
 
 from __future__ import annotations
@@ -91,24 +93,38 @@ class OperationSequence:
 
 def generate_sequences() -> list[OperationSequence]:
     """All admissible sequences, in the fixed stage-product order."""
-    return list(_sequences())
+    return [OperationSequence(*choices) for choices in itertools.product(*STAGES)]
 
 
-@functools.cache
-def _sequences() -> tuple[OperationSequence, ...]:
-    # Built on first use, not at import, and shared by every system.
-    return tuple(OperationSequence(*choices) for choices in itertools.product(*STAGES))
+def _sequence_at(position: int) -> OperationSequence:
+    """generate_sequences()[position], decoded in mixed radix over the stages."""
+    choices = []
+    for stage in reversed(STAGES):
+        position, choice = divmod(position, len(stage))
+        choices.append(stage[choice])
+    return OperationSequence(*reversed(choices))
 
 
 @dataclass
 class PairGroup:
+    """A group of equal pairs: its members are held as their sorted positions in
+    generate_sequences(), and decoded only when sequences is read."""
+
     group_id: int
     representative: PQPair
-    sequences: list[OperationSequence]
+    positions: list[int]
+
+    @property
+    def sequences(self) -> list[OperationSequence]:
+        return [_sequence_at(i) for i in self.positions]
 
     @property
     def member_count(self) -> int:
-        return len(self.sequences)
+        return len(self.positions)
+
+    def label(self) -> str:
+        """The first member's label(), read off the representative's provenance."""
+        return ">".join(self.representative.provenance)
 
 
 def enumerate_pairs(system: OdeSystemSpec) -> list[PairGroup]:
@@ -153,13 +169,12 @@ def enumerate_pairs(system: OdeSystemSpec) -> list[PairGroup]:
                 else:
                     reached[target] = positions
         states = reached
-    sequences = _sequences()
     groups = []
     for group_id, (state, positions) in enumerate(states.items()):
         positions.sort()
         pair = pairs[state]
-        representative = PQPair(pair.P, pair.Q, sequences[positions[0]].ops(), True)
-        groups.append(PairGroup(group_id, representative, [sequences[i] for i in positions]))
+        representative = PQPair(pair.P, pair.Q, _sequence_at(positions[0]).ops(), True)
+        groups.append(PairGroup(group_id, representative, positions))
     return groups
 
 
@@ -185,6 +200,6 @@ def dump_groups_csv(groups: list[PairGroup], path: str | Path, system_name: str 
             writer.writerow([
                 group.group_id,
                 group.member_count,
-                group.sequences[0].label(),
+                group.label(),
                 _nonzero_sketch(group.representative),
             ])

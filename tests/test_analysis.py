@@ -13,9 +13,10 @@ from lyapsearch.analysis import (BISECT_LEVELS, BISECT_REL_TOL, DOUBLING_KS, K_C
                                  PRESCAN_POINTS, REL_FLOOR, T_GRID_HI, T_GRID_LO,
                                  AllPositive, AnalysisError, BootstrapPreconditionError,
                                  DiagonalParameterError, Eventually, InfeasiblePairError,
-                                 MinorTable, PsdConditionSet, RateQuery, Window, analyze_groups,
-                                 bootstrap_candidates, bootstrap_rate_check, _analyze_queries,
-                                 _bisect_max_k, _det, catalog_rows, certified_time,
+                                 MinorTable, PsdConditionSet, RateQuery, RateResult, Window,
+                                 analyze_groups, bootstrap_candidates, bootstrap_rate_check,
+                                 _analyze_queries, _bisect_max_k, _certified_range, _det,
+                                 catalog_rows, certified_time,
                                  compile_conditions, feasible, max_rate, psd_conditions,
                                  time_grid, verify_catalog)
 from lyapsearch.expr import (Expr, GAMMA1, LINEAR, LOG, POWER, ZERO, UnboundSymbolError,
@@ -498,22 +499,33 @@ def test_monotone_feasibility_prefix():
     assert all(flags[:first_bad]) and not any(flags[first_bad:])
 
 
+def _bisect_one(check, ks, flags):
+    """_bisect_max_k on the one row of ks and flags."""
+    (k_max,), (status,) = _bisect_max_k(check, ks[None], flags[None])
+    return k_max, status
+
+
+def _flags(compiled, ks, leading):
+    """compiled.feasible at ks for its one point."""
+    return compiled.feasible(np.asarray(ks, dtype=float)[None], leading)[0]
+
+
 def test_bisect_max_k_on_synthetic_prescans():
     ks = np.linspace(0.0, 1.0, PRESCAN_POINTS)
     edge = 0.3  # between ks[19] and ks[20]
 
-    def check(k):
-        return k <= edge
+    def check(rows, batch):
+        return batch <= edge
 
     # Bisection halves [19/64, 20/64] until it is at most 1e-6 wide, i.e. 2^-20.
     exact = math.floor(edge * 2 ** 20) / 2 ** 20
-    assert _bisect_max_k(check, ks, ks <= edge) == (exact, "ok")
+    assert _bisect_one(check, ks, ks <= edge) == (exact, "ok")
     late = ks <= edge
     late[40] = True
-    assert _bisect_max_k(check, ks, late) == (exact, "nonmonotone")
+    assert _bisect_one(check, ks, late) == (exact, "nonmonotone")
     for flags in (np.ones(PRESCAN_POINTS, dtype=bool), ks > edge):
         with pytest.raises(AnalysisError, match="needs a feasible first k and an infeasible"):
-            _bisect_max_k(check, ks, flags)
+            _bisect_one(check, ks, flags)
 
 
 def test_bisection_checks_its_levels_in_batches():
@@ -521,15 +533,36 @@ def test_bisection_checks_its_levels_in_batches():
     edge = 0.3
     batches = []
 
-    def check(batch):
-        batches.append(len(batch))
+    def check(rows, batch):
+        batches.append(batch.shape[1])
         return batch <= edge
 
-    assert _bisect_max_k(check, ks, ks <= edge) == (math.floor(edge * 2 ** 20) / 2 ** 20, "ok")
+    assert _bisect_one(check, ks, ks <= edge) == (math.floor(edge * 2 ** 20) / 2 ** 20, "ok")
     # [19/64, 20/64] halves 14 times, down to 2^-20; a batch holds every
     # midpoint of its levels, 2^levels - 1 of them.
     levels = [min(BISECT_LEVELS, 14 - done) for done in range(0, 14, BISECT_LEVELS)]
     assert batches == [2 ** n - 1 for n in levels]
+
+
+def test_bisection_rows_keep_their_own_interval_and_tolerance():
+    # Rows of other scales and spacings need 14, 15 and 17 levels: the last
+    # passes pad the shorter rows and run the last row alone.
+    ks = np.stack([np.linspace(0.0, 1.0, PRESCAN_POINTS),
+                   4.0 * np.linspace(0.0, 1.0, PRESCAN_POINTS) ** 2,
+                   np.concatenate([[0.0], np.geomspace(1e-3, 2.0, PRESCAN_POINTS - 1)])])
+    edges = np.array([0.3, 2.9, 1.234567])
+    flags = ks <= edges[:, None]
+    passes = []
+
+    def check(rows, batch):
+        passes.append([int((~np.isnan(row)).sum()) for row in batch])
+        return batch <= edges[rows, None]
+
+    k_max, statuses = _bisect_max_k(check, ks, flags)
+    for r, edge in enumerate(edges):
+        alone = _bisect_one(lambda rows, batch: batch <= edge, ks[r], flags[r])
+        assert (k_max[r], statuses[r]) == alone, r
+    assert [3, 7, 15] in passes and [1] in passes  # padded, then alone
 
 
 class _ReferenceMinor:
@@ -608,10 +641,10 @@ def test_feasible_matches_per_minor_reference(system, query, enumerations):
     for group in enumerations(system):
         conds = psd_conditions(group.representative, query.gamma, query.corners())
         for point in query.grid_points():
-            compiled = compile_conditions(conds, point, tgrid)
+            compiled = compile_conditions(conds, [point], tgrid)
             reference = [_ReferenceMinor(m, point, tgrid) for m in conds.minors]
             where = f"group {group.group_id} at {point}"
-            for table, column in ((compiled.coef, "bases"), (compiled.size, "sizes")):
+            for table, column in ((compiled.coef[0], "bases"), (compiled.size[0], "sizes")):
                 expected = np.concatenate([getattr(m, column) for m in reference] + [[]])
                 assert np.array_equal(np.sort(table[table != 0]),
                                       np.sort(expected[expected != 0])), where
@@ -636,14 +669,14 @@ def test_feasible_matches_per_minor_reference(system, query, enumerations):
                 k_hi *= 2.0
             ks = np.linspace(0.0, k_hi, PRESCAN_POINTS)
             flags = [same(k) for k in ks]
-            batched = compiled.feasible(ks, leading)
+            batched = _flags(compiled, ks, leading)
             assert batched.tolist() == flags, f"{where}, pre-scan up to k={k_hi}"
             if all(flags):
                 k_max = k_hi
             else:
                 same(ks[flags.index(False)], mask=True)
-                k_max = _bisect_max_k(lambda batch: compiled.feasible(batch, leading),
-                                      ks, batched)[0]
+                k_max = _bisect_one(lambda rows, batch: compiled.feasible(batch, leading),
+                                    ks, batched)[0]
             same(k_max, mask=True)
 
 
@@ -669,17 +702,18 @@ def test_batched_bisection_walks_the_one_midpoint_path(system, query, enumeratio
     for group in enumerations(system):
         conds = psd_conditions(group.representative, query.gamma, query.corners())
         for point in query.grid_points():
-            compiled = compile_conditions(conds, point, tgrid)
+            compiled = compile_conditions(conds, [point], tgrid)
             if not feasible(conds, 0.0, query, _compiled=compiled):
                 continue
-            doubling = compiled.feasible(DOUBLING_KS, leading)
+            doubling = _flags(compiled, DOUBLING_KS, leading)
             if doubling.all():
                 continue
             ks = np.linspace(0.0, DOUBLING_KS[np.argmin(doubling)], PRESCAN_POINTS)
-            flags = compiled.feasible(ks, leading)
-            batched = _bisect_max_k(lambda batch: compiled.feasible(batch, leading), ks, flags)
-            single = _one_midpoint_bisection(
-                lambda k: compiled.feasible(np.array([k]), leading)[0], ks, flags)
+            flags = _flags(compiled, ks, leading)
+            batched = _bisect_one(lambda rows, batch: compiled.feasible(batch, leading),
+                                  ks, flags)
+            single = _one_midpoint_bisection(lambda k: _flags(compiled, [k], leading)[0],
+                                             ks, flags)
             assert batched == single, f"group {group.group_id} at {point}"
             bisected += 1
     assert bisected
@@ -725,12 +759,12 @@ def test_compile_conditions_matches_dict_merge(system, query, enumerations):
         conds = psd_conditions(group.representative, query.gamma, query.corners())
         # Every point binds through the layouts kept on conds since the first.
         for point in query.grid_points():
-            compiled = compile_conditions(conds, point, tgrid)
+            compiled = compile_conditions(conds, [point], tgrid)
             coef, size, exps = _dict_merge_compile(conds, point)
             where = f"group {group.group_id} at {point}"
             assert compiled.shape == coef.shape[1:], where
-            assert np.array_equal(compiled.coef, coef.reshape(len(coef), -1)), where
-            assert np.array_equal(compiled.size, size.reshape(len(size), -1)), where
+            assert np.array_equal(compiled.coef, coef.reshape(1, len(coef), -1)), where
+            assert np.array_equal(compiled.size, size.reshape(1, len(size), -1)), where
             assert np.array_equal(compiled.kexps, np.arange(len(coef))), where
             assert np.array_equal(compiled.tpowers, tgrid[None, :] ** exps[:, None]), where
 
@@ -757,17 +791,154 @@ def test_compile_conditions_names_the_same_unbound_symbol(system, gamma, full, p
         conds = psd_conditions(group.representative, gamma, query.corners())
         for bindings in partials + (full,) + partials:  # before and after a layout is kept
             name = _unbound_name(_dict_merge_compile, conds, bindings)
-            assert _unbound_name(lambda c, b: compile_conditions(c, b, tgrid),
+            assert _unbound_name(lambda c, b: compile_conditions(c, [b], tgrid),
                                  conds, bindings) == name, f"group {group.group_id}, {bindings}"
             raised.add(name)
     assert len(raised - {None}) >= 2
+
+
+def _point_by_point_rate(conds, query, group_id):
+    """max_rate as it ran before grid points were batched: per point, one
+    compile, k = 0, the doubling, the pre-scan, bisection one midpoint at a
+    time and the validity range; the first point with the largest k wins."""
+    tgrid = time_grid(query.t_domain)
+    leading = not isinstance(query.t_domain, Window)
+    best = None
+    for point in query.grid_points():
+        compiled = compile_conditions(conds, [point], tgrid)
+        if not feasible(conds, 0.0, query, _compiled=compiled):
+            continue
+        doubling = _flags(compiled, DOUBLING_KS, leading)
+        if doubling.all():
+            k_best, status = K_CAP, "cap"
+        else:
+            ks = np.linspace(0.0, DOUBLING_KS[np.argmin(doubling)], PRESCAN_POINTS)
+            k_best, status = _one_midpoint_bisection(
+                lambda k: _flags(compiled, [k], leading)[0], ks, _flags(compiled, ks, leading))
+        result = RateResult(group_id, k_best, dict(point),
+                            _certified_range(compiled.violations(k_best), tgrid, query.t_domain),
+                            isinstance(query.t_domain, Eventually), status, len(conds.minors))
+        if best is None or result.k_max > best.k_max:
+            best = result
+    return best
+
+
+def _assert_matches_point_by_point(groups, query, rates):
+    assert [rate.group_id for rate in rates] == [group.group_id for group in groups]
+    for group, rate in zip(groups, rates):
+        conds = psd_conditions(group.representative, query.gamma, query.corners())
+        expected = _point_by_point_rate(conds, query, group.group_id)
+        where = f"group {group.group_id}"
+        if expected is None:
+            assert rate.result is None, where
+            continue
+        result = rate.result
+        assert result is not None, where
+        assert result.k_max == expected.k_max, where
+        assert (result.status, result.validity, result.params, result.n_minors) == (
+            expected.status, expected.validity, expected.params, expected.n_minors), where
+        assert result == expected, where
+
+
+@pytest.mark.parametrize("system, query", _DIFFERENTIAL_CASES)
+def test_batched_search_matches_point_by_point(system, query, enumerations):
+    groups = enumerations(system)
+    _assert_matches_point_by_point(groups, query, analyze_groups(groups, query, jobs=1))
+
+
+def test_stacked_kernel_flags_match_each_point_alone(enumerations):
+    query = RateQuery(LINEAR, mu=1.0, grid={"a": (0.5, 1.0, 1.5), "b": (0.0, 0.5, 1.0)})
+    points = query.grid_points()
+    tgrid = time_grid(query.t_domain)
+    rng = np.random.default_rng(7)
+    checked = 0
+    for group in enumerations("second-order-hessian")[::7]:
+        conds = psd_conditions(group.representative, query.gamma, query.corners())
+        stacked = compile_conditions(conds, points, tgrid)
+        alone = [compile_conditions(conds, [point], tgrid) for point in points]
+        for i, one in enumerate(alone):
+            assert np.array_equal(stacked.coef[i], one.coef[0])
+            assert np.array_equal(stacked.size[i], one.size[0])
+        # Different ks per point, some past the rate, and nan padding at the end.
+        ks = rng.uniform(0.0, 3.0, size=(len(points), 12))
+        ks[::2, -3:] = np.nan
+        for leading in (True, False):
+            flags = stacked.feasible(ks, leading)
+            for i, one in enumerate(alone):
+                real = ~np.isnan(ks[i])
+                assert np.array_equal(flags[i][real],
+                                      one.feasible(ks[i:i + 1, real], leading)[0]), i
+                checked += int((~flags[i][real]).sum())
+            subset = [7, 2, 5]
+            assert np.array_equal(stacked.feasible(ks[subset], leading, subset), flags[subset])
+        for i, one in enumerate(alone):
+            assert np.array_equal(stacked.violations(ks[i, 0], i), one.violations(ks[i, 0])), i
+    assert checked  # some flags are False
+
+
+def test_alpha_grid_binds_one_layout_per_alpha(enumerations, monkeypatch):
+    query = RateQuery(POWER, mu=1.0, params={"r": 1.0}, grid={"alpha": (0.25, 0.5)},
+                      t_domain=Eventually(1e4))
+    bound = []
+    compile_ = analysis.compile_conditions
+
+    def recording(conds, points, tgrid):
+        bound.append((conds.alpha_exponents, [point["alpha"] for point in points]))
+        return compile_(conds, points, tgrid)
+
+    monkeypatch.setattr(analysis, "compile_conditions", recording)
+    groups = enumerations("generalized-nag")
+    rates = analyze_groups(groups, query, jobs=1)
+    monkeypatch.undo()
+    assert ((True, [0.25]) in bound) and ((True, [0.5]) in bound)
+    assert all(alphas in ([0.25], [0.5]) if by_alpha else alphas == [0.25, 0.5]
+               for by_alpha, alphas in bound)
+    _assert_matches_point_by_point(groups, query, rates)
+    assert any(rate.result is not None for rate in rates)
+
+
+def test_compiling_two_alphas_together_is_refused(enumerations):
+    query = RateQuery(POWER, mu=1.0)
+    conds = next(conds for group in enumerations("generalized-nag")
+                 if (conds := psd_conditions(group.representative, POWER,
+                                             query.corners())).alpha_exponents)
+    with pytest.raises(AnalysisError, match="must bind one alpha"):
+        compile_conditions(conds, [{"r": 1.0, "alpha": 0.25}, {"r": 1.0, "alpha": 0.5}],
+                           time_grid(AllPositive()))
+
+
+def test_rows_sharing_a_condition_set_run_as_one_batch(enumerations, monkeypatch):
+    rows = {row.label: row for row in catalog_rows(1.0, 4.0)}
+    queries = [rows[label].query for label in ("sc-nag", "second-order-hessian")]
+    groups = enumerations("second-order-hessian")
+    batch_sizes = []
+    compile_ = analysis.compile_conditions
+
+    def recording(conds, points, tgrid):
+        batch_sizes.append(len(points))
+        return compile_(conds, points, tgrid)
+
+    monkeypatch.setattr(analysis, "compile_conditions", recording)
+    bundled = _analyze_queries(groups, queries, jobs=1)
+    monkeypatch.undo()
+    assert batch_sizes == [2] * len(groups)
+    for query, rates in zip(queries, bundled):
+        assert rates == analyze_groups(groups, query)
+    enumerated = {"second-order-hessian": groups}
+    together = verify_catalog(1.0, 4.0, jobs=1, rows=["sc-nag", "second-order-hessian"],
+                              enumerations=enumerated)
+    alone = [verify_catalog(1.0, 4.0, jobs=1, rows=[label], enumerations=enumerated).rows[0]
+             for label in ("sc-nag", "second-order-hessian")]
+    assert together.rows == alone
+    assert together.passed
 
 
 def test_pool_tasks_carry_no_member_sequences(enumerations):
     # A lock cannot be pickled: the pool must not ship the groups' members.
     groups = enumerations("nag")
     query = RateQuery(LOG, mu=1.0, convex=True, params={"r": 3.0})
-    locked = [PairGroup(g.group_id, g.representative, [threading.Lock()]) for g in groups]
+    locked = [PairGroup(g.group_id, g.representative, positions=[threading.Lock()])
+              for g in groups]
     assert analyze_groups(locked, query, jobs=2) == analyze_groups(groups, query, jobs=1)
 
 
@@ -781,9 +952,9 @@ def test_batched_flags_keep_each_k_and_check():
     for domain, expected in ((AllPositive(), [True, False, False]),
                              (Window(T_GRID_LO, T_GRID_HI), [True, True, False])):
         query = RateQuery(LINEAR, mu=1.0, t_domain=domain)
-        compiled = compile_conditions(conds, {}, time_grid(domain))
+        compiled = compile_conditions(conds, [{}], time_grid(domain))
         leading = isinstance(domain, AllPositive)
-        assert compiled.feasible(ks, leading).tolist() == expected
+        assert _flags(compiled, ks, leading).tolist() == expected
         assert [feasible(conds, k, query, _compiled=compiled) for k in ks] == expected
 
 
@@ -794,7 +965,7 @@ def test_tpower_tables_are_kept_per_grid():
                            RateQuery(LINEAR, mu=1.0, convex=True).corners())
     for tgrid in (time_grid(AllPositive()), time_grid(Eventually(1e4)),
                   time_grid(AllPositive())):
-        first, again = (compile_conditions(conds, {}, tgrid) for _ in range(2))
+        first, again = (compile_conditions(conds, [{}], tgrid) for _ in range(2))
         assert again.tpowers is first.tpowers
         exps = conds.layouts[None].exps
         assert np.array_equal(first.tpowers, tgrid[None, :] ** exps[:, None])
@@ -809,7 +980,7 @@ def test_identically_zero_minor_survives_float_rounding():
     assert minor.subs_params({"b": Fraction(-1, 5)}) == ZERO
     conds = PsdConditionSet(((0.5, 5.0),), (minor,))
     query = RateQuery(LINEAR, mu=0.5, L=5.0, params={"b": -1 / 5})
-    compiled = compile_conditions(conds, query.params, time_grid(query.t_domain))
+    compiled = compile_conditions(conds, [query.params], time_grid(query.t_domain))
     assert compiled.coef.min() < 0  # the rounding this test is about
     for k in (0.0, 0.25, 0.5, 1.0, 4.0, K_CAP):
         assert feasible(conds, k, query, _compiled=compiled)

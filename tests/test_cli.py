@@ -63,6 +63,11 @@ GOLDEN_SEARCHES = [
                  ["--spec", "generalized-nag", "--gamma", "power", "--param", "r=1",
                   "--param-grid", "alpha=0.25,0.5", "--t-domain", "eventually:10000"],
                  id="generalized-nag-power-alpha-grid"),
+    # Four corners, and t-free (r = 0) and t-dependent points in one batch.
+    pytest.param("search-hessian-nag-mu0.5-L9-rb-grid.csv",
+                 ["--spec", "hessian-nag", "--gamma", "linear", "--mu", "0.5", "--L", "9",
+                  "--param-grid", "r=0,0.5", "--param-grid", "b=0.5,1,1.5"],
+                 id="hessian-nag-rb-grid"),
 ]
 
 
@@ -118,6 +123,24 @@ def test_search_rejects_unknown_and_repeated_parameters(tmp_path, capsys, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, missing", [
+    (["--param", "r=1"], "alpha"), (["--param", "alpha=0.5"], "r")], ids=["alpha", "r"])
+def test_simulate_needs_every_gamma_form_parameter(tmp_path, capsys, monkeypatch, argv,
+                                                   missing):
+    # Refused before any integration, naming the parameter.
+    def no_run(*args, **kwargs):
+        raise AssertionError("integrated before checking the parameters")
+
+    monkeypatch.setattr(lyapsearch.simulate, "integrate", no_run)
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--spec", "nag", "--gamma", "power", "--t1", "3"] + argv
+                + ["--csv", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: the power gamma form needs parameter {missing!r}; "
+        f"give it with --param {missing}=VALUE\n")
+    assert not out.exists()
+
+
 def test_search_takes_the_power_form_parameters(tmp_path):
     # nag's coefficients hold only r; alpha is a parameter of the power gamma form.
     out = tmp_path / "out.csv"
@@ -154,7 +177,7 @@ def test_bad_t_domain_is_a_usage_error(tmp_path, capsys, domain, bound):
 @pytest.mark.parametrize("mu, L", [("0", "4"), ("2", "1"), ("-1", "4"), ("1", "1")])
 def test_verify_catalog_needs_mu_below_L(capsys, mu, L):
     assert main(["--jobs", "1", "verify-catalog", "--mu", mu, "--L", L]) == 1
-    assert "error: verify-catalog needs 0 < mu < L" in capsys.readouterr().err
+    assert "error: catalog rows need 0 < mu < L" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [

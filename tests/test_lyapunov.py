@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -71,5 +73,6 @@ def test_monotone_strictly_past_certified_rate():
 @pytest.mark.parametrize("mu, L", [(2.0, 2.0), (4.0, 1.0)], ids=["mu-equals-L", "mu-above-L"])
 def test_certificates_need_mu_below_L(mu, L):
     # A certificate reads its catalog row, and the rows need 0 < mu < L.
-    with pytest.raises(ValueError, match="0 < mu < L"):
+    message = f"catalog rows need 0 < mu < L, got mu={mu!r}, L={L!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         monotonicity_check("damped-newton", mu=mu, L=L)

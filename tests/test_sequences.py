@@ -158,6 +158,18 @@ def _assert_matches_reference(groups, system):
         assert group.sequences == members
 
 
+def test_group_members_are_positions_decoded_on_read(enumerations):
+    sequences = generate_sequences()
+    for name in ("nag", "second-order-hessian"):
+        groups = enumerations(name)
+        assert sorted(i for g in groups for i in g.positions) == list(range(len(sequences)))
+        for group in groups:
+            assert group.positions == sorted(group.positions)
+            assert group.sequences == [sequences[i] for i in group.positions]
+            assert group.member_count == len(group.positions)
+            assert group.label() == sequences[group.positions[0]].label()
+
+
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_enumeration_matches_path_by_path_reference(name, enumerations):
     _assert_matches_reference(enumerations(name), CATALOG[name])
