@@ -15,11 +15,10 @@ arithmetic is not failed by the rounding of its float coefficients.  A pair
 is compiled once per batch of parameter points into tables of the
 coefficient of k^p * t^e per minor and point; at each k these settle every
 minor whose coefficients all clear the floor, and only the rest are
-evaluated on the grid.  A pair's condition set keeps one BindingLayout per
-value of alpha, made on first use: each term's slot in the tables, its float
-coefficient and its factors.  The points that bind one alpha are then bound
-together with array multiplies and one summation per table, with no
-per-term Python work.
+evaluated on the grid.  One compile finds each term's slot in the tables,
+its float coefficient and its factors, then binds every point of the batch,
+which must share one alpha, with array multiplies and one summation per
+table.
 
 The largest feasible k is searched in stages, each checked for every live
 point of a batch in one pass over arrays: k = 0; the doubling 1, 2, 4, ...,
@@ -221,11 +220,8 @@ class PsdConditionSet:
     # and the index of the minor each term belongs to.
     terms: tuple = field(init=False, repr=False)
     term_minors: tuple[int, ...] = field(init=False, repr=False)
-    # Whether some exponent of t involves alpha, and the BindingLayout of the
-    # terms per value of alpha (None when none does), made on first use by
-    # compile_conditions.
+    # Whether some exponent of t involves alpha.
     alpha_exponents: bool = field(init=False, repr=False)
-    layouts: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self, tables):
         if tables is None:
@@ -552,7 +548,7 @@ class CompiledConditions:
 
     coef[i, p, m * n_exps + e] is the coefficient of k^p * t^e in minor m at
     the i-th point, and size the sum of the magnitudes of the terms merged
-    into it; e runs over the exponents of t of the points' layout, in
+    into it; e runs over the exponents of t at the points' alpha, in
     descending order.  For each k of a point, c = sum_p k^p coef holds each
     minor's coefficient per exponent and a = sum_p |k|^p size its scale.  A
     minor with every c >= -REL_FLOOR * a is nonnegative for every t > 0 up
@@ -621,97 +617,25 @@ class CompiledConditions:
         return ok.reshape(ks.shape)
 
 
-class BindingLayout:
-    """Where each term of a condition set lands in its compiled tables, at one alpha.
-
-    coef holds each term's float coefficient.  factors lists the distinct
-    (symbol, power) items of the terms' monomials, and factor_ids[j] gives,
-    for each term, the position in factors of the j-th item of its monomial,
-    or -1 past its end.  slots holds each term's flat index into a table of
-    the given shape, indexed (power of k, minor, column), where the columns
-    are the distinct exponents of t at this alpha, in descending order, held
-    in exps.
-
-    Binding a point computes each value ** power once, as a Python float, and
-    multiplies the j-th of them into every term for j = 0, 1, ..., so each
-    term gets its factors in monomial order, as bind_terms multiplies them
-    (past a monomial's end the factor is 1.0, which changes nothing).  The
-    products are then summed into their slots in term order.  So the tables
-    are bit-identical to merging bind_terms' output key by key.  A batch of
-    points binds in one pass: point i's slots are offset by i tables, so one
-    summation gives every point the same sums, in the same term order.
-    """
-
-    __slots__ = ("coef", "factors", "factor_ids", "symbols", "slots", "shape", "exps")
-
-    def __init__(self, conds: PsdConditionSet, alpha: float | None):
-        n_minors = len(conds.minors)
-        if not conds.terms:
-            self.coef, self.slots = np.zeros(0), np.zeros(0, dtype=np.intp)
-            self.factors, self.factor_ids, self.symbols = (), (), frozenset()
-            self.shape, self.exps = (1, n_minors, 0), np.zeros(0)
-            return
-        coefs, ps, qs, monos, kpows = zip(*conds.terms)
-        self.coef = np.array(coefs, dtype=float)
-        t_exps = np.array(ps, dtype=float)
-        if alpha is not None:
-            q = np.array(qs, dtype=float)
-            t_exps = np.where(q != 0, t_exps + q * alpha, t_exps)
-        exps = np.array(sorted(set(t_exps.tolist())))
-        n_exps = len(exps)
-        kpow = np.array([kpow for (kpow,) in kpows], dtype=np.intp)
-        self.shape = (int(kpow.max()) + 1, n_minors, n_exps)
-        # Plain integer arithmetic: the flat index of (kpow, minor, column).
-        self.slots = ((kpow * n_minors + np.array(conds.term_minors, dtype=np.intp)) * n_exps
-                      + (n_exps - 1 - np.searchsorted(exps, t_exps)))
-        self.exps = exps[::-1].copy()
-        # Each distinct monomial once: its items' positions in factors.
-        mono_ids: dict = {}
-        term_monos = np.array([mono_ids.setdefault(mono, len(mono_ids)) for mono in monos],
-                              dtype=np.intp)
-        items = {item: i for i, item in enumerate(dict.fromkeys(
-            item for mono in mono_ids for item in mono))}
-        width = max(map(len, mono_ids))
-        rows = np.array([[items[item] for item in mono] + [-1] * (width - len(mono))
-                         for mono in mono_ids], dtype=np.intp).reshape(len(mono_ids), width)
-        self.factors = tuple(items)
-        self.factor_ids = tuple(rows[term_monos, j] for j in range(width))
-        self.symbols = frozenset(sym for sym, _power in items)
-
-    def bind(self, points: Sequence[Mapping[str, float]],
-             tpowers: np.ndarray) -> CompiledConditions:
-        """The compiled tables at points whose symbols are all bound, over the
-        grid whose powers of exps are tpowers."""
-        # The last entry of each row, 1.0, is what position -1 picks.
-        values = np.array([[float(bindings[sym] ** power) for sym, power in self.factors] + [1.0]
-                           for bindings in points])
-        base = self.coef[None]
-        for ids in self.factor_ids:
-            base = base * values.take(ids, axis=1)
-        if len(base) < len(points):  # no term has a factor
-            base = base.repeat(len(points), axis=0)
-        n_slots = math.prod(self.shape)
-        slots = self.slots
-        if len(points) > 1:
-            slots = (slots + n_slots * np.arange(len(points))[:, None]).ravel()
-        shape = (len(points),) + self.shape
-        coef = np.bincount(slots, weights=base.ravel(), minlength=n_slots * len(points))
-        size = np.bincount(slots, weights=np.abs(base).ravel(), minlength=n_slots * len(points))
-        # Over no terms at all, bincount counts in ints.
-        return CompiledConditions(coef.astype(float, copy=False).reshape(shape),
-                                  size.astype(float, copy=False).reshape(shape), tpowers)
-
-
 def compile_conditions(conds: PsdConditionSet, points: Sequence[Mapping[str, float]],
                        tgrid: np.ndarray) -> CompiledConditions:
     """Bind each of the points into the pair's term table and tabulate it by k^p * t^e.
 
-    The points share one BindingLayout, so where some exponent of t involves
-    alpha they must bind the same alpha.  The condition set's layout for that
-    alpha is made on first use and kept on the set, and tgrid's powers of its
-    exponents are taken once per grid and set of exponents among the sets of
-    one MinorTable.  Raises UnboundSymbolError for the first point that lacks
-    a symbol, naming the first such symbol in term order.
+    Each term lands in a slot of a table indexed (power of k, minor, column),
+    where the columns are the distinct exponents of t at the points' alpha,
+    in descending order; so where some exponent of t involves alpha, the
+    points must bind the same alpha.  Binding a point computes each distinct
+    (symbol, power) factor of the terms' monomials once, as a Python float,
+    and multiplies the j-th factor of each monomial into its term's float
+    coefficient for j = 0, 1, ..., so each term gets its factors in monomial
+    order, as bind_terms multiplies them (past a monomial's end the factor is
+    1.0, which changes nothing).  The products are then summed into their
+    slots in term order, point i's slots offset by i tables, so one summation
+    per table gives every point tables bit-identical to merging bind_terms'
+    output key by key.  tgrid's powers of the exponents are taken once per
+    grid and set of exponents among the sets of one MinorTable.  Raises
+    UnboundSymbolError for the first point that lacks a symbol, naming the
+    first such symbol in term order.
     """
     alpha = None
     if conds.alpha_exponents:
@@ -723,32 +647,65 @@ def compile_conditions(conds: PsdConditionSet, points: Sequence[Mapping[str, flo
             raise AnalysisError(f"points compiled together must bind one alpha, "
                                 f"got {sorted(alphas)}")
         (alpha,) = alphas
-    layout = conds.layouts.get(alpha)
-    if layout is None:
-        layout = conds.layouts[alpha] = BindingLayout(conds, alpha)
+    coefs, ps, qs, monos, kpows = zip(*conds.terms) if conds.terms else ((),) * 5
+    t_exps = np.array(ps, dtype=float)
+    if alpha is not None:
+        q = np.array(qs, dtype=float)
+        t_exps = np.where(q != 0, t_exps + q * alpha, t_exps)
+    exps = np.array(sorted(set(t_exps.tolist())))
+    n_minors, n_exps = len(conds.minors), len(exps)
+    kpow = np.array([kpow for (kpow,) in kpows], dtype=np.intp)
+    shape = (int(kpow.max(initial=0)) + 1, n_minors, n_exps)
+    # Plain integer arithmetic: the flat index of (kpow, minor, column).
+    slots = ((kpow * n_minors + np.array(conds.term_minors, dtype=np.intp)) * n_exps
+             + (n_exps - 1 - np.searchsorted(exps, t_exps)))
+    # Each distinct monomial once: its items' positions in factors, -1 past its end.
+    mono_ids: dict = {}
+    term_monos = np.array([mono_ids.setdefault(mono, len(mono_ids)) for mono in monos],
+                          dtype=np.intp)
+    factors = {item: i for i, item in enumerate(dict.fromkeys(
+        item for mono in mono_ids for item in mono))}
+    width = max(map(len, mono_ids), default=0)
+    rows = np.array([[factors[item] for item in mono] + [-1] * (width - len(mono))
+                     for mono in mono_ids], dtype=np.intp).reshape(len(mono_ids), width)
+    symbols = {sym for sym, _power in factors}
     for bindings in points:
-        if not layout.symbols.issubset(bindings):
+        if not symbols.issubset(bindings):
             bind_terms(conds.terms, bindings)
+    exps = exps[::-1]
     # The entry holds the grid, so no other array can take its id meanwhile.
-    key = (id(tgrid), layout.exps.tobytes())
+    key = (id(tgrid), exps.tobytes())
     cached = conds.tpower_cache.get(key)
     if cached is None:
-        tpowers = tgrid[None, :] ** layout.exps[:, None]
+        tpowers = tgrid[None, :] ** exps[:, None]
         tpowers.flags.writeable = False
         cached = conds.tpower_cache[key] = (tgrid, tpowers)
-    return layout.bind(points, cached[1])
+    # The last entry of each row, 1.0, is what position -1 picks.
+    values = np.array([[float(bindings[sym] ** power) for sym, power in factors] + [1.0]
+                       for bindings in points])
+    base = np.array(coefs, dtype=float)[None]
+    for j in range(width):
+        base = base * values.take(rows[term_monos, j], axis=1)
+    if len(base) < len(points):  # no term has a factor
+        base = base.repeat(len(points), axis=0)
+    n_slots = math.prod(shape)
+    if len(points) > 1:
+        slots = (slots + n_slots * np.arange(len(points))[:, None]).ravel()
+    shape = (len(points),) + shape
+    coef = np.bincount(slots, weights=base.ravel(), minlength=n_slots * len(points))
+    size = np.bincount(slots, weights=np.abs(base).ravel(), minlength=n_slots * len(points))
+    # Over no terms at all, bincount counts in ints.
+    return CompiledConditions(coef.astype(float, copy=False).reshape(shape),
+                              size.astype(float, copy=False).reshape(shape), cached[1])
 
 
 def feasible(conds: PsdConditionSet, k: float, query: RateQuery,
-             bindings: Mapping[str, float] | None = None,
-             _compiled: CompiledConditions | None = None) -> bool:
+             bindings: Mapping[str, float] | None = None) -> bool:
     """True when every minor is nonnegative over the query's time domain at k,
-    at bindings (default the query's params), or at the one point of _compiled."""
-    if _compiled is None:
-        tgrid = time_grid(query.t_domain)
-        _compiled = compile_conditions(conds, [bindings or query.params], tgrid)
+    at bindings (default the query's params)."""
+    compiled = compile_conditions(conds, [bindings or query.params], time_grid(query.t_domain))
     leading = not isinstance(query.t_domain, Window)
-    return bool(_compiled.feasible(np.array([[k]], dtype=float), leading)[0, 0])
+    return bool(compiled.feasible(np.array([[k]], dtype=float), leading)[0, 0])
 
 
 # -- rate maximization --------------------------------------------------------------

@@ -103,7 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lyapsearch")
     parser.add_argument("--jobs", type=_parse_jobs, default=None,
                         help="analysis worker pool size (default: all cores)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized runs")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("search", help="enumerate pairs and maximize the rate per group")
@@ -183,7 +182,7 @@ def _cmd_search(args) -> int:
     rates = analysis.analyze_groups(groups, query, jobs=args.jobs)
     out = _open_out(args.out)
     out.write(f"# search system={system.name} gamma={args.gamma} mu={args.mu} "
-              f"L={args.L} convex={args.convex} seed={args.seed}\n")
+              f"L={args.L} convex={args.convex}\n")
     writer = csv.writer(out)
     writer.writerow(["group_id", "ops", "k_max", "params", "t_validity", "n_minors", "status"])
     for rate, group in zip(rates, groups):

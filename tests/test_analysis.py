@@ -650,7 +650,7 @@ def test_feasible_matches_per_minor_reference(system, query, enumerations):
                                       np.sort(expected[expected != 0])), where
 
             def check(k):
-                return feasible(conds, k, query, _compiled=compiled)
+                return bool(_flags(compiled, [k], leading)[0])
 
             def same(k, mask=False):
                 flag = check(k)
@@ -703,7 +703,7 @@ def test_batched_bisection_walks_the_one_midpoint_path(system, query, enumeratio
         conds = psd_conditions(group.representative, query.gamma, query.corners())
         for point in query.grid_points():
             compiled = compile_conditions(conds, [point], tgrid)
-            if not feasible(conds, 0.0, query, _compiled=compiled):
+            if not _flags(compiled, [0.0], leading)[0]:
                 continue
             doubling = _flags(compiled, DOUBLING_KS, leading)
             if doubling.all():
@@ -757,7 +757,6 @@ def test_compile_conditions_matches_dict_merge(system, query, enumerations):
     tgrid = time_grid(query.t_domain)
     for group in enumerations(system):
         conds = psd_conditions(group.representative, query.gamma, query.corners())
-        # Every point binds through the layouts kept on conds since the first.
         for point in query.grid_points():
             compiled = compile_conditions(conds, [point], tgrid)
             coef, size, exps = _dict_merge_compile(conds, point)
@@ -789,7 +788,7 @@ def test_compile_conditions_names_the_same_unbound_symbol(system, gamma, full, p
     raised = set()
     for group in enumerations(system)[:40]:
         conds = psd_conditions(group.representative, gamma, query.corners())
-        for bindings in partials + (full,) + partials:  # before and after a layout is kept
+        for bindings in partials + (full,) + partials:
             name = _unbound_name(_dict_merge_compile, conds, bindings)
             assert _unbound_name(lambda c, b: compile_conditions(c, [b], tgrid),
                                  conds, bindings) == name, f"group {group.group_id}, {bindings}"
@@ -806,7 +805,7 @@ def _point_by_point_rate(conds, query, group_id):
     best = None
     for point in query.grid_points():
         compiled = compile_conditions(conds, [point], tgrid)
-        if not feasible(conds, 0.0, query, _compiled=compiled):
+        if not _flags(compiled, [0.0], leading)[0]:
             continue
         doubling = _flags(compiled, DOUBLING_KS, leading)
         if doubling.all():
@@ -907,6 +906,22 @@ def test_compiling_two_alphas_together_is_refused(enumerations):
                            time_grid(AllPositive()))
 
 
+def test_compiling_an_alpha_again_gives_the_same_tables(enumerations):
+    """Each compile builds its slots and columns afresh: a condition set
+    compiled at another alpha in between compiles as it did the first time."""
+    query = RateQuery(POWER, mu=1.0, params={"r": 1.0}, t_domain=Eventually(1e4))
+    conds = next(conds for group in enumerations("generalized-nag")
+                 if (conds := psd_conditions(group.representative, POWER,
+                                             query.corners())).alpha_exponents)
+    tgrid = time_grid(query.t_domain)
+    first, other, again = (compile_conditions(conds, [{"r": 1.0, "alpha": alpha}], tgrid)
+                           for alpha in (0.25, 0.5, 0.25))
+    assert not np.array_equal(other.tpowers, first.tpowers)
+    for name in ("coef", "size", "tpowers"):
+        assert getattr(again, name).tobytes() == getattr(first, name).tobytes(), name
+        assert getattr(again, name).shape == getattr(first, name).shape, name
+
+
 def test_rows_sharing_a_condition_set_run_as_one_batch(enumerations, monkeypatch):
     rows = {row.label: row for row in catalog_rows(1.0, 4.0)}
     queries = [rows[label].query for label in ("sc-nag", "second-order-hessian")]
@@ -955,7 +970,8 @@ def test_batched_flags_keep_each_k_and_check():
         compiled = compile_conditions(conds, [{}], time_grid(domain))
         leading = isinstance(domain, AllPositive)
         assert _flags(compiled, ks, leading).tolist() == expected
-        assert [feasible(conds, k, query, _compiled=compiled) for k in ks] == expected
+        assert [_flags(compiled, [k], leading)[0] for k in ks] == expected
+        assert [feasible(conds, k, query) for k in ks] == expected
 
 
 def test_tpower_tables_are_kept_per_grid():
@@ -967,8 +983,8 @@ def test_tpower_tables_are_kept_per_grid():
                   time_grid(AllPositive())):
         first, again = (compile_conditions(conds, [{}], tgrid) for _ in range(2))
         assert again.tpowers is first.tpowers
-        exps = conds.layouts[None].exps
-        assert np.array_equal(first.tpowers, tgrid[None, :] ** exps[:, None])
+        exps = sorted({float(p) for _c, p, _q, _mono, _powers in conds.terms}, reverse=True)
+        assert np.array_equal(first.tpowers, tgrid[None, :] ** np.array(exps)[:, None])
     assert len(conds.tpower_cache) == 3
 
 
@@ -983,7 +999,7 @@ def test_identically_zero_minor_survives_float_rounding():
     compiled = compile_conditions(conds, [query.params], time_grid(query.t_domain))
     assert compiled.coef.min() < 0  # the rounding this test is about
     for k in (0.0, 0.25, 0.5, 1.0, 4.0, K_CAP):
-        assert feasible(conds, k, query, _compiled=compiled)
+        assert _flags(compiled, [k], True)[0]
         assert not compiled.violations(k).any()
 
 

@@ -31,7 +31,7 @@ def test_search_damped_newton_convex(tmp_path):
 
 def test_search_deterministic_output(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    argv = ["--jobs", "1", "--seed", "7", "search", "--spec", "nag", "--gamma", "log",
+    argv = ["--jobs", "1", "search", "--spec", "nag", "--gamma", "log",
             "--convex", "--param", "r=3"]
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--out", str(b)]) == 0
@@ -396,6 +396,16 @@ def test_dump_groups(tmp_path):
     assert main(["dump-groups", "--spec", "generalized-nag", "--out", str(out)]) == 0
     _header, rows = read_csv(out)
     assert len(rows) == 10
+
+
+# Group lists recorded for every catalog system; each run must reproduce them
+# byte for byte.
+@pytest.mark.parametrize("spec", ["damped-newton", "first-order-hessian", "second-order-hessian",
+                                  "nag", "generalized-nag", "hessian-nag"])
+def test_dump_groups_reproduces_golden_csv(tmp_path, spec):
+    out = tmp_path / "groups.csv"
+    assert main(["dump-groups", "--spec", spec, "--out", str(out)]) == 0
+    assert out.read_bytes() == (FIXTURES / f"dump-groups-{spec}.csv").read_bytes()
 
 
 def test_system_spec_file_round_trip(tmp_path):
