@@ -7,8 +7,11 @@ it is enough to check the corner values of their interval, and PSD itself is
 checked through all principal minors of the nonzero-support submatrices.
 
 Feasibility of a given k is decided numerically: every minor must be
-nonnegative on a log-spaced t grid of the query domain and, for unbounded
-domains, must have a nonnegative leading coefficient as t grows.  Both checks
+nonnegative on a log-spaced t grid of the query domain, and at each end of
+the domain past the grid, the coefficient of its dominant power of t must be
+nonnegative.  Eventually and AllPositive check the leading coefficient, of
+the largest power, as t grows; AllPositive also checks the trailing one, of
+the lowest power, as t -> 0; a Window checks only its grid.  These checks
 allow a floor of 1e-12 times the summed magnitudes of the terms involved,
 taken before they merge, so a minor that vanishes identically in exact
 arithmetic is not failed by the rounding of its float coefficients.  A pair
@@ -73,10 +76,10 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .expr import (Exponent, Expr, FloatTerm, GammaForm, LINEAR, LOG, Monomial, POWER, ZERO,
-                   ZeroExpressionError, _exp_part, _mono_mul, bind_terms, float_terms)
+                   _exp_part, _mono_mul, bind_terms, float_terms)
 from .pq import PQPair
 from .sequences import PairGroup, enumerate_pairs
-from .systems import CATALOG, OdeSystemSpec
+from .systems import CATALOG
 
 LAMBDA_CAP = float(2 ** 20)  # stands in for an unbounded upper corner
 GRID_POINTS_PER_DECADE = 200
@@ -101,16 +104,13 @@ class InfeasiblePairError(AnalysisError):
     """The pair is not PSD even at k = 0."""
 
 
-class BootstrapPreconditionError(AnalysisError):
-    """The pair does not have the shape the single-step bootstrap needs."""
-
-
 # -- time domains -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class AllPositive:
-    pass
+    """t > 0, checked on the grid from T_GRID_LO to T_GRID_HI and by leading and
+    trailing coefficients."""
 
 
 @dataclass(frozen=True)
@@ -591,10 +591,12 @@ class CompiledConditions:
         _ki, c, a, _neg = self._suspect_pairs(np.array([[k]], dtype=float), [point])
         return self._grid_bad(c, a).any(axis=0)
 
-    def feasible(self, ks: np.ndarray, check_leading: bool,
+    def feasible(self, ks: np.ndarray, domain: TDomain,
                  points: Sequence[int] | None = None) -> np.ndarray:
-        """One flag per k: every minor is nonnegative on the grid and, with
-        check_leading, leads with a nonnegative coefficient as t grows.
+        """One flag per k: every minor is nonnegative on the grid, the
+        time_grid of domain, and, unless domain is a Window, leads with a
+        nonnegative coefficient as t grows; on AllPositive, its lowest power
+        of t, which dominates as t -> 0, has a nonnegative coefficient too.
 
         Row i of the 2-D ks holds ks of the i-th of points, the indices of
         some points (all of them when None).  A nan k is padding: no minor
@@ -602,11 +604,15 @@ class CompiledConditions:
         """
         ki, c, a, neg = self._suspect_pairs(ks, points)
         ok = np.ones(ks.size, dtype=bool)
-        if check_leading and len(ki):
-            # The leading exponent at k is the first whose |c| exceeds the floor;
-            # a minor with no coefficient below the floor leads with a positive one.
-            first = (neg | (c > REL_FLOOR * a)).argmax(axis=1)
-            ok[ki[neg[np.arange(len(ki)), first]]] = False
+        if not isinstance(domain, Window) and len(ki):
+            # The end exponents at k are the first and the last whose |c| exceeds
+            # the floor; a minor with no coefficient below the floor has positive ones.
+            clears = neg | (c > REL_FLOOR * a)
+            rows = np.arange(len(ki))
+            bad = neg[rows, clears.argmax(axis=1)]
+            if isinstance(domain, AllPositive):
+                bad |= neg[rows, clears.shape[1] - 1 - clears[:, ::-1].argmax(axis=1)]
+            ok[ki[bad]] = False
         # The grid goes GRID_BLOCK suspects at a time, skipping the ks already
         # settled, so its temporaries stay at GRID_BLOCK rows of the grid.
         pending = np.flatnonzero(ok[ki])
@@ -704,8 +710,7 @@ def feasible(conds: PsdConditionSet, k: float, query: RateQuery,
     """True when every minor is nonnegative over the query's time domain at k,
     at bindings (default the query's params)."""
     compiled = compile_conditions(conds, [bindings or query.params], time_grid(query.t_domain))
-    leading = not isinstance(query.t_domain, Window)
-    return bool(compiled.feasible(np.array([[k]], dtype=float), leading)[0, 0])
+    return bool(compiled.feasible(np.array([[k]], dtype=float), query.t_domain)[0, 0])
 
 
 # -- rate maximization --------------------------------------------------------------
@@ -791,7 +796,7 @@ def _bisect_max_k(check, ks: np.ndarray, flags: np.ndarray) -> tuple[list[float]
     return lo, statuses
 
 
-def _max_ks(compiled: CompiledConditions, leading: bool) -> list[tuple[float, str] | None]:
+def _max_ks(compiled: CompiledConditions, domain: TDomain) -> list[tuple[float, str] | None]:
     """Per point of compiled, its largest feasible k and status, or None where
     k = 0 is infeasible; each stage is one check of every point still live.
 
@@ -801,11 +806,11 @@ def _max_ks(compiled: CompiledConditions, leading: bool) -> list[tuple[float, st
     """
     n_points = len(compiled.coef)
     found: list[tuple[float, str] | None] = [None] * n_points
-    at_zero = compiled.feasible(np.zeros((n_points, 1)), leading)[:, 0].tolist()
+    at_zero = compiled.feasible(np.zeros((n_points, 1)), domain)[:, 0].tolist()
     live = [i for i in range(n_points) if at_zero[i]]
     if not live:
         return found
-    doubling = compiled.feasible(np.repeat(DOUBLING_KS[None], len(live), axis=0), leading, live)
+    doubling = compiled.feasible(np.repeat(DOUBLING_KS[None], len(live), axis=0), domain, live)
     rest, k_hi = [], []
     for i, row in zip(live, doubling.tolist()):
         if all(row):
@@ -818,8 +823,8 @@ def _max_ks(compiled: CompiledConditions, leading: bool) -> list[tuple[float, st
         ks = np.array(k_hi)[:, None] / (PRESCAN_POINTS - 1) * np.arange(PRESCAN_POINTS)
         ks[:, -1] = k_hi
         bisected = _bisect_max_k(
-            lambda rows, batch: compiled.feasible(batch, leading, [rest[r] for r in rows]),
-            ks, compiled.feasible(ks, leading, rest))
+            lambda rows, batch: compiled.feasible(batch, domain, [rest[r] for r in rows]),
+            ks, compiled.feasible(ks, domain, rest))
         for i, k, status in zip(rest, *bisected):
             found[i] = (k, status)
     return found
@@ -865,7 +870,6 @@ def _maximize(conds: PsdConditionSet, queries: Sequence[RateQuery], group_id: in
     the largest k, and only that point's validity range is computed.
     """
     domain = queries[0].t_domain
-    leading = not isinstance(domain, Window)
     grids = [query.grid_points() for query in queries]
     points = [point for grid in grids for point in grid]
     # The points that bind one alpha, where some exponent of t involves it.
@@ -876,7 +880,7 @@ def _maximize(conds: PsdConditionSet, queries: Sequence[RateQuery], group_id: in
     found: list[tuple | None] = [None] * len(points)
     for batch in batches.values():
         compiled = compile_conditions(conds, [points[i] for i in batch], tgrid)
-        for row, (i, rate) in enumerate(zip(batch, _max_ks(compiled, leading))):
+        for row, (i, rate) in enumerate(zip(batch, _max_ks(compiled, domain))):
             if rate is not None:
                 found[i] = rate + (compiled, row)
     results: list[RateResult | None] = []
@@ -1124,92 +1128,3 @@ def _rate_outcome(row: CatalogRow, rates: list[GroupRate], n_groups: int) -> Row
         expected = f"k={row.expected_k:.6g}"
     return RowOutcome(row.label, expected, f"k={best.k_max:.6g}",
                       passed, best.group_id, n_groups, n_bad)
-
-
-# -- single-step bootstrap ------------------------------------------------------------------
-
-
-def bootstrap_candidates(groups: Sequence[PairGroup], query: RateQuery) -> list[PairGroup]:
-    """Groups whose shape admits the single bootstrap step."""
-    out = []
-    for group in groups:
-        try:
-            _check_bootstrap_shape(group.representative, query)
-        except BootstrapPreconditionError:
-            continue
-        out.append(group)
-    return out
-
-
-def _check_bootstrap_shape(pair: PQPair, query: RateQuery) -> None:
-    r = query.params.get("r")
-    if r is None:
-        r = query.grid.get("r", (None,))[0]
-    if r is None:
-        raise BootstrapPreconditionError("the damping parameter r is not bound")
-    k_target = 2.0 * r / 3.0
-    bindings = dict(query.params)
-    bindings.update({"k": k_target, "r": r, "lambda": query.mu, "theta": query.mu})
-    q_sub = [[query.gamma.substitute(e) for e in row] for row in pair.Q]
-    tgrid = np.geomspace(10.0, T_GRID_HI, 600)
-    off_diag = [(i, j) for i in range(5) for j in range(i + 1, 5) if (i, j) != (0, 2)]
-    if any(q_sub[i][j] for i, j in off_diag):
-        raise BootstrapPreconditionError("Q couples entries beyond (1,3)")
-    if not q_sub[0][2]:
-        raise BootstrapPreconditionError("Q has no (1,3) coupling to bootstrap away")
-    p_sub = [[query.gamma.substitute(e) for e in row] for row in pair.P]
-    for t in tgrid[::100]:
-        m = np.array([[e.eval(float(t), bindings) for e in row] for row in p_sub])
-        if np.linalg.eigvalsh(m).min() < -1e-10 * (1 + np.abs(m).max()):
-            raise BootstrapPreconditionError("P is not PSD at the target rate")
-    q11 = q_sub[0][0]
-    try:
-        _exp, coeff = q11.leading(bindings.get("alpha"))
-    except ZeroExpressionError:
-        raise BootstrapPreconditionError("Q11 vanishes")
-    if coeff.eval(1.0, bindings) < 0:
-        raise BootstrapPreconditionError("Q11 is not eventually nonnegative")
-
-
-def bootstrap_rate_check(system: OdeSystemSpec, pair: PQPair, known_rate_exponent: float,
-                         query: RateQuery, dim: int = 10, t_fit: tuple[float, float] = (10.0, 1000.0),
-                         dt: float = 5e-3) -> bool:
-    """Single bootstrap step: bounded growth of the candidate certificate.
-
-    The pair's Q fails PSD only through the (1,3) coupling; integrating that
-    term by parts bounds E(t) - E(t0) by a multiple of t^(k-2) * gap, which the
-    already-known decay keeps bounded for 2r/3 <= known + 2.  Verified here
-    numerically along a trajectory, together with the implied decay exponent
-    of the objective gap.
-    """
-    from .simulate import QuadraticObjective, integrate, measure_rate, pair_energy
-
-    if query.gamma is not LOG:
-        raise BootstrapPreconditionError("the bootstrap step targets the log gamma form")
-    _check_bootstrap_shape(pair, query)
-    r = query.params.get("r")
-    if r is None:
-        r = query.grid.get("r", (None,))[0]
-    if not (3.0 < r <= 1.5 * (known_rate_exponent + 2.0)):
-        raise BootstrapPreconditionError(
-            f"r={r} outside the single-step range (3, {1.5 * (known_rate_exponent + 2.0)}]")
-    mu = query.mu
-    k_target = 2.0 * r / 3.0
-    L = query.L if query.L is not None else 4.0 * mu
-
-    obj = QuadraticObjective.log_spaced(dim, mu, L)
-    x0 = np.ones(dim)
-    traj = integrate(system, obj, x0, np.zeros(dim), t0=1.0, t1=t_fit[1], dt=dt,
-                     params={"r": r})
-
-    energy = pair_energy(pair, LOG, traj, {"k": k_target, "r": r})
-    t = traj.times
-    mask = t >= t_fit[0]
-    e0 = energy[mask][0]
-    growth = energy[mask] - e0
-    envelope = (4 * r * r - 6 * r) / (9 * mu) * t[mask] ** (k_target - 2.0) * traj.gaps[mask]
-    bound_ok = bool(np.all(growth <= envelope * (1 + 1e-6) + 1e-9 * (1 + abs(e0))))
-
-    fit = measure_rate(traj, LOG, {"k": 1.0}, window=t_fit)
-    rate_ok = fit.k >= k_target - 0.15
-    return bound_ok and rate_ok

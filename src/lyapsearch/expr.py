@@ -53,10 +53,6 @@ class UnboundSymbolError(ExprError):
         return f"unbound symbol {self.name!r}"
 
 
-class ZeroExpressionError(ExprError):
-    """Raised when an operation needs a nonzero expression."""
-
-
 class ExprSyntaxError(ExprError):
     """Raised on malformed expression text."""
 
@@ -325,37 +321,6 @@ class Expr:
             for sym, _ in mono:
                 syms.add(sym)
         return frozenset(syms)
-
-    def eval(self, t, bindings: Mapping[str, float] | None = None):
-        """IEEE-double value at time t > 0 with all symbols bound."""
-        return evaluate(bind_terms(float_terms(self), bindings or {}), t)
-
-    def leading(self, alpha: float | None = None) -> tuple[Exponent, "Expr"]:
-        """Largest-exponent behavior as t grows without bound.
-
-        Returns the maximal affine exponent together with the sum of the
-        coefficients (an expression in the remaining symbols) carried by t to
-        that exponent.  Affine exponents are ordered at the given alpha; when
-        alpha is omitted the order must be unambiguous on the whole interval
-        (0, 1).
-        """
-        if not self._terms:
-            raise ZeroExpressionError("leading behavior of the zero expression")
-        exponents = {exp for (exp, _mono) in self._terms}
-
-        def key(exp: Exponent, a: float) -> Fraction:
-            return exp[0] + exp[1] * Fraction(a)
-
-        if alpha is not None:
-            best = max(exponents, key=lambda e: key(e, alpha))
-        else:
-            lo = max(exponents, key=lambda e: key(e, 1e-9))
-            hi = max(exponents, key=lambda e: key(e, 1 - 1e-9))
-            if lo != hi:
-                raise ValueError("exponent order depends on alpha; pass a value")
-            best = lo
-        coeff = {(EXP_ZERO, mono): c for (exp, mono), c in self._terms.items() if exp == best}
-        return best, Expr(coeff)
 
     def max_gamma_order(self) -> int:
         """Highest gamma-derivative order present (0 if none)."""

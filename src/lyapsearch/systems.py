@@ -43,13 +43,6 @@ class OdeSystemSpec:
     def second_order(self) -> bool:
         return bool(self.coeffs[4])
 
-    def scaled(self, factor) -> "OdeSystemSpec":
-        """The same dynamics scaled by a positive constant."""
-        return OdeSystemSpec(
-            name=f"{self.name}-scaled",
-            coeffs=tuple(factor * c for c in self.coeffs),
-        )
-
 
 def _system(name: str, c1, c2, c3, c4, c5) -> OdeSystemSpec:
     def conv(x):

@@ -9,10 +9,10 @@ import time
 
 import numpy as np
 
-from lyapsearch.analysis import (RateQuery, Window, analyze_groups, bootstrap_rate_check,
-                                 certified_time, grid_step_factor, verify_catalog)
+from lyapsearch.analysis import (RateQuery, Window, analyze_groups, catalog_rows, certified_time,
+                                 grid_step_factor, verify_catalog)
 from lyapsearch.expr import LINEAR, LOG
-from lyapsearch.lyapunov import certified_rate, monotonicity_check
+from lyapsearch.lyapunov import bootstrap_rate_check, monotonicity_check
 from lyapsearch.pq import apply_sequence, initial_pair
 from lyapsearch.sequences import generate_sequences
 from lyapsearch.simulate import QuadraticObjective, conservation_check, integrate, measure_rate
@@ -166,7 +166,7 @@ def test_c08_negative_control():
     # (sc-nag would not do: its E stays non-increasing on quadratics for every
     # k <= (4/3) sqrt(mu), see test_lyapunov.)
     mu, L = 1.0, 4.0
-    k = 1.2 * certified_rate("gradient-flow", mu, L)
+    k = 1.2 * next(row.expected_k for row in catalog_rows(mu, L) if row.label == "gradient-flow")
     increase = monotonicity_check("gradient-flow", mu=mu, L=L, k=k)
     passed = increase > 1e-4
     report(8, f"negative control (gradient-flow, k = {k / mu:g} mu)", passed,

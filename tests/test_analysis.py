@@ -1,3 +1,4 @@
+import ast
 import gc
 import itertools
 import math
@@ -11,20 +12,20 @@ import pytest
 from lyapsearch import analysis
 from lyapsearch.analysis import (BISECT_LEVELS, BISECT_REL_TOL, DOUBLING_KS, K_CAP,
                                  PRESCAN_POINTS, REL_FLOOR, T_GRID_HI, T_GRID_LO,
-                                 AllPositive, AnalysisError, BootstrapPreconditionError,
-                                 DiagonalParameterError, Eventually, InfeasiblePairError,
-                                 MinorTable, PsdConditionSet, RateQuery, RateResult, Window,
-                                 analyze_groups, bootstrap_candidates, bootstrap_rate_check,
+                                 AllPositive, AnalysisError, DiagonalParameterError, Eventually,
+                                 InfeasiblePairError, MinorTable, PsdConditionSet, RateQuery,
+                                 RateResult, Window, analyze_groups,
                                  _analyze_queries, _bisect_max_k, _certified_range, _det,
                                  catalog_rows, certified_time,
                                  compile_conditions, feasible, max_rate, psd_conditions,
                                  time_grid, verify_catalog)
 from lyapsearch.expr import (Expr, GAMMA1, LINEAR, LOG, POWER, ZERO, UnboundSymbolError,
                              bind_terms, float_terms, parse_expr)
-from lyapsearch.lyapunov import CATALOG as CERTIFICATES
+from lyapsearch.lyapunov import (CATALOG as CERTIFICATES, BootstrapPreconditionError,
+                                 _check_bootstrap_shape, bootstrap_rate_check)
 from lyapsearch.pq import PQPair, _sym_matrix, apply_sequence, initial_pair
 from lyapsearch.sequences import PairGroup
-from lyapsearch.systems import CATALOG
+from lyapsearch.systems import CATALOG, OdeSystemSpec
 
 from conftest import naive_eval, random_expr, random_pair
 
@@ -505,9 +506,9 @@ def _bisect_one(check, ks, flags):
     return k_max, status
 
 
-def _flags(compiled, ks, leading):
+def _flags(compiled, ks, domain):
     """compiled.feasible at ks for its one point."""
-    return compiled.feasible(np.asarray(ks, dtype=float)[None], leading)[0]
+    return compiled.feasible(np.asarray(ks, dtype=float)[None], domain)[0]
 
 
 def test_bisect_max_k_on_synthetic_prescans():
@@ -605,9 +606,11 @@ class _ReferenceMinor:
         c, a = self.coeffs(k)
         return c @ self.tpowers < -REL_FLOOR * (a @ self.tpowers)
 
-    def leading_ok(self, k):
+    def end_ok(self, k, masks):
+        """The first exponent of masks whose coefficient clears the floor has a
+        positive one."""
         c, a = self.coeffs(k)
-        for mask in self.exp_masks:
+        for mask in masks:
             coeff, scale = float(np.sum(c[mask])), float(np.sum(a[mask]))
             if abs(coeff) <= REL_FLOOR * scale:
                 continue
@@ -615,8 +618,12 @@ class _ReferenceMinor:
         return True
 
 
-def _reference_feasible(minors, k, check_leading):
-    return all(not m.violations(k).any() and (not check_leading or m.leading_ok(k))
+def _reference_feasible(minors, k, domain):
+    """Every minor is nonnegative on the grid, leads with a positive
+    coefficient unless domain is a Window and, on AllPositive, trails with one."""
+    return all(not m.violations(k).any()
+               and (isinstance(domain, Window) or m.end_ok(k, m.exp_masks))
+               and (not isinstance(domain, AllPositive) or m.end_ok(k, m.exp_masks[::-1]))
                for m in minors)
 
 
@@ -637,7 +644,7 @@ def test_feasible_matches_per_minor_reference(system, query, enumerations):
     The merged coefficients and magnitudes must be bit-identical.
     """
     tgrid = time_grid(query.t_domain)
-    leading = not isinstance(query.t_domain, Window)
+    domain = query.t_domain
     for group in enumerations(system):
         conds = psd_conditions(group.representative, query.gamma, query.corners())
         for point in query.grid_points():
@@ -650,11 +657,11 @@ def test_feasible_matches_per_minor_reference(system, query, enumerations):
                                       np.sort(expected[expected != 0])), where
 
             def check(k):
-                return bool(_flags(compiled, [k], leading)[0])
+                return bool(_flags(compiled, [k], domain)[0])
 
             def same(k, mask=False):
                 flag = check(k)
-                assert flag == _reference_feasible(reference, k, leading), f"{where}, k={k}"
+                assert flag == _reference_feasible(reference, k, domain), f"{where}, k={k}"
                 if mask:
                     expected = np.zeros(len(tgrid), dtype=bool)
                     for minor in reference:
@@ -669,13 +676,13 @@ def test_feasible_matches_per_minor_reference(system, query, enumerations):
                 k_hi *= 2.0
             ks = np.linspace(0.0, k_hi, PRESCAN_POINTS)
             flags = [same(k) for k in ks]
-            batched = _flags(compiled, ks, leading)
+            batched = _flags(compiled, ks, domain)
             assert batched.tolist() == flags, f"{where}, pre-scan up to k={k_hi}"
             if all(flags):
                 k_max = k_hi
             else:
                 same(ks[flags.index(False)], mask=True)
-                k_max = _bisect_one(lambda rows, batch: compiled.feasible(batch, leading),
+                k_max = _bisect_one(lambda rows, batch: compiled.feasible(batch, domain),
                                     ks, batched)[0]
             same(k_max, mask=True)
 
@@ -697,22 +704,22 @@ def _one_midpoint_bisection(check, ks, flags):
 @pytest.mark.parametrize("system, query", _DIFFERENTIAL_CASES)
 def test_batched_bisection_walks_the_one_midpoint_path(system, query, enumerations):
     tgrid = time_grid(query.t_domain)
-    leading = not isinstance(query.t_domain, Window)
+    domain = query.t_domain
     bisected = 0
     for group in enumerations(system):
         conds = psd_conditions(group.representative, query.gamma, query.corners())
         for point in query.grid_points():
             compiled = compile_conditions(conds, [point], tgrid)
-            if not _flags(compiled, [0.0], leading)[0]:
+            if not _flags(compiled, [0.0], domain)[0]:
                 continue
-            doubling = _flags(compiled, DOUBLING_KS, leading)
+            doubling = _flags(compiled, DOUBLING_KS, domain)
             if doubling.all():
                 continue
             ks = np.linspace(0.0, DOUBLING_KS[np.argmin(doubling)], PRESCAN_POINTS)
-            flags = _flags(compiled, ks, leading)
-            batched = _bisect_one(lambda rows, batch: compiled.feasible(batch, leading),
+            flags = _flags(compiled, ks, domain)
+            batched = _bisect_one(lambda rows, batch: compiled.feasible(batch, domain),
                                   ks, flags)
-            single = _one_midpoint_bisection(lambda k: _flags(compiled, [k], leading)[0],
+            single = _one_midpoint_bisection(lambda k: _flags(compiled, [k], domain)[0],
                                              ks, flags)
             assert batched == single, f"group {group.group_id} at {point}"
             bisected += 1
@@ -801,19 +808,19 @@ def _point_by_point_rate(conds, query, group_id):
     compile, k = 0, the doubling, the pre-scan, bisection one midpoint at a
     time and the validity range; the first point with the largest k wins."""
     tgrid = time_grid(query.t_domain)
-    leading = not isinstance(query.t_domain, Window)
+    domain = query.t_domain
     best = None
     for point in query.grid_points():
         compiled = compile_conditions(conds, [point], tgrid)
-        if not _flags(compiled, [0.0], leading)[0]:
+        if not _flags(compiled, [0.0], domain)[0]:
             continue
-        doubling = _flags(compiled, DOUBLING_KS, leading)
+        doubling = _flags(compiled, DOUBLING_KS, domain)
         if doubling.all():
             k_best, status = K_CAP, "cap"
         else:
             ks = np.linspace(0.0, DOUBLING_KS[np.argmin(doubling)], PRESCAN_POINTS)
             k_best, status = _one_midpoint_bisection(
-                lambda k: _flags(compiled, [k], leading)[0], ks, _flags(compiled, ks, leading))
+                lambda k: _flags(compiled, [k], domain)[0], ks, _flags(compiled, ks, domain))
         result = RateResult(group_id, k_best, dict(point),
                             _certified_range(compiled.violations(k_best), tgrid, query.t_domain),
                             isinstance(query.t_domain, Eventually), status, len(conds.minors))
@@ -861,15 +868,16 @@ def test_stacked_kernel_flags_match_each_point_alone(enumerations):
         # Different ks per point, some past the rate, and nan padding at the end.
         ks = rng.uniform(0.0, 3.0, size=(len(points), 12))
         ks[::2, -3:] = np.nan
-        for leading in (True, False):
-            flags = stacked.feasible(ks, leading)
+        # Three domains over one grid: both ends, the leading end, no end.
+        for domain in (AllPositive(), Eventually(T_GRID_LO), Window(T_GRID_LO, T_GRID_HI)):
+            flags = stacked.feasible(ks, domain)
             for i, one in enumerate(alone):
                 real = ~np.isnan(ks[i])
                 assert np.array_equal(flags[i][real],
-                                      one.feasible(ks[i:i + 1, real], leading)[0]), i
+                                      one.feasible(ks[i:i + 1, real], domain)[0]), i
                 checked += int((~flags[i][real]).sum())
             subset = [7, 2, 5]
-            assert np.array_equal(stacked.feasible(ks[subset], leading, subset), flags[subset])
+            assert np.array_equal(stacked.feasible(ks[subset], domain, subset), flags[subset])
         for i, one in enumerate(alone):
             assert np.array_equal(stacked.violations(ks[i, 0], i), one.violations(ks[i, 0])), i
     assert checked  # some flags are False
@@ -968,10 +976,36 @@ def test_batched_flags_keep_each_k_and_check():
                              (Window(T_GRID_LO, T_GRID_HI), [True, True, False])):
         query = RateQuery(LINEAR, mu=1.0, t_domain=domain)
         compiled = compile_conditions(conds, [{}], time_grid(domain))
-        leading = isinstance(domain, AllPositive)
-        assert _flags(compiled, ks, leading).tolist() == expected
-        assert [_flags(compiled, [k], leading)[0] for k in ks] == expected
+        assert _flags(compiled, ks, domain).tolist() == expected
+        assert [_flags(compiled, [k], domain)[0] for k in ks] == expected
         assert [feasible(conds, k, query) for k in ks] == expected
+
+
+def test_all_positive_checks_the_trailing_coefficient():
+    # A minor of NAG's A1>B1>B2>B3 under the log form at r = 4.  Past k = 2 its
+    # t^-3 coefficient turns negative, so it fails below t ~ sqrt(3 (k - 2)),
+    # which at k = 2 + 1e-6 lies far below the grid's first point.
+    K = Expr.symbol("k")
+    minor = HALF * K * (K - 2) * (K - R - 1) * Expr.t_power(-3) + HALF * K * T_INV
+    conds = PsdConditionSet(((1.0, 1.0),), (minor,))
+    for domain, expected in ((AllPositive(), [True, False]), (Eventually(1.0), [True, True])):
+        query = RateQuery(LINEAR, mu=1.0, params={"r": 4.0}, t_domain=domain)
+        assert [feasible(conds, k, query) for k in (2.0, 2.0 + 1e-6)] == expected
+
+
+def test_analysis_imports_neither_simulate_nor_lyapunov():
+    # Certification sits below the numeric layer: no import in analysis, at
+    # module or function level, may name either module.
+    with open(analysis.__file__) as source:
+        tree = ast.parse(source.read())
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            named.update((node.module or "").split("."))
+            named.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            named.update(part for alias in node.names for part in alias.name.split("."))
+    assert not named & {"simulate", "lyapunov"}
 
 
 def test_tpower_tables_are_kept_per_grid():
@@ -999,7 +1033,7 @@ def test_identically_zero_minor_survives_float_rounding():
     compiled = compile_conditions(conds, [query.params], time_grid(query.t_domain))
     assert compiled.coef.min() < 0  # the rounding this test is about
     for k in (0.0, 0.25, 0.5, 1.0, 4.0, K_CAP):
-        assert _flags(compiled, [k], True)[0]
+        assert _flags(compiled, [k], query.t_domain)[0]
         assert not compiled.violations(k).any()
 
 
@@ -1017,7 +1051,7 @@ def test_scaling_invariance():
     # Scaling the ODE scales the starting matrices; scaling a pair scales every
     # minor by a positive power of the factor, so the certified rate is unchanged.
     base = CATALOG["first-order-hessian"]
-    scaled = base.scaled(Expr.number(3))
+    scaled = OdeSystemSpec("first-order-hessian-scaled", tuple(3 * c for c in base.coeffs))
     q0 = initial_pair(base).Q
     q0_scaled = initial_pair(scaled).Q
     assert all(3 * q0[i][j] == q0_scaled[i][j] for i in range(5) for j in range(5))
@@ -1158,25 +1192,30 @@ def test_analyze_groups_pool_matches_serial_across_runs(enumerations):
     assert analyze_groups(groups, query, jobs=3) == serial
 
 
-def test_bootstrap_candidates_and_preconditions(enumerations):
-    groups = enumerations("nag")
-    query = RateQuery(LOG, mu=1.0, params={"r": 4.5})
-    picks = bootstrap_candidates(groups, query)
-    assert len(picks) >= 1
-    keys = {g.representative.matrix_key() for g in picks}
-    assert nag_bootstrap_pair().matrix_key() in keys
+@pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
+def test_bootstrap_candidates_and_preconditions(mu, enumerations):
+    query = RateQuery(LOG, mu=mu, params={"r": 4.5})
+    picks = []
+    for group in enumerations("nag"):
+        try:
+            _check_bootstrap_shape(group.representative, query)
+        except BootstrapPreconditionError:
+            continue
+        picks.append(group)
+    assert [group.group_id for group in picks] == [9]
+    assert picks[0].representative.matrix_key() == nag_bootstrap_pair().matrix_key()
 
     # The fully reduced winner does not qualify: its Q has no (1,3) coupling.
-    with pytest.raises(BootstrapPreconditionError):
+    with pytest.raises(BootstrapPreconditionError, match=r"no \(1,3\) coupling"):
         bootstrap_rate_check(CATALOG["nag"], nag_winner(), 2.0, query)
     # At r = 3 the claimed rate collapses onto the certified log rate.
-    with pytest.raises(BootstrapPreconditionError):
+    with pytest.raises(BootstrapPreconditionError, match="single-step range"):
         bootstrap_rate_check(CATALOG["nag"], nag_bootstrap_pair(), 2.0,
-                             RateQuery(LOG, mu=1.0, params={"r": 3.0}))
+                             RateQuery(LOG, mu=mu, params={"r": 3.0}))
     # ... and past the single-step range the known decay no longer bounds E.
-    with pytest.raises(BootstrapPreconditionError):
+    with pytest.raises(BootstrapPreconditionError, match="single-step range"):
         bootstrap_rate_check(CATALOG["nag"], nag_bootstrap_pair(), 2.0,
-                             RateQuery(LOG, mu=1.0, params={"r": 6.5}))
+                             RateQuery(LOG, mu=mu, params={"r": 6.5}))
 
 
 def test_bootstrap_bounded_at_range_edge():

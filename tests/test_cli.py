@@ -52,8 +52,9 @@ def test_search_param_grid_parsing(tmp_path):
     assert smoothness_assisted and all("b=-0.25" in r["params"] for r in smoothness_assisted)
 
 
-# Searches recorded before the rate search was batched; every run must
-# reproduce them byte for byte, serially and with a pool.
+# Searches whose every run must reproduce them byte for byte, serially and
+# with a pool.  The first three were recorded before the rate search was
+# batched, the last when AllPositive gained its trailing-coefficient check.
 GOLDEN_SEARCHES = [
     pytest.param("search-second-order-hessian-mu1-ab-grid.csv",
                  ["--spec", "second-order-hessian", "--mu", "1",
@@ -68,6 +69,11 @@ GOLDEN_SEARCHES = [
                  ["--spec", "hessian-nag", "--gamma", "linear", "--mu", "0.5", "--L", "9",
                   "--param-grid", "r=0,0.5", "--param-grid", "b=0.5,1,1.5"],
                  id="hessian-nag-rb-grid"),
+    # t-dependent minors on AllPositive, whose rates rest on the trailing check.
+    pytest.param("search-nag-log-r-grid.csv",
+                 ["--spec", "nag", "--gamma", "log", "--mu", "1",
+                  "--param-grid", "r=2,3,4,5,7"],
+                 id="nag-log-r-grid"),
 ]
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from lyapsearch.expr import Expr, ZERO, parse_expr
+from lyapsearch.expr import Expr, ZERO
 from lyapsearch.systems import CATALOG, OdeSystemSpec, load_system, resolve_system
 
 
@@ -24,13 +24,6 @@ def test_system_validation():
         OdeSystemSpec("bad", (ZERO, one, Expr.gamma(1), ZERO, ZERO))
     with pytest.raises(ValueError):  # k, lambda, theta are reserved
         OdeSystemSpec("bad", (ZERO, one, Expr.symbol("k"), ZERO, ZERO))
-
-
-def test_scaled_keeps_structure():
-    scaled = CATALOG["nag"].scaled(Expr.number(2))
-    assert scaled.coeffs[1] == Expr.number(2)
-    assert scaled.coeffs[2] == 2 * parse_expr("1*r*t^-1")
-    assert scaled.free_params == {"r"}
 
 
 def test_load_system(tmp_path):
