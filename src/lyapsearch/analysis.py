@@ -42,12 +42,12 @@ built once, from sub-determinants also built once, each distinct
 determinant is bound once per corner, and each distinct bound minor gets its
 float term table once.  A run over groups threads one table through them and
 drops it at the end: analyze_groups, and verify_catalog for the rows that
-share a system and a gamma form.  With a pool, each task makes its own table
-for a contiguous run of groups, and carries only each group's id and
-representative pair, not its member positions.  Queries with the same
-corners share a pair's whole condition set.  A run makes one t grid per t
-domain of its batches, and the table keeps the grid's powers per set of
-exponents of t.
+share a system and a gamma form.  With a pool, each worker gets one
+contiguous run of groups and makes its own table for it; its task carries
+only each group's id and representative pair, not its member positions.
+Queries with the same corners share a pair's whole condition set.  A run
+makes one t grid per t domain of its batches, and the table keeps the grid's
+powers per set of exponents of t.
 
 That exact work is integer arithmetic.  The table keeps each substituted
 entry also as integers over one common denominator s, so the cofactor
@@ -88,7 +88,6 @@ T_GRID_HI = 1e6
 REL_FLOOR = 1e-12
 K_CAP = float(2 ** 16)
 GRID_BLOCK = 8  # suspect (k, minor) pairs per step of the t-grid check; bounds its temporaries
-RUNS_PER_WORKER = 4  # contiguous runs of groups per pool worker, each with its own MinorTable
 
 
 class AnalysisError(Exception):
@@ -160,19 +159,24 @@ def grid_step_factor() -> float:
 
 @dataclass
 class RateQuery:
-    """What to certify: gamma form, function class, parameter values, t range."""
+    """What to certify: gamma form, function class, parameter values, t range.
+
+    Every parameter value comes through grid, one axis of values per name; a
+    fixed value is an axis of one value.
+    """
 
     gamma: GammaForm
     mu: float = 1.0
     L: float | None = None
     convex: bool = False  # convex-only mode: lambda, theta >= 0 with no given upper bound
-    params: dict[str, float] = field(default_factory=dict)
     grid: dict[str, Sequence[float]] = field(default_factory=dict)
     t_domain: TDomain = field(default_factory=AllPositive)
 
     def __post_init__(self):
+        for name, values in self.grid.items():
+            if not len(values):
+                raise ValueError(f"parameter {name} needs at least one value, got none")
         named = [("mu", self.mu)] + ([("L", self.L)] if self.L is not None else [])
-        named += [(f"parameter {n}", v) for n, v in self.params.items()]
         named += [(f"parameter {n}", v) for n, values in self.grid.items() for v in values]
         for name, value in named:
             if not math.isfinite(value):
@@ -193,15 +197,17 @@ class RateQuery:
         return tuple(itertools.product(values, values))
 
     def grid_points(self) -> list[dict[str, float]]:
-        if not self.grid:
-            return [dict(self.params)]
         names = sorted(self.grid)
-        points = []
-        for combo in itertools.product(*(self.grid[n] for n in names)):
-            point = dict(self.params)
-            point.update(zip(names, combo))
-            points.append(point)
-        return points
+        return [dict(zip(names, combo))
+                for combo in itertools.product(*(self.grid[n] for n in names))]
+
+    def point(self) -> dict[str, float]:
+        """The query's one grid point; a query of several points has none."""
+        points = self.grid_points()
+        if len(points) != 1:
+            raise AnalysisError(f"the query needs a single parameter point, got {len(points)} "
+                                f"from the grid {self.grid!r}")
+        return points[0]
 
 
 # -- PSD conditions --------------------------------------------------------------
@@ -211,8 +217,8 @@ class RateQuery:
 class PsdConditionSet:
     corners: tuple[tuple[float, float], ...]
     minors: tuple[Expr, ...]  # nonzero minors of every corner, deduplicated
-    # float_terms(minor, ("k",)) of each minor, when already at hand.
-    tables: InitVar[Sequence[tuple[FloatTerm, ...]] | None] = None
+    # float_terms(minor, ("k",)) of each minor.
+    tables: InitVar[Sequence[tuple[FloatTerm, ...]]]
     # compile_conditions' t-power tables, shared by the condition sets of one
     # MinorTable: (id of the t grid, exponents) -> (that grid, its powers).
     tpower_cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -224,8 +230,6 @@ class PsdConditionSet:
     alpha_exponents: bool = field(init=False, repr=False)
 
     def __post_init__(self, tables):
-        if tables is None:
-            tables = [float_terms(minor, ("k",)) for minor in self.minors]
         self.terms = tuple(itertools.chain.from_iterable(tables))
         self.term_minors = tuple(itertools.chain.from_iterable(
             itertools.repeat(i, len(table)) for i, table in enumerate(tables)))
@@ -705,11 +709,10 @@ def compile_conditions(conds: PsdConditionSet, points: Sequence[Mapping[str, flo
                               size.astype(float, copy=False).reshape(shape), cached[1])
 
 
-def feasible(conds: PsdConditionSet, k: float, query: RateQuery,
-             bindings: Mapping[str, float] | None = None) -> bool:
+def feasible(conds: PsdConditionSet, k: float, query: RateQuery) -> bool:
     """True when every minor is nonnegative over the query's time domain at k,
-    at bindings (default the query's params)."""
-    compiled = compile_conditions(conds, [bindings or query.params], time_grid(query.t_domain))
+    at the query's single grid point."""
+    compiled = compile_conditions(conds, [query.point()], time_grid(query.t_domain))
     return bool(compiled.feasible(np.array([[k]], dtype=float), query.t_domain)[0, 0])
 
 
@@ -722,12 +725,8 @@ class RateResult:
     k_max: float
     params: dict[str, float]
     validity: tuple[float, float]
-    supremum: bool
     status: str
     n_minors: int
-
-    def certified(self) -> bool:
-        return self.status in ("ok", "nonmonotone")
 
 
 PRESCAN_POINTS = 65
@@ -846,12 +845,13 @@ def _certified_range(bad: np.ndarray, tgrid: np.ndarray, domain: TDomain) -> tup
     return (float(lo), math.inf)
 
 
-def max_rate(pair: PQPair, query: RateQuery, group_id: int | None = None) -> RateResult:
+def max_rate(pair: PQPair, query: RateQuery) -> RateResult:
     """Maximize k over the query's parameter grid, certifying PSD feasibility.
 
-    Raises InfeasiblePairError when no grid point is PSD even at k = 0.
+    The result has no group id.  Raises InfeasiblePairError when no grid
+    point is PSD even at k = 0.
     """
-    result = _maximize(psd_conditions(pair, query.gamma, query.corners()), [query], group_id,
+    result = _maximize(psd_conditions(pair, query.gamma, query.corners()), [query], None,
                        time_grid(query.t_domain))[0]
     if result is None:
         raise InfeasiblePairError("pair is not PSD at k = 0 for any grid point")
@@ -896,8 +896,8 @@ def _maximize(conds: PsdConditionSet, queries: Sequence[RateQuery], group_id: in
             continue
         k, status, compiled, row = found[best]
         validity = _certified_range(compiled.violations(k, row), tgrid, domain)
-        results.append(RateResult(group_id, k, dict(points[best]), validity,
-                                  isinstance(domain, Eventually), status, len(conds.minors)))
+        results.append(RateResult(group_id, k, dict(points[best]), validity, status,
+                                  len(conds.minors)))
     return results
 
 
@@ -950,18 +950,18 @@ def _analyze_run(pairs: Sequence[tuple[int, PQPair]],
 
 
 def _analyze_queries(groups: Sequence[PairGroup], queries: Sequence[RateQuery],
-                     jobs: int | None) -> list[list[GroupRate]]:
+                     jobs: int) -> list[list[GroupRate]]:
     """analyze_groups for each of the queries, which share one gamma form.
 
     The work runs group by group through one MinorTable, so only one group's
-    condition sets are held at a time.  With a pool, each task takes a
+    condition sets are held at a time.  With a pool, each worker takes one
     contiguous run of groups and makes a table of its own.  A task carries
     only what the analysis reads of a group, its id and representative pair,
     not its member positions.
     """
     pairs = [(group.group_id, group.representative) for group in groups]
-    if jobs and jobs > 1:
-        n_runs = min(jobs * RUNS_PER_WORKER, len(pairs)) or 1
+    if jobs > 1:
+        n_runs = min(jobs, len(pairs)) or 1
         bounds = [len(pairs) * i // n_runs for i in range(n_runs + 1)]
         runs = [(pairs[lo:hi], queries) for lo, hi in zip(bounds, bounds[1:])]
         with multiprocessing.Pool(jobs) as pool:
@@ -973,7 +973,7 @@ def _analyze_queries(groups: Sequence[PairGroup], queries: Sequence[RateQuery],
 
 
 def analyze_groups(groups: Sequence[PairGroup], query: RateQuery,
-                   jobs: int | None = None) -> list[GroupRate]:
+                   jobs: int = 1) -> list[GroupRate]:
     """max_rate over every group; deterministic order by group_id."""
     return _analyze_queries(groups, (query,), jobs)[0]
 
@@ -988,13 +988,14 @@ def best_rate(rates: Sequence[GroupRate]) -> RateResult | None:
 # -- catalog verification -----------------------------------------------------------------
 
 
+CATALOG_REL_TOL = 1e-4  # relative tolerance of a row's expected_k
+
 @dataclass
 class CatalogRow:
     label: str
     system: str
     query: RateQuery
-    expected_k: float | None = None
-    rel_tol: float = 1e-4
+    expected_k: float | None = None  # matched to within CATALOG_REL_TOL
     expected_window: float | None = None     # certified-time check at k = k_probe
     k_probe: float | None = None
     k_range: tuple[float, float] | None = None  # half-open [lo, hi)
@@ -1057,7 +1058,7 @@ def catalog_rows(mu: float, L: float) -> list[CatalogRow]:
                              t_domain=Window(T_GRID_LO, 64.0)),
                    expected_window=window_exp, k_probe=k_exp),
         CatalogRow("generalized-nag", "generalized-nag",
-                   RateQuery(POWER, mu=mu, params={"alpha": 0.5}, grid={"r": (1.0,)},
+                   RateQuery(POWER, mu=mu, grid={"alpha": (0.5,), "r": (1.0,)},
                              t_domain=Eventually(1e4)),
                    k_range=(2.0 / 3.0 - 1e-3, 2.0 / 3.0)),
         CatalogRow("hessian-nag", "hessian-nag",
@@ -1066,7 +1067,7 @@ def catalog_rows(mu: float, L: float) -> list[CatalogRow]:
     ]
 
 
-def verify_catalog(mu: float = 1.0, L: float = 4.0, jobs: int | None = None,
+def verify_catalog(mu: float = 1.0, L: float = 4.0, jobs: int = 1,
                    rows: Sequence[str] | None = None,
                    enumerations: dict[str, list[PairGroup]] | None = None) -> CatalogReport:
     """Re-derive every catalog rate and compare against its expected value.
@@ -1124,7 +1125,7 @@ def _rate_outcome(row: CatalogRow, rates: list[GroupRate], n_groups: int) -> Row
         passed = lo <= best.k_max < hi
         expected = f"k in [{lo:.6g}, {hi:.6g})"
     else:
-        passed = abs(best.k_max - row.expected_k) <= row.rel_tol * abs(row.expected_k)
+        passed = abs(best.k_max - row.expected_k) <= CATALOG_REL_TOL * abs(row.expected_k)
         expected = f"k={row.expected_k:.6g}"
     return RowOutcome(row.label, expected, f"k={best.k_max:.6g}",
                       passed, best.group_id, n_groups, n_bad)

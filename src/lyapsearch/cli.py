@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import re
 import sys
 
@@ -101,8 +100,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lyapsearch")
-    parser.add_argument("--jobs", type=_parse_jobs, default=None,
-                        help="analysis worker pool size (default: all cores)")
+    parser.add_argument("--jobs", type=_parse_jobs, default=1,
+                        help="analysis worker pool size (default: 1, no pool)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("search", help="enumerate pairs and maximize the rate per group")
@@ -111,7 +110,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=1.0)
     p.add_argument("--L", type=float, default=None)
     p.add_argument("--convex", action="store_true")
-    p.add_argument("--param", type=_parse_param, action="append", default=[])
+    p.add_argument("--param", type=_parse_param, action="append", default=[],
+                   help="NAME=VALUE, a one-value --param-grid")
     p.add_argument("--param-grid", type=_parse_param_grid, action="append", default=[])
     p.add_argument("--t-domain", type=_parse_t_domain, default=analysis.AllPositive())
     p.add_argument("--out", default=None, help="report CSV (default: stdout)")
@@ -176,7 +176,7 @@ def _cmd_search(args) -> int:
                   GAMMA_FORMS[args.gamma])
     query = analysis.RateQuery(
         gamma=GAMMA_FORMS[args.gamma], mu=args.mu, L=args.L, convex=args.convex,
-        params=dict(args.param), grid={n: v for n, v in args.param_grid},
+        grid={**{n: (v,) for n, v in args.param}, **dict(args.param_grid)},
         t_domain=args.t_domain)
     groups = enumerate_pairs(system)
     rates = analysis.analyze_groups(groups, query, jobs=args.jobs)
@@ -281,8 +281,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
-    if args.jobs is None:
-        args.jobs = os.cpu_count() or 1
     handlers = {
         "search": _cmd_search,
         "verify-catalog": _cmd_verify_catalog,

@@ -47,6 +47,8 @@ class LyapunovSpec:
 
 
 _NAG_OPS = ("A1", "B1", "B2", "B3")
+DIM = 10  # modes of the quadratic objective of every run here
+CERTIFICATE_DT = 1e-3  # RK4 step of the certificate runs
 
 CATALOG: dict[str, LyapunovSpec] = {
     spec.name: spec
@@ -70,8 +72,8 @@ CATALOG: dict[str, LyapunovSpec] = {
 }
 
 
-def run_certificate(name: str, mu: float = 1.0, L: float = 4.0, dim: int = 10,
-                    dt: float = 1e-3, k: float | None = None) -> tuple[Trajectory, np.ndarray]:
+def run_certificate(name: str, mu: float = 1.0, L: float = 4.0,
+                    k: float | None = None) -> tuple[Trajectory, np.ndarray]:
     """Integrate the row's system at its parameter point and evaluate E(t) along the run.
 
     k defaults to the rate of the row: its expected_k, else k_probe, else the
@@ -85,19 +87,19 @@ def run_certificate(name: str, mu: float = 1.0, L: float = 4.0, dim: int = 10,
     # The smoothness-backed certificate pins b = -1/L; keep the top eigenvalue
     # strictly inside [mu, L] so the mass matrix stays nonsingular.
     top = 0.975 * L if spec.needs_smoothness else L
-    obj = QuadraticObjective.log_spaced(dim, mu, top)
+    obj = QuadraticObjective.log_spaced(DIM, mu, top)
     t0, t1 = spec.t_range(k, row)
-    (params,) = row.query.grid_points()
-    traj = integrate(system, obj, np.ones(dim), np.zeros(dim),
-                     t0=t0, t1=t1, dt=dt, params=params)
+    params = row.query.point()
+    traj = integrate(system, obj, np.ones(DIM), np.zeros(DIM),
+                     t0=t0, t1=t1, dt=CERTIFICATE_DT, params=params)
     pair = apply_sequence(initial_pair(system), spec.ops)
     return traj, pair_energy(pair, row.query.gamma, traj, {**params, "k": k})
 
 
-def monotonicity_check(name: str, mu: float = 1.0, L: float = 4.0, dim: int = 10,
-                       dt: float = 1e-3, k: float | None = None) -> float:
+def monotonicity_check(name: str, mu: float = 1.0, L: float = 4.0,
+                       k: float | None = None) -> float:
     """Largest normalized forward increase of E; <= ~1e-8 certifies monotone."""
-    _traj, energy = run_certificate(name, mu, L, dim, dt, k=k)
+    _traj, energy = run_certificate(name, mu, L, k=k)
     increase = np.diff(energy) / (1.0 + np.abs(energy[:-1]))
     return float(np.max(increase))
 
@@ -105,18 +107,21 @@ def monotonicity_check(name: str, mu: float = 1.0, L: float = 4.0, dim: int = 10
 # -- single-step bootstrap ------------------------------------------------------------------
 
 
+BOOTSTRAP_T_FIT = (10.0, 1000.0)  # the run ends at the fit window's end
+BOOTSTRAP_DT = 1e-2
+
+
 class BootstrapPreconditionError(AnalysisError):
     """The pair does not have the shape the single-step bootstrap needs."""
 
 
 def _check_bootstrap_shape(pair: PQPair, query: RateQuery) -> float:
-    """The damping parameter r, once the pair has the shape the bootstrap
-    needs at the target rate 2r/3: Q couples only through (1,3), P passes the
-    rate check for t >= 10 at lambda = theta = mu, and Q11 is eventually
-    nonnegative."""
-    r = query.params.get("r")
-    if r is None:
-        r = query.grid.get("r", (None,))[0]
+    """The damping parameter r of the query's single grid point, once the
+    pair has the shape the bootstrap needs at the target rate 2r/3: Q couples
+    only through (1,3), P passes the rate check for t >= 10 at lambda = theta
+    = mu, and Q11 is eventually nonnegative."""
+    point = query.point()
+    r = point.get("r")
     if r is None:
         raise BootstrapPreconditionError("the damping parameter r is not bound")
     k_target = 2.0 * r / 3.0
@@ -126,7 +131,7 @@ def _check_bootstrap_shape(pair: PQPair, query: RateQuery) -> float:
         raise BootstrapPreconditionError("Q couples entries beyond (1,3)")
     if not q_sub[0][2]:
         raise BootstrapPreconditionError("Q has no (1,3) coupling to bootstrap away")
-    p_query = RateQuery(query.gamma, mu=query.mu, L=query.mu, params={**query.params, "r": r},
+    p_query = RateQuery(query.gamma, mu=query.mu, L=query.mu, grid=query.grid,
                         t_domain=Eventually(10.0))
     p_only = replace(pair, Q=((ZERO,) * 5,) * 5)
     if not feasible(psd_conditions(p_only, query.gamma, p_query.corners()), k_target, p_query):
@@ -134,7 +139,7 @@ def _check_bootstrap_shape(pair: PQPair, query: RateQuery) -> float:
     q11 = q_sub[0][0]
     if not q11:
         raise BootstrapPreconditionError("Q11 vanishes")
-    bound = bind_terms(float_terms(q11), {**p_query.params, "k": k_target,
+    bound = bind_terms(float_terms(q11), {**point, "k": k_target,
                                           "lambda": query.mu, "theta": query.mu})
     top = max(e for _base, e, _powers in bound)
     if sum(base for base, e, _powers in bound if e == top) < 0:
@@ -143,8 +148,7 @@ def _check_bootstrap_shape(pair: PQPair, query: RateQuery) -> float:
 
 
 def bootstrap_rate_check(system: OdeSystemSpec, pair: PQPair, known_rate_exponent: float,
-                         query: RateQuery, dim: int = 10, t_fit: tuple[float, float] = (10.0, 1000.0),
-                         dt: float = 5e-3) -> bool:
+                         query: RateQuery) -> bool:
     """Single bootstrap step: bounded growth of the candidate certificate.
 
     The pair's Q fails PSD only through the (1,3) coupling; integrating that
@@ -163,19 +167,18 @@ def bootstrap_rate_check(system: OdeSystemSpec, pair: PQPair, known_rate_exponen
     k_target = 2.0 * r / 3.0
     L = query.L if query.L is not None else 4.0 * mu
 
-    obj = QuadraticObjective.log_spaced(dim, mu, L)
-    x0 = np.ones(dim)
-    traj = integrate(system, obj, x0, np.zeros(dim), t0=1.0, t1=t_fit[1], dt=dt,
-                     params={"r": r})
+    obj = QuadraticObjective.log_spaced(DIM, mu, L)
+    traj = integrate(system, obj, np.ones(DIM), np.zeros(DIM), t0=1.0, t1=BOOTSTRAP_T_FIT[1],
+                     dt=BOOTSTRAP_DT, params={"r": r})
 
     energy = pair_energy(pair, LOG, traj, {"k": k_target, "r": r})
     t = traj.times
-    mask = t >= t_fit[0]
+    mask = t >= BOOTSTRAP_T_FIT[0]
     e0 = energy[mask][0]
     growth = energy[mask] - e0
     envelope = (4 * r * r - 6 * r) / (9 * mu) * t[mask] ** (k_target - 2.0) * traj.gaps[mask]
     bound_ok = bool(np.all(growth <= envelope * (1 + 1e-6) + 1e-9 * (1 + abs(e0))))
 
-    fit = measure_rate(traj, LOG, {"k": 1.0}, window=t_fit)
+    fit = measure_rate(traj, LOG, {"k": 1.0}, window=BOOTSTRAP_T_FIT)
     rate_ok = fit.k >= k_target - 0.15
     return bound_ok and rate_ok

@@ -83,18 +83,6 @@ class QuadraticObjective:
             raise SimulationError(f"eigenvalues must be finite and nonnegative, "
                                   f"got {float(bad[0])!r}")
 
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
-
-    @property
-    def mu(self) -> float:
-        return float(self.eigenvalues.min())
-
-    @property
-    def L(self) -> float:
-        return float(self.eigenvalues.max())
-
     def value(self, x: np.ndarray) -> float:
         return 0.5 * float(np.dot(self.eigenvalues * x, x))
 
@@ -458,27 +446,20 @@ def pair_energy(pair: PQPair, gamma: GammaForm, traj: Trajectory,
     return _egamma(gamma, traj, params) * _p_form_plus_gap(pair, gamma, traj, params)
 
 
-def pair_forms_on_trajectory(pair: PQPair, gamma: GammaForm, traj: Trajectory,
-                             params: Mapping[str, float]):
-    """Arrays E(t) (pair_energy), e^gamma q-form and the multipliers' validity mask.
-
-    Only the products with v5 read Trajectory.basis_vectors(); e^gamma is
-    evaluated once for both forms.
-    """
-    lam, theta, mask = traj.pointwise_multipliers()
-    egamma = _egamma(gamma, traj, params)
-    q_form = _quadratic_form(pair.q_entry, 5, gamma, params, traj.times, lam, theta, traj.inner)
-    return egamma * _p_form_plus_gap(pair, gamma, traj, params), egamma * q_form, mask
-
-
 def conservation_check(pair: PQPair, gamma: GammaForm, traj: Trajectory,
                        params: Mapping[str, float]) -> float:
     """Maximum normalized residual of dE/dt + e^gamma q = 0 along the trajectory.
 
     The derivative is taken by central differences, so the residual measures
     discretization error only; halving dt should shrink it about fourfold.
+    Only the products with v5 read Trajectory.basis_vectors(); e^gamma is
+    evaluated once for E and the q-form.
     """
-    energy, q_form, mask = pair_forms_on_trajectory(pair, gamma, traj, params)
+    lam, theta, mask = traj.pointwise_multipliers()
+    egamma = _egamma(gamma, traj, params)
+    energy = egamma * _p_form_plus_gap(pair, gamma, traj, params)
+    q_form = egamma * _quadratic_form(pair.q_entry, 5, gamma, params, traj.times, lam, theta,
+                                      traj.inner)
     t = traj.times
     d_energy = (energy[2:] - energy[:-2]) / (t[2:] - t[:-2])
     residual = np.abs(d_energy + q_form[1:-1]) / (1.0 + np.abs(q_form[1:-1]))

@@ -195,7 +195,7 @@ def test_c09_empirical_rates(enumerations):
 
     boot_ok = bootstrap_rate_check(
         CATALOG["nag"], nag_bootstrap_pair(), 2.0,
-        RateQuery(LOG, mu=1.0, params={"r": 4.5}), dt=1e-2)
+        RateQuery(LOG, mu=1.0, grid={"r": (4.5,)}))
 
     passed = boot_ok and all(k >= 0.9 * theory for k, theory in results.values())
     detail = ", ".join(f"{n}: {k:.3f} vs {t:.3f}" for n, (k, t) in results.items())

@@ -408,7 +408,7 @@ def test_no_minor_table_outlives_its_call(enumerations):
                                           for name in ("damped-newton", "nag")})
     assert report.passed
     assert not tables()
-    analyze_groups(enumerations("nag"), RateQuery(LOG, mu=1.0, convex=True, params={"r": 3.0}))
+    analyze_groups(enumerations("nag"), RateQuery(LOG, mu=1.0, convex=True, grid={"r": (3.0,)}))
     assert not tables()
 
 
@@ -429,7 +429,7 @@ def test_feasible_damped_newton_boundary():
 
 
 def test_feasible_gradient_flow_boundary():
-    query = RateQuery(LINEAR, mu=1.0, params={"b": 0.0})
+    query = RateQuery(LINEAR, mu=1.0, grid={"b": (0.0,)})
     conds = psd_conditions(gradient_flow_winner(), LINEAR, query.corners())
     assert feasible(conds, 2.0, query)
     assert not feasible(conds, 2.01, query)
@@ -439,33 +439,54 @@ def test_feasible_at_zero_rate_for_ranked_pairs():
     # gamma constant: certified pairs must accept k = 0.
     cases = [
         (damped_newton_winner(), RateQuery(LINEAR, mu=1.0, convex=True)),
-        (gradient_flow_winner(), RateQuery(LINEAR, mu=1.0, params={"b": 0.0})),
+        (gradient_flow_winner(), RateQuery(LINEAR, mu=1.0, grid={"b": (0.0,)})),
         (build("second-order-hessian", ("A1", "B1", "B2", "B3"), {"b": 0, "a": 2}),
          RateQuery(LINEAR, mu=1.0)),
-        (nag_winner(), RateQuery(LOG, mu=1.0, convex=True, params={"r": 3.0})),
+        (nag_winner(), RateQuery(LOG, mu=1.0, convex=True, grid={"r": (3.0,)})),
     ]
     for pair, query in cases:
         conds = psd_conditions(pair, query.gamma, query.corners())
-        assert feasible(conds, 0.0, query, bindings=query.params)
+        assert feasible(conds, 0.0, query)
+
+
+def test_feasible_agrees_with_max_rate_on_a_grid_query():
+    # feasible binds the query's grid point, as max_rate does.
+    query = RateQuery(LOG, mu=1.0, convex=True, grid={"r": (3.0,)})
+    k = max_rate(nag_winner(), query).k_max
+    conds = psd_conditions(nag_winner(), LOG, query.corners())
+    assert feasible(conds, k, query)
+    assert not feasible(conds, k + 1e-3, query)
+
+
+def test_feasible_needs_a_single_grid_point():
+    query = RateQuery(LOG, mu=1.0, convex=True, grid={"r": (3.0, 4.0)})
+    conds = psd_conditions(nag_winner(), LOG, query.corners())
+    with pytest.raises(AnalysisError, match="single parameter point, got 2"):
+        feasible(conds, 1.0, query)
+
+
+def test_empty_grid_axis_is_rejected():
+    with pytest.raises(ValueError, match="parameter r needs at least one value"):
+        RateQuery(LOG, mu=1.0, convex=True, grid={"r": ()})
 
 
 def test_max_rate_first_order_smoothness_assisted():
     result = max_rate(first_order_winner(),
-                      RateQuery(LINEAR, mu=1.0, L=4.0, params={"b": -0.25}))
+                      RateQuery(LINEAR, mu=1.0, L=4.0, grid={"b": (-0.25,)}))
     assert result.k_max == pytest.approx(4.0 / 3.0, rel=1e-4)
 
 
 def test_max_rate_sc_nag():
-    query = RateQuery(LINEAR, mu=1.0, params={"a": 2.0, "b": 0.0})
+    query = RateQuery(LINEAR, mu=1.0, grid={"a": (2.0,), "b": (0.0,)})
     result = max_rate(sc_nag_winner(), query)
     assert result.k_max == pytest.approx(1.0, rel=1e-4)
     # The returned rate is itself certified: re-checking feasibility passes.
     conds = psd_conditions(sc_nag_winner(), LINEAR, query.corners())
-    assert feasible(conds, result.k_max, query, bindings=query.params)
+    assert feasible(conds, result.k_max, query)
 
 
 def test_max_rate_nag_log_convex():
-    result = max_rate(nag_winner(), RateQuery(LOG, mu=1.0, convex=True, params={"r": 3.0}))
+    result = max_rate(nag_winner(), RateQuery(LOG, mu=1.0, convex=True, grid={"r": (3.0,)}))
     assert result.k_max == pytest.approx(2.0, rel=1e-4)
 
 
@@ -489,7 +510,6 @@ def test_max_rate_flags_unbounded_rate():
     result = max_rate(trivial, RateQuery(LINEAR, mu=1.0))
     assert result.status == "cap"
     assert result.k_max >= 2 ** 16
-    assert not result.certified()
 
 
 def test_monotone_feasibility_prefix():
@@ -754,7 +774,7 @@ _COMPILE_CASES = _DIFFERENTIAL_CASES + [
                  RateQuery(LINEAR, mu=0.7, grid={"a": (0.3, 1.7), "b": (0.7, 2.9)}),
                  id="second-order-hessian-inexact-products"),
     pytest.param("generalized-nag",
-                 RateQuery(POWER, mu=1.0, params={"r": 1.0}, grid={"alpha": (0.25, 0.5, 0.75)},
+                 RateQuery(POWER, mu=1.0, grid={"alpha": (0.25, 0.5, 0.75), "r": (1.0,)},
                            t_domain=Eventually(1e4)),
                  id="generalized-nag-power-alpha-grid")]
 
@@ -823,7 +843,7 @@ def _point_by_point_rate(conds, query, group_id):
                 lambda k: _flags(compiled, [k], domain)[0], ks, _flags(compiled, ks, domain))
         result = RateResult(group_id, k_best, dict(point),
                             _certified_range(compiled.violations(k_best), tgrid, query.t_domain),
-                            isinstance(query.t_domain, Eventually), status, len(conds.minors))
+                            status, len(conds.minors))
         if best is None or result.k_max > best.k_max:
             best = result
     return best
@@ -884,7 +904,7 @@ def test_stacked_kernel_flags_match_each_point_alone(enumerations):
 
 
 def test_alpha_grid_binds_one_layout_per_alpha(enumerations, monkeypatch):
-    query = RateQuery(POWER, mu=1.0, params={"r": 1.0}, grid={"alpha": (0.25, 0.5)},
+    query = RateQuery(POWER, mu=1.0, grid={"alpha": (0.25, 0.5), "r": (1.0,)},
                       t_domain=Eventually(1e4))
     bound = []
     compile_ = analysis.compile_conditions
@@ -917,7 +937,7 @@ def test_compiling_two_alphas_together_is_refused(enumerations):
 def test_compiling_an_alpha_again_gives_the_same_tables(enumerations):
     """Each compile builds its slots and columns afresh: a condition set
     compiled at another alpha in between compiles as it did the first time."""
-    query = RateQuery(POWER, mu=1.0, params={"r": 1.0}, t_domain=Eventually(1e4))
+    query = RateQuery(POWER, mu=1.0, grid={"r": (1.0,)}, t_domain=Eventually(1e4))
     conds = next(conds for group in enumerations("generalized-nag")
                  if (conds := psd_conditions(group.representative, POWER,
                                              query.corners())).alpha_exponents)
@@ -959,7 +979,7 @@ def test_rows_sharing_a_condition_set_run_as_one_batch(enumerations, monkeypatch
 def test_pool_tasks_carry_no_member_sequences(enumerations):
     # A lock cannot be pickled: the pool must not ship the groups' members.
     groups = enumerations("nag")
-    query = RateQuery(LOG, mu=1.0, convex=True, params={"r": 3.0})
+    query = RateQuery(LOG, mu=1.0, convex=True, grid={"r": (3.0,)})
     locked = [PairGroup(g.group_id, g.representative, positions=[threading.Lock()])
               for g in groups]
     assert analyze_groups(locked, query, jobs=2) == analyze_groups(groups, query, jobs=1)
@@ -970,7 +990,7 @@ def test_batched_flags_keep_each_k_and_check():
     # leading coefficient; 1 - k t / 10^7 fails only the leading check for
     # 0 < k < 10, since it stays above 0.9 up to the grid's end at t = 10^6.
     minors = (parse_expr("1*t^2 - 1*k*t + 1"), parse_expr("1 - 1/10000000*k*t"))
-    conds = PsdConditionSet(((1.0, 1.0),), minors)
+    conds = PsdConditionSet(((1.0, 1.0),), minors, [float_terms(m, ("k",)) for m in minors])
     ks = np.array([0.0, 1.0, 3.0])
     for domain, expected in ((AllPositive(), [True, False, False]),
                              (Window(T_GRID_LO, T_GRID_HI), [True, True, False])):
@@ -987,9 +1007,9 @@ def test_all_positive_checks_the_trailing_coefficient():
     # which at k = 2 + 1e-6 lies far below the grid's first point.
     K = Expr.symbol("k")
     minor = HALF * K * (K - 2) * (K - R - 1) * Expr.t_power(-3) + HALF * K * T_INV
-    conds = PsdConditionSet(((1.0, 1.0),), (minor,))
+    conds = PsdConditionSet(((1.0, 1.0),), (minor,), [float_terms(minor, ("k",))])
     for domain, expected in ((AllPositive(), [True, False]), (Eventually(1.0), [True, True])):
-        query = RateQuery(LINEAR, mu=1.0, params={"r": 4.0}, t_domain=domain)
+        query = RateQuery(LINEAR, mu=1.0, grid={"r": (4.0,)}, t_domain=domain)
         assert [feasible(conds, k, query) for k in (2.0, 2.0 + 1e-6)] == expected
 
 
@@ -1028,9 +1048,9 @@ def test_identically_zero_minor_survives_float_rounding():
     # be measured against the terms' own magnitudes, not against itself.
     minor = parse_expr("25/2*b*k - 5*b*k^2 - 25/2*b^2*k^2 + 5/2*k - 1/2*k^2")
     assert minor.subs_params({"b": Fraction(-1, 5)}) == ZERO
-    conds = PsdConditionSet(((0.5, 5.0),), (minor,))
-    query = RateQuery(LINEAR, mu=0.5, L=5.0, params={"b": -1 / 5})
-    compiled = compile_conditions(conds, [query.params], time_grid(query.t_domain))
+    conds = PsdConditionSet(((0.5, 5.0),), (minor,), [float_terms(minor, ("k",))])
+    query = RateQuery(LINEAR, mu=0.5, L=5.0, grid={"b": (-1 / 5,)})
+    compiled = compile_conditions(conds, [query.point()], time_grid(query.t_domain))
     assert compiled.coef.min() < 0  # the rounding this test is about
     for k in (0.0, 0.25, 0.5, 1.0, 4.0, K_CAP):
         assert _flags(compiled, [k], query.t_domain)[0]
@@ -1056,7 +1076,7 @@ def test_scaling_invariance():
     q0_scaled = initial_pair(scaled).Q
     assert all(3 * q0[i][j] == q0_scaled[i][j] for i in range(5) for j in range(5))
 
-    query = RateQuery(LINEAR, mu=1.0, L=4.0, params={"b": -0.25})
+    query = RateQuery(LINEAR, mu=1.0, L=4.0, grid={"b": (-0.25,)})
     winner = first_order_winner()
     k_base = max_rate(winner, query).k_max
     tripled = PQPair(tuple(tuple(3 * e for e in row) for row in winner.P),
@@ -1066,11 +1086,10 @@ def test_scaling_invariance():
     assert abs(k_base - k_scaled) <= 1e-6 * max(k_base, 1.0)
 
 
-def test_eventually_domain_supremum_flag():
+def test_eventually_domain_validity_starts_at_search_tail():
     result = max_rate(generalized_nag_winner(),
-                      RateQuery(LINEAR, mu=1.0, params={"r": 1.0, "alpha": 0.5},
+                      RateQuery(LINEAR, mu=1.0, grid={"alpha": (0.5,), "r": (1.0,)},
                                 t_domain=Eventually(1e4)))
-    assert result.supremum
     # The certified range at the returned rate starts at the searched tail.
     assert result.validity[0] == pytest.approx(1e4, rel=1e-9)
     assert result.validity[1] == math.inf
@@ -1099,7 +1118,7 @@ def test_catalog_rows_need_mu_below_L():
 
 def test_nag_window_certified_time():
     # r tuned for unit rate: PSD holds exactly up to T = 2(k^2 + mu)/k^3 = 4.
-    query = RateQuery(LINEAR, mu=1.0, params={"r": 8.0}, t_domain=Window(1e-2, 64.0))
+    query = RateQuery(LINEAR, mu=1.0, grid={"r": (8.0,)}, t_domain=Window(1e-2, 64.0))
     observed = certified_time(nag_winner(), query, 1.0)
     assert observed == pytest.approx(4.0, rel=0.025)
 
@@ -1116,7 +1135,7 @@ def test_positive_rate_group_counts(enumerations):
     assert positive(enumerations("nag"),
                     RateQuery(LOG, mu=1.0, convex=True, grid={"r": (3.0,)})) == 2
     assert positive(enumerations("generalized-nag"),
-                    RateQuery(POWER, mu=1.0, params={"alpha": 0.5}, grid={"r": (1.0,)},
+                    RateQuery(POWER, mu=1.0, grid={"alpha": (0.5,), "r": (1.0,)},
                               t_domain=Eventually(1e4))) == 2
 
 
@@ -1172,7 +1191,7 @@ def test_corner_psd_implies_interior_psd(enumerations):
 
 def test_analyze_groups_matches_serial(enumerations):
     groups = enumerations("nag")[:4]
-    query = RateQuery(LOG, mu=1.0, convex=True, params={"r": 3.0})
+    query = RateQuery(LOG, mu=1.0, convex=True, grid={"r": (3.0,)})
     serial = analyze_groups(groups, query, jobs=1)
     parallel = analyze_groups(groups, query, jobs=2)
     for a, b in zip(serial, parallel, strict=True):
@@ -1194,7 +1213,7 @@ def test_analyze_groups_pool_matches_serial_across_runs(enumerations):
 
 @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
 def test_bootstrap_candidates_and_preconditions(mu, enumerations):
-    query = RateQuery(LOG, mu=mu, params={"r": 4.5})
+    query = RateQuery(LOG, mu=mu, grid={"r": (4.5,)})
     picks = []
     for group in enumerations("nag"):
         try:
@@ -1211,15 +1230,15 @@ def test_bootstrap_candidates_and_preconditions(mu, enumerations):
     # At r = 3 the claimed rate collapses onto the certified log rate.
     with pytest.raises(BootstrapPreconditionError, match="single-step range"):
         bootstrap_rate_check(CATALOG["nag"], nag_bootstrap_pair(), 2.0,
-                             RateQuery(LOG, mu=mu, params={"r": 3.0}))
+                             RateQuery(LOG, mu=mu, grid={"r": (3.0,)}))
     # ... and past the single-step range the known decay no longer bounds E.
     with pytest.raises(BootstrapPreconditionError, match="single-step range"):
         bootstrap_rate_check(CATALOG["nag"], nag_bootstrap_pair(), 2.0,
-                             RateQuery(LOG, mu=mu, params={"r": 6.5}))
+                             RateQuery(LOG, mu=mu, grid={"r": (6.5,)}))
 
 
 def test_bootstrap_bounded_at_range_edge():
     # r = 6 is the edge of the single-step range for a known quadratic decay.
     ok = bootstrap_rate_check(CATALOG["nag"], nag_bootstrap_pair(), 2.0,
-                              RateQuery(LOG, mu=1.0, params={"r": 6.0}), dt=1e-2)
+                              RateQuery(LOG, mu=1.0, grid={"r": (6.0,)}))
     assert ok

@@ -38,6 +38,28 @@ def test_search_deterministic_output(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_search_param_is_a_one_value_param_grid(tmp_path):
+    single, grid = tmp_path / "param.csv", tmp_path / "grid.csv"
+    argv = ["search", "--spec", "nag", "--gamma", "log", "--mu", "1"]
+    assert main(argv + ["--param", "r=3", "--out", str(single)]) == 0
+    assert main(argv + ["--param-grid", "r=3", "--out", str(grid)]) == 0
+    assert single.read_bytes() == grid.read_bytes()
+
+
+def test_jobs_defaults_to_one(tmp_path, monkeypatch):
+    seen = []
+    analyze = lyapsearch.analysis.analyze_groups
+
+    def recording(groups, query, jobs):
+        seen.append(jobs)
+        return analyze(groups, query, jobs)
+
+    monkeypatch.setattr(lyapsearch.analysis, "analyze_groups", recording)
+    assert main(["search", "--spec", "damped-newton", "--convex",
+                 "--out", str(tmp_path / "out.csv")]) == 0
+    assert seen == [1]
+
+
 def test_search_param_grid_parsing(tmp_path):
     out = tmp_path / "grid.csv"
     code = main(["--jobs", "1", "search", "--spec", "first-order-hessian",
