@@ -14,26 +14,30 @@ the largest power, as t grows; AllPositive also checks the trailing one, of
 the lowest power, as t -> 0; a Window checks only its grid.  These checks
 allow a floor of 1e-12 times the summed magnitudes of the terms involved,
 taken before they merge, so a minor that vanishes identically in exact
-arithmetic is not failed by the rounding of its float coefficients.  A pair
-is compiled once per batch of parameter points into tables of the
-coefficient of k^p * t^e per minor and point; at each k these settle every
-minor whose coefficients all clear the floor, and only the rest are
-evaluated on the grid.  One compile finds each term's slot in the tables,
-its float coefficient and its factors, then binds every point of the batch,
-which must share one alpha, with array multiplies and one summation per
-table.
+arithmetic is not failed by the rounding of its float coefficients.  A block
+of pairs is compiled once per batch of parameter points into tables of the
+coefficient of k^p * t^e per minor, with one row per pair and point; at each
+k these settle every minor whose coefficients all clear the floor, and only
+the rest are evaluated on the grid.  One compile finds each term's slot in
+the tables, its float coefficient and its factors, then binds every point of
+the batch, which must share one alpha, with array multiplies and one
+summation per table.  The rows share one shape, each pair's tables padded
+with zeros to the block's most minors, powers of k and exponents of t; a
+zero minor is never below the floor, so the padding changes no flag.
 
 The largest feasible k is searched in stages, each checked for every live
-point of a batch in one pass over arrays: k = 0; the doubling 1, 2, 4, ...,
-K_CAP; a coarse pre-scan up to each point's first infeasible doubling k,
+row of a block in one pass over arrays: k = 0; the doubling 1, 2, 4, ...,
+K_CAP; a coarse pre-scan up to each row's first infeasible doubling k,
 which guards against non-monotone feasibility; and bisection, which checks
-the midpoints of BISECT_LEVELS levels per pass, each point to its own
+the midpoints of BISECT_LEVELS levels per pass, each row to its own
 interval and tolerance.  A batch holds every grid point of the queries that
 share a pair's condition set and t domain, which in the catalog are the
-sc-nag and second-order-hessian rows.  Each pass holds, for each point, the
-same ks as a one-point, one-k-at-a-time search would check, and more, and
-the search reads the same flags off it, so k_max and the status are the
-same.
+sc-nag and second-order-hessian rows, and a block as many groups of a run
+as keep it within BLOCK_POINTS grid points.  A pass splits its rows so that
+no product it builds exceeds SUSPECT_BUDGET elements.  Each pass holds, for
+each row, the same ks as a one-point, one-k-at-a-time search of that pair
+would check, and more, and the search reads the same flags off it, so k_max
+and the status are the same.
 
 The exact work is shared across pairs through a MinorTable, made for one
 gamma form and the corners of the queries it serves: gamma is substituted
@@ -42,9 +46,10 @@ built once, from sub-determinants also built once, each distinct
 determinant is bound once per corner, and each distinct bound minor gets its
 float term table once.  A run over groups threads one table through them and
 drops it at the end: analyze_groups, and verify_catalog for the rows that
-share a system and a gamma form.  With a pool, each worker gets one
-contiguous run of groups and makes its own table for it; its task carries
-only each group's id and representative pair, not its member positions.
+share a system and a gamma form; only one block's condition sets are held
+at a time.  With a pool, each worker gets one contiguous run of groups and
+makes its own table for it; its task carries only each group's id and
+representative pair, not its member positions.
 Queries with the same corners share a pair's whole condition set.  A run
 makes one t grid per t domain of its batches, and the table keeps the grid's
 powers per set of exponents of t.
@@ -88,6 +93,8 @@ T_GRID_HI = 1e6
 REL_FLOOR = 1e-12
 K_CAP = float(2 ** 16)
 GRID_BLOCK = 8  # suspect (k, minor) pairs per step of the t-grid check; bounds its temporaries
+SUSPECT_BUDGET = 2 ** 15  # elements of c, and of a, that one pass of the suspect search builds
+BLOCK_POINTS = 32  # grid points of a block of groups, compiled and searched together
 
 
 class AnalysisError(Exception):
@@ -319,23 +326,36 @@ class _Terms(dict):
         return tid
 
 
-def _check_diagonal_parameters(pair: PQPair) -> None:
-    """lambda and theta may enter only diagonal entries, and only affinely."""
-    for matrix, dim in ((pair.P, 3), (pair.Q, 5)):
-        for i in range(dim):
-            for j in range(dim):
-                entry = matrix[i][j]
-                if not _CURVATURE & entry.free_symbols():
-                    continue
-                if i != j:
-                    raise DiagonalParameterError(
-                        f"lambda/theta in off-diagonal entry ({i + 1},{j + 1})")
-                for _exp, mono, _coeff in entry.terms():
-                    part = tuple((sym, power) for sym, power in mono if sym in _CURVATURE)
-                    if part not in _AFFINE_PARTS:
-                        raise DiagonalParameterError(
-                            f"diagonal entry ({i + 1},{i + 1}) is not affine in lambda and "
-                            f"theta: it has a term in {'*'.join(f'{s}^{p}' for s, p in part)}")
+def _curvature_part(entry: Expr) -> tuple | None:
+    """None for an entry free of lambda and theta; else () when it is affine in
+    them, or the (symbol, power) part in them of its first term that is not."""
+    if not _CURVATURE & entry.free_symbols():
+        return None
+    for _exp, mono, _coeff in entry.terms():
+        part = tuple((sym, power) for sym, power in mono if sym in _CURVATURE)
+        if part not in _AFFINE_PARTS:
+            return part
+    return ()
+
+
+def _check_diagonal_parameters(matrices: Sequence[Sequence[tuple[int, tuple | None]]]) -> None:
+    """lambda and theta may enter only diagonal entries, and only affinely.
+
+    matrices holds P's and Q's (entry id, _curvature_part) row-major.
+    """
+    for cells in matrices:
+        dim = math.isqrt(len(cells))
+        for cell, (_eid, part) in enumerate(cells):
+            if part is None:
+                continue
+            i, j = divmod(cell, dim)
+            if i != j:
+                raise DiagonalParameterError(
+                    f"lambda/theta in off-diagonal entry ({i + 1},{j + 1})")
+            if part:
+                raise DiagonalParameterError(
+                    f"diagonal entry ({i + 1},{i + 1}) is not affine in lambda and "
+                    f"theta: it has a term in {'*'.join(f'{s}^{p}' for s, p in part)}")
 
 
 class MinorTable:
@@ -381,7 +401,8 @@ class MinorTable:
         corners = dict.fromkeys(c for cs in corner_sets for c in cs)
         self._corner_index = {c: i for i, c in enumerate(corners)}
         self._corners = [_over_common_denominator(lam, theta) for lam, theta in corners]
-        self._entry_ids: dict[Expr, int] = {}  # raw entry -> id of its substitution
+        # raw entry -> (id of its substitution, its _curvature_part)
+        self._entry_ids: dict[Expr, tuple[int, tuple | None]] = {}
         self._entries: list[Expr] = [ZERO]     # substituted entries by id
         self._entry_index: dict[Expr, int] = {ZERO: 0}
         self._scale = 1                        # s, the common denominator of the entries
@@ -396,17 +417,17 @@ class MinorTable:
         self._tables: list[tuple[FloatTerm, ...]] = []
         self._tpower_cache: dict = {}
 
-    def _entry_id(self, entry: Expr) -> int:
-        eid = self._entry_ids.get(entry)
-        if eid is None:
+    def _entry_id(self, entry: Expr) -> tuple[int, tuple | None]:
+        seen = self._entry_ids.get(entry)
+        if seen is None:
             substituted = self.gamma.substitute(entry)
             eid = self._entry_index.get(substituted)
             if eid is None:
                 eid = self._entry_index[substituted] = len(self._entries)
                 self._entries.append(substituted)
                 self._scaled.append(self._scale_entry(substituted))
-            self._entry_ids[entry] = eid
-        return eid
+            seen = self._entry_ids[entry] = (eid, _curvature_part(entry))
+        return seen
 
     def _scale_entry(self, entry: Expr) -> dict[int, int]:
         """s times entry, as {term id: int}; s first grows to a multiple of its denominators."""
@@ -484,10 +505,12 @@ class MinorTable:
         """
         if not pair.has_gap:
             raise AnalysisError("pair lacks the objective-gap term; apply A1 first")
-        _check_diagonal_parameters(pair)
+        matrices = [[self._entry_id(e) for row in matrix for e in row]  # row-major
+                    for matrix in (pair.P, pair.Q)]
+        _check_diagonal_parameters(matrices)
         subset_minors = []
-        for matrix, dim in ((pair.P, 3), (pair.Q, 5)):
-            ids = [self._entry_id(e) for row in matrix for e in row]  # row-major
+        for cells, dim in zip(matrices, (3, 5)):
+            ids = [eid for eid, _part in cells]
             support = tuple(i for i in range(dim) if any(ids[i * dim:(i + 1) * dim]))
             for cells in _principal_cells(dim, support):
                 key = tuple(map(ids.__getitem__, cells))
@@ -547,17 +570,19 @@ def psd_conditions(pair: PQPair, gamma: GammaForm,
 
 
 class CompiledConditions:
-    """A pair's minors at a batch of parameter points, with everything bound
-    except k, evaluable over a fixed t grid.
+    """The minors of a block of condition sets at a batch of parameter points,
+    with everything bound except k, evaluable over a fixed t grid.
 
-    coef[i, p, m * n_exps + e] is the coefficient of k^p * t^e in minor m at
-    the i-th point, and size the sum of the magnitudes of the terms merged
-    into it; e runs over the exponents of t at the points' alpha, in
-    descending order.  For each k of a point, c = sum_p k^p coef holds each
-    minor's coefficient per exponent and a = sum_p |k|^p size its scale.  A
-    minor with every c >= -REL_FLOOR * a is nonnegative for every t > 0 up
-    to the floor, so only the other (point, k, minor) triples, the suspects,
-    are checked further.  One point is the batch of one.
+    A row is one condition set at one point.  coef[i, p, m * n_exps + e] is
+    the coefficient of k^p * t^e in minor m of row i, and size the sum of the
+    magnitudes of the terms merged into it; e runs over the exponents of t at
+    the points' alpha, in descending order.  For each k of a row, c = sum_p
+    k^p coef holds each minor's coefficient per exponent and a = sum_p |k|^p
+    size its scale.  A minor with every c >= -REL_FLOOR * a is nonnegative
+    for every t > 0 up to the floor, so only the other (row, k, minor)
+    triples, the suspects, are checked further.  A minor, power of k or
+    exponent that a row lacks is all zeros there, and a zero minor is never
+    a suspect.  One set at one point is the block of one.
     """
 
     __slots__ = ("coef", "size", "kexps", "tpowers", "shape")
@@ -570,13 +595,11 @@ class CompiledConditions:
         self.tpowers = tpowers
         self.shape = (n_minors, n_exps)
 
-    def _suspect_pairs(self, ks: np.ndarray, points: Sequence[int] | None):
-        """For each (point, k, minor) with a coefficient below the floor: the
-        flat index of its k in ks, its c and a, and which of its c are below
-        the floor."""
-        coef, size = self.coef, self.size
-        if points is not None and len(points) < len(coef):
-            coef, size = coef[points], size[points]
+    def _suspect_pairs(self, ks: np.ndarray, rows: slice | Sequence[int]):
+        """For each (row of rows, k, minor) with a coefficient below the floor:
+        the flat index of its k in ks, its c and a, and which of its c are
+        below the floor."""
+        coef, size = self.coef[rows], self.size[rows]
         kp = np.power(ks[..., None], self.kexps)
         shape = (ks.size,) + self.shape
         c = (kp @ coef).reshape(shape)
@@ -589,24 +612,37 @@ class CompiledConditions:
         """Per row of c and a, the grid points where that minor is below the floor."""
         return c @ self.tpowers < -REL_FLOOR * (a @ self.tpowers)
 
-    def violations(self, k: float, point: int = 0) -> np.ndarray:
-        """Boolean mask over the grid where some minor goes negative at k, at
-        the point of that index."""
-        _ki, c, a, _neg = self._suspect_pairs(np.array([[k]], dtype=float), [point])
+    def violations(self, k: float, row: int = 0) -> np.ndarray:
+        """Boolean mask over the grid where some minor goes negative at k, in
+        the row of that index."""
+        _ki, c, a, _neg = self._suspect_pairs(np.array([[k]], dtype=float), [row])
         return self._grid_bad(c, a).any(axis=0)
 
     def feasible(self, ks: np.ndarray, domain: TDomain,
-                 points: Sequence[int] | None = None) -> np.ndarray:
+                 rows: Sequence[int] | None = None) -> np.ndarray:
         """One flag per k: every minor is nonnegative on the grid, the
         time_grid of domain, and, unless domain is a Window, leads with a
         nonnegative coefficient as t grows; on AllPositive, its lowest power
         of t, which dominates as t -> 0, has a nonnegative coefficient too.
 
-        Row i of the 2-D ks holds ks of the i-th of points, the indices of
-        some points (all of them when None).  A nan k is padding: no minor
-        is a suspect at it, so it costs no check, and its flag means nothing.
+        Row i of the 2-D ks holds ks of the i-th of rows, some row indices
+        (all of them when None).  A nan k is padding: no minor is a suspect
+        at it, so it costs no check, and its flag means nothing.  The rows go
+        as many at a time as keep c within SUSPECT_BUDGET elements, and at
+        least one.
         """
-        ki, c, a, neg = self._suspect_pairs(ks, points)
+        ok = np.empty(ks.shape, dtype=bool)
+        step = max(1, SUSPECT_BUDGET // max(1, ks.shape[1] * self.coef.shape[2]))
+        for start in range(0, len(ks), step):
+            stop = start + step
+            ok[start:stop] = self._feasible_rows(
+                ks[start:stop], domain, slice(start, stop) if rows is None else rows[start:stop])
+        return ok
+
+    def _feasible_rows(self, ks: np.ndarray, domain: TDomain,
+                       rows: slice | Sequence[int]) -> np.ndarray:
+        """feasible for the row indices rows, in one pass."""
+        ki, c, a, neg = self._suspect_pairs(ks, rows)
         ok = np.ones(ks.size, dtype=bool)
         if not isinstance(domain, Window) and len(ki):
             # The end exponents at k are the first and the last whose |c| exceeds
@@ -627,47 +663,54 @@ class CompiledConditions:
         return ok.reshape(ks.shape)
 
 
-def compile_conditions(conds: PsdConditionSet, points: Sequence[Mapping[str, float]],
+def compile_conditions(sets: Sequence[PsdConditionSet], points: Sequence[Mapping[str, float]],
                        tgrid: np.ndarray) -> CompiledConditions:
-    """Bind each of the points into the pair's term table and tabulate it by k^p * t^e.
+    """Bind each of the points into each of the sets' term tables and tabulate
+    them by k^p * t^e; row g * len(points) + i of the result is sets[g] at
+    points[i].
 
     Each term lands in a slot of a table indexed (power of k, minor, column),
-    where the columns are the distinct exponents of t at the points' alpha,
-    in descending order; so where some exponent of t involves alpha, the
-    points must bind the same alpha.  Binding a point computes each distinct
-    (symbol, power) factor of the terms' monomials once, as a Python float,
-    and multiplies the j-th factor of each monomial into its term's float
-    coefficient for j = 0, 1, ..., so each term gets its factors in monomial
-    order, as bind_terms multiplies them (past a monomial's end the factor is
-    1.0, which changes nothing).  The products are then summed into their
-    slots in term order, point i's slots offset by i tables, so one summation
-    per table gives every point tables bit-identical to merging bind_terms'
-    output key by key.  tgrid's powers of the exponents are taken once per
-    grid and set of exponents among the sets of one MinorTable.  Raises
-    UnboundSymbolError for the first point that lacks a symbol, naming the
-    first such symbol in term order.
+    with the sets' largest count of minors and of powers of k, and one column
+    per distinct exponent of t among all their terms at the points' alpha, in
+    descending order; so where some exponent of t involves alpha, the points
+    must bind the same alpha.  A slot that no term of a set reaches is 0 in
+    that set's rows.  Binding a point computes each distinct (symbol, power)
+    factor of the terms' monomials once, as a Python float, and multiplies
+    the j-th factor of each monomial into its term's float coefficient for j
+    = 0, 1, ..., so each term gets its factors in monomial order, as
+    bind_terms multiplies them (past a monomial's end the factor is 1.0,
+    which changes nothing).  The products are then summed into their slots
+    in term order, row r's slots offset by r tables, so one summation per
+    table gives every row tables bit-identical to merging bind_terms' output
+    for its set key by key.  tgrid's powers of the exponents are taken once
+    per grid and set of exponents among the sets of one MinorTable, which
+    the sets must share.  Raises UnboundSymbolError for the first point that
+    lacks a symbol, naming the first such symbol in the sets' term order.
     """
+    terms = [term for conds in sets for term in conds.terms]
     alpha = None
-    if conds.alpha_exponents:
+    if any(conds.alpha_exponents for conds in sets):
         for bindings in points:
             if "alpha" not in bindings:
-                bind_terms(conds.terms, bindings)  # raises, naming the first missing symbol
+                bind_terms(terms, bindings)  # raises, naming the first missing symbol
         alphas = {float(bindings["alpha"]) for bindings in points}
         if len(alphas) != 1:
             raise AnalysisError(f"points compiled together must bind one alpha, "
                                 f"got {sorted(alphas)}")
         (alpha,) = alphas
-    coefs, ps, qs, monos, kpows = zip(*conds.terms) if conds.terms else ((),) * 5
+    coefs, ps, qs, monos, kpows = zip(*terms) if terms else ((),) * 5
     t_exps = np.array(ps, dtype=float)
     if alpha is not None:
         q = np.array(qs, dtype=float)
         t_exps = np.where(q != 0, t_exps + q * alpha, t_exps)
     exps = np.array(sorted(set(t_exps.tolist())))
-    n_minors, n_exps = len(conds.minors), len(exps)
+    n_minors, n_exps = max(len(conds.minors) for conds in sets), len(exps)
     kpow = np.array([kpow for (kpow,) in kpows], dtype=np.intp)
     shape = (int(kpow.max(initial=0)) + 1, n_minors, n_exps)
+    term_minors = np.fromiter(itertools.chain.from_iterable(conds.term_minors for conds in sets),
+                              dtype=np.intp, count=len(terms))
     # Plain integer arithmetic: the flat index of (kpow, minor, column).
-    slots = ((kpow * n_minors + np.array(conds.term_minors, dtype=np.intp)) * n_exps
+    slots = ((kpow * n_minors + term_minors) * n_exps
              + (n_exps - 1 - np.searchsorted(exps, t_exps)))
     # Each distinct monomial once: its items' positions in factors, -1 past its end.
     mono_ids: dict = {}
@@ -681,15 +724,15 @@ def compile_conditions(conds: PsdConditionSet, points: Sequence[Mapping[str, flo
     symbols = {sym for sym, _power in factors}
     for bindings in points:
         if not symbols.issubset(bindings):
-            bind_terms(conds.terms, bindings)
+            bind_terms(terms, bindings)
     exps = exps[::-1]
     # The entry holds the grid, so no other array can take its id meanwhile.
     key = (id(tgrid), exps.tobytes())
-    cached = conds.tpower_cache.get(key)
+    cached = sets[0].tpower_cache.get(key)
     if cached is None:
         tpowers = tgrid[None, :] ** exps[:, None]
         tpowers.flags.writeable = False
-        cached = conds.tpower_cache[key] = (tgrid, tpowers)
+        cached = sets[0].tpower_cache[key] = (tgrid, tpowers)
     # The last entry of each row, 1.0, is what position -1 picks.
     values = np.array([[float(bindings[sym] ** power) for sym, power in factors] + [1.0]
                        for bindings in points])
@@ -698,12 +741,14 @@ def compile_conditions(conds: PsdConditionSet, points: Sequence[Mapping[str, flo
         base = base * values.take(rows[term_monos, j], axis=1)
     if len(base) < len(points):  # no term has a factor
         base = base.repeat(len(points), axis=0)
-    n_slots = math.prod(shape)
-    if len(points) > 1:
-        slots = (slots + n_slots * np.arange(len(points))[:, None]).ravel()
-    shape = (len(points),) + shape
-    coef = np.bincount(slots, weights=base.ravel(), minlength=n_slots * len(points))
-    size = np.bincount(slots, weights=np.abs(base).ravel(), minlength=n_slots * len(points))
+    # Row g * len(points) + i: set g's terms at point i.
+    term_rows = np.repeat(np.arange(len(sets)) * len(points),
+                          [len(conds.terms) for conds in sets])
+    n_slots, n_rows = math.prod(shape), len(sets) * len(points)
+    slots = (slots + n_slots * (term_rows + np.arange(len(points))[:, None])).ravel()
+    shape = (n_rows,) + shape
+    coef = np.bincount(slots, weights=base.ravel(), minlength=n_slots * n_rows)
+    size = np.bincount(slots, weights=np.abs(base).ravel(), minlength=n_slots * n_rows)
     # Over no terms at all, bincount counts in ints.
     return CompiledConditions(coef.astype(float, copy=False).reshape(shape),
                               size.astype(float, copy=False).reshape(shape), cached[1])
@@ -712,7 +757,7 @@ def compile_conditions(conds: PsdConditionSet, points: Sequence[Mapping[str, flo
 def feasible(conds: PsdConditionSet, k: float, query: RateQuery) -> bool:
     """True when every minor is nonnegative over the query's time domain at k,
     at the query's single grid point."""
-    compiled = compile_conditions(conds, [query.point()], time_grid(query.t_domain))
+    compiled = compile_conditions([conds], [query.point()], time_grid(query.t_domain))
     return bool(compiled.feasible(np.array([[k]], dtype=float), query.t_domain)[0, 0])
 
 
@@ -796,17 +841,17 @@ def _bisect_max_k(check, ks: np.ndarray, flags: np.ndarray) -> tuple[list[float]
 
 
 def _max_ks(compiled: CompiledConditions, domain: TDomain) -> list[tuple[float, str] | None]:
-    """Per point of compiled, its largest feasible k and status, or None where
-    k = 0 is infeasible; each stage is one check of every point still live.
+    """Per row of compiled, its largest feasible k and status, or None where
+    k = 0 is infeasible; each stage is one check of every row still live.
 
     k = 0 comes first; then the doubling 1, 2, 4, ..., K_CAP, whose first
     infeasible k bounds the pre-scan, or which makes the rate the cap when
     all are feasible; then the pre-scan and the bisection.
     """
-    n_points = len(compiled.coef)
-    found: list[tuple[float, str] | None] = [None] * n_points
-    at_zero = compiled.feasible(np.zeros((n_points, 1)), domain)[:, 0].tolist()
-    live = [i for i in range(n_points) if at_zero[i]]
+    n_rows = len(compiled.coef)
+    found: list[tuple[float, str] | None] = [None] * n_rows
+    at_zero = compiled.feasible(np.zeros((n_rows, 1)), domain)[:, 0].tolist()
+    live = [i for i in range(n_rows) if at_zero[i]]
     if not live:
         return found
     doubling = compiled.feasible(np.repeat(DOUBLING_KS[None], len(live), axis=0), domain, live)
@@ -851,54 +896,57 @@ def max_rate(pair: PQPair, query: RateQuery) -> RateResult:
     The result has no group id.  Raises InfeasiblePairError when no grid
     point is PSD even at k = 0.
     """
-    result = _maximize(psd_conditions(pair, query.gamma, query.corners()), [query], None,
-                       time_grid(query.t_domain))[0]
+    result = _maximize([psd_conditions(pair, query.gamma, query.corners())], [query], [None],
+                       time_grid(query.t_domain))[0][0]
     if result is None:
         raise InfeasiblePairError("pair is not PSD at k = 0 for any grid point")
     return result
 
 
-def _maximize(conds: PsdConditionSet, queries: Sequence[RateQuery], group_id: int | None,
-              tgrid: np.ndarray) -> list[RateResult | None]:
-    """max_rate on a pair's condition set for each of the queries, which share
-    its corners and a t domain whose time_grid is tgrid; None for a query
-    with no grid point PSD at k = 0.
+def _maximize(sets: Sequence[PsdConditionSet], queries: Sequence[RateQuery],
+              group_ids: Sequence[int | None], tgrid: np.ndarray
+              ) -> list[list[RateResult | None]]:
+    """Per condition set of a block, with its group id, max_rate on it for
+    each of the queries, which share its corners and a t domain whose
+    time_grid is tgrid; None for a query with no grid point PSD at k = 0.
 
-    The grid points of all the queries run as one batch per alpha: one
-    compile_conditions call binds them, and each stage of the search checks
-    every live point in one pass.  A query's result is its first point with
-    the largest k, and only that point's validity range is computed.
+    The block's sets at the grid points of all the queries run as one batch
+    per alpha: one compile_conditions call binds them, and each stage of the
+    search checks every live (set, point) in one pass.  A query's result is
+    its first point with the largest k, and only that point's validity range
+    is computed.
     """
     domain = queries[0].t_domain
     grids = [query.grid_points() for query in queries]
     points = [point for grid in grids for point in grid]
-    # The points that bind one alpha, where some exponent of t involves it.
     batches: dict = {}
     for i, point in enumerate(points):
-        batches.setdefault(point.get("alpha") if conds.alpha_exponents else None, []).append(i)
-    # Per point: (k, status, its batch's CompiledConditions, its row there), or None.
-    found: list[tuple | None] = [None] * len(points)
+        batches.setdefault(point.get("alpha"), []).append(i)
+    # Per set and point: (k, status, its batch's CompiledConditions, its row there), or None.
+    found: list[list[tuple | None]] = [[None] * len(points) for _ in sets]
     for batch in batches.values():
-        compiled = compile_conditions(conds, [points[i] for i in batch], tgrid)
-        for row, (i, rate) in enumerate(zip(batch, _max_ks(compiled, domain))):
+        compiled = compile_conditions(sets, [points[i] for i in batch], tgrid)
+        for row, rate in enumerate(_max_ks(compiled, domain)):
             if rate is not None:
-                found[i] = rate + (compiled, row)
-    results: list[RateResult | None] = []
-    end = 0
-    for grid in grids:
-        start, end = end, end + len(grid)
-        best = None
-        for i in range(start, end):
-            if found[i] is not None and (best is None or found[i][0] > found[best][0]):
-                best = i
-        if best is None:
-            results.append(None)
-            continue
-        k, status, compiled, row = found[best]
-        validity = _certified_range(compiled.violations(k, row), tgrid, domain)
-        results.append(RateResult(group_id, k, dict(points[best]), validity, status,
-                                  len(conds.minors)))
-    return results
+                g, j = divmod(row, len(batch))
+                found[g][batch[j]] = rate + (compiled, row)
+    per_set = []
+    for conds, group_id, rates in zip(sets, group_ids, found):
+        results: list[RateResult | None] = []
+        end = 0
+        for grid in grids:
+            start, end = end, end + len(grid)
+            live = [i for i in range(start, end) if rates[i] is not None]
+            if not live:
+                results.append(None)
+                continue
+            best = max(live, key=lambda i: rates[i][0])  # the first of the largest k
+            k, status, compiled, row = rates[best]
+            validity = _certified_range(compiled.violations(k, row), tgrid, domain)
+            results.append(RateResult(group_id, k, dict(points[best]), validity, status,
+                                      len(conds.minors)))
+        per_set.append(results)
+    return per_set
 
 
 def certified_time(pair: PQPair, query: RateQuery, k: float) -> float:
@@ -907,7 +955,7 @@ def certified_time(pair: PQPair, query: RateQuery, k: float) -> float:
     tgrid = time_grid(query.t_domain)
     best = 0.0
     for point in query.grid_points():
-        bad = compile_conditions(conds, [point], tgrid).violations(k)
+        bad = compile_conditions([conds], [point], tgrid).violations(k)
         if bad[0]:
             continue  # infeasible already at the left end of the grid
         first_bad = int(np.argmax(bad)) if bad.any() else len(tgrid)
@@ -927,25 +975,34 @@ class GroupRate:
 def _analyze_run(pairs: Sequence[tuple[int, PQPair]],
                  queries: Sequence[RateQuery]) -> list[list[GroupRate]]:
     """Per (group id, representative) of a run, its GroupRate for each of the
-    queries, from one MinorTable.  The queries that share corners and a t
-    domain share a condition set and a t grid, and each group runs them as
-    one batch."""
+    queries, from one MinorTable.
+
+    The queries that share corners and a t domain share a condition set and
+    a t grid, and run as one batch of grid points.  The groups go in blocks
+    of as many as keep the largest batch within BLOCK_POINTS grid points, and
+    at least one; each batch runs a whole block through one _maximize.
+    """
     corner_sets = [query.corners() for query in queries]
     batches: dict[tuple, list[int]] = {}
     for i, (corners, query) in enumerate(zip(corner_sets, queries)):
         batches.setdefault((corners, query.t_domain), []).append(i)
     tgrids = {key: time_grid(key[1]) for key in batches}
+    n_points = max(sum(len(queries[i].grid_points()) for i in members)
+                   for members in batches.values())
+    block = max(1, BLOCK_POINTS // n_points)
     table = MinorTable(queries[0].gamma, corner_sets)
     per_group = []
-    for group_id, pair in pairs:
-        conds = table.conditions(pair, corner_sets)
-        rates: list[GroupRate | None] = [None] * len(queries)
+    for start in range(0, len(pairs), block):
+        ids, block_pairs = zip(*pairs[start:start + block])
+        conds = [table.conditions(pair, corner_sets) for pair in block_pairs]
+        rates: list[list[GroupRate | None]] = [[None] * len(queries) for _ in ids]
         for key, members in batches.items():
-            results = _maximize(conds[members[0]], [queries[i] for i in members], group_id,
-                                tgrids[key])
-            for i, result in zip(members, results):
-                rates[i] = GroupRate(group_id, result)
-        per_group.append(rates)
+            results = _maximize([sets[members[0]] for sets in conds],
+                                [queries[i] for i in members], ids, tgrids[key])
+            for group_id, group_rates, group_results in zip(ids, rates, results):
+                for i, result in zip(members, group_results):
+                    group_rates[i] = GroupRate(group_id, result)
+        per_group += rates
     return per_group
 
 
@@ -953,11 +1010,11 @@ def _analyze_queries(groups: Sequence[PairGroup], queries: Sequence[RateQuery],
                      jobs: int) -> list[list[GroupRate]]:
     """analyze_groups for each of the queries, which share one gamma form.
 
-    The work runs group by group through one MinorTable, so only one group's
-    condition sets are held at a time.  With a pool, each worker takes one
-    contiguous run of groups and makes a table of its own.  A task carries
-    only what the analysis reads of a group, its id and representative pair,
-    not its member positions.
+    The work runs block by block of groups through one MinorTable, so only
+    one block's condition sets are held at a time.  With a pool, each worker
+    takes one contiguous run of groups and makes a table of its own.  A task
+    carries only what the analysis reads of a group, its id and
+    representative pair, not its member positions.
     """
     pairs = [(group.group_id, group.representative) for group in groups]
     if jobs > 1:
@@ -1082,7 +1139,7 @@ def verify_catalog(mu: float = 1.0, L: float = 4.0, jobs: int = 1,
         labels = [row.label for row in table]
         unknown = [label for label in rows if label not in labels]
         if unknown:
-            raise ValueError(f"unknown catalog rows {', '.join(unknown)}; "
+            raise ValueError(f"unknown catalog rows {', '.join(map(repr, unknown))}; "
                              f"valid rows are {', '.join(labels)}")
         table = [row for row in table if row.label in rows]
     enumerated: dict[str, list[PairGroup]] = dict(enumerations or {})

@@ -203,7 +203,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify_catalog(args) -> int:
-    rows = args.rows.split(",") if args.rows else None
+    rows = args.rows.split(",") if args.rows is not None else None
     report = analysis.verify_catalog(mu=args.mu, L=args.L, jobs=args.jobs, rows=rows)
     lines = [f"{'row':24s} {'expected':>22s} {'observed':>22s}  result"]
     for row in report.rows:

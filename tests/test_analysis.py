@@ -172,6 +172,26 @@ def test_psd_conditions_reject_diagonal_lambda_theta_of_degree_two(entry):
             psd_conditions(bad, LINEAR, corners=[(1.0, 1.0)])
 
 
+def test_minor_table_checks_each_entry_at_its_place():
+    """The table keeps each raw entry's curvature part, not a verdict: an
+    entry allowed on a diagonal is refused off it, and the first offender,
+    P before Q and row-major, names the error."""
+    table = MinorTable(LINEAR, [((1.0, 1.0),)])
+    corners = [((1.0, 1.0),)]
+    table.conditions(PQPair(_sym_matrix(3, {}), _sym_matrix(5, {(3, 3): LAM}), has_gap=True),
+                     corners)
+    cases = [
+        ({}, {(1, 2): LAM}, r"off-diagonal entry \(1,2\)"),
+        ({(2, 2): LAM * LAM}, {(1, 2): LAM}, r"diagonal entry \(2,2\) is not affine .* lambda\^2"),
+        ({(1, 3): THETA, (2, 2): LAM * LAM}, {}, r"off-diagonal entry \(1,3\)"),
+        ({(2, 2): LAM * THETA, (3, 3): LAM * LAM}, {}, r"\(2,2\) .* lambda\^1\*theta\^1$"),
+    ]
+    for p, q, message in cases:
+        bad = PQPair(_sym_matrix(3, p), _sym_matrix(5, q), has_gap=True)
+        with pytest.raises(DiagonalParameterError, match=message):
+            table.conditions(bad, corners)
+
+
 def test_psd_conditions_require_gap_term():
     from lyapsearch.analysis import AnalysisError
 
@@ -668,7 +688,7 @@ def test_feasible_matches_per_minor_reference(system, query, enumerations):
     for group in enumerations(system):
         conds = psd_conditions(group.representative, query.gamma, query.corners())
         for point in query.grid_points():
-            compiled = compile_conditions(conds, [point], tgrid)
+            compiled = compile_conditions([conds], [point], tgrid)
             reference = [_ReferenceMinor(m, point, tgrid) for m in conds.minors]
             where = f"group {group.group_id} at {point}"
             for table, column in ((compiled.coef[0], "bases"), (compiled.size[0], "sizes")):
@@ -729,7 +749,7 @@ def test_batched_bisection_walks_the_one_midpoint_path(system, query, enumeratio
     for group in enumerations(system):
         conds = psd_conditions(group.representative, query.gamma, query.corners())
         for point in query.grid_points():
-            compiled = compile_conditions(conds, [point], tgrid)
+            compiled = compile_conditions([conds], [point], tgrid)
             if not _flags(compiled, [0.0], domain)[0]:
                 continue
             doubling = _flags(compiled, DOUBLING_KS, domain)
@@ -785,7 +805,7 @@ def test_compile_conditions_matches_dict_merge(system, query, enumerations):
     for group in enumerations(system):
         conds = psd_conditions(group.representative, query.gamma, query.corners())
         for point in query.grid_points():
-            compiled = compile_conditions(conds, [point], tgrid)
+            compiled = compile_conditions([conds], [point], tgrid)
             coef, size, exps = _dict_merge_compile(conds, point)
             where = f"group {group.group_id} at {point}"
             assert compiled.shape == coef.shape[1:], where
@@ -817,7 +837,7 @@ def test_compile_conditions_names_the_same_unbound_symbol(system, gamma, full, p
         conds = psd_conditions(group.representative, gamma, query.corners())
         for bindings in partials + (full,) + partials:
             name = _unbound_name(_dict_merge_compile, conds, bindings)
-            assert _unbound_name(lambda c, b: compile_conditions(c, [b], tgrid),
+            assert _unbound_name(lambda c, b: compile_conditions([c], [b], tgrid),
                                  conds, bindings) == name, f"group {group.group_id}, {bindings}"
             raised.add(name)
     assert len(raised - {None}) >= 2
@@ -831,7 +851,7 @@ def _point_by_point_rate(conds, query, group_id):
     domain = query.t_domain
     best = None
     for point in query.grid_points():
-        compiled = compile_conditions(conds, [point], tgrid)
+        compiled = compile_conditions([conds], [point], tgrid)
         if not _flags(compiled, [0.0], domain)[0]:
             continue
         doubling = _flags(compiled, DOUBLING_KS, domain)
@@ -880,8 +900,8 @@ def test_stacked_kernel_flags_match_each_point_alone(enumerations):
     checked = 0
     for group in enumerations("second-order-hessian")[::7]:
         conds = psd_conditions(group.representative, query.gamma, query.corners())
-        stacked = compile_conditions(conds, points, tgrid)
-        alone = [compile_conditions(conds, [point], tgrid) for point in points]
+        stacked = compile_conditions([conds], points, tgrid)
+        alone = [compile_conditions([conds], [point], tgrid) for point in points]
         for i, one in enumerate(alone):
             assert np.array_equal(stacked.coef[i], one.coef[0])
             assert np.array_equal(stacked.size[i], one.size[0])
@@ -903,23 +923,120 @@ def test_stacked_kernel_flags_match_each_point_alone(enumerations):
     assert checked  # some flags are False
 
 
+_BLOCK_CASES = [
+    ("second-order-hessian",
+     RateQuery(LINEAR, mu=1.0, grid={"a": (0.5, 1.0, 1.5), "b": (0.0, 0.5, 1.0)})),
+    ("hessian-nag", RateQuery(LINEAR, mu=0.5, L=9.0, grid={"r": (0.0, 0.5), "b": (0.5, 1.5)})),
+    ("nag", RateQuery(LOG, mu=1.0, grid={"r": (2.0, 3.0, 5.0)})),
+    ("generalized-nag",
+     RateQuery(POWER, mu=1.0, grid={"alpha": (0.5,), "r": (1.0, 2.0)}, t_domain=Eventually(1e4))),
+]
+
+
+@pytest.mark.parametrize("system, query", _BLOCK_CASES, ids=[case[0] for case in _BLOCK_CASES])
+def test_block_compile_rows_match_each_set_alone(system, query, enumerations):
+    """Row g * len(points) + i of a block is set g compiled alone at point i,
+    bit for bit, placed at its powers of k, minors and exponents of t in the
+    block's tables; every other entry of the row is 0."""
+    points = query.grid_points()
+    tgrid = time_grid(query.t_domain)
+    table = MinorTable(query.gamma, [query.corners()])
+    sets = [table.conditions(group.representative, [query.corners()])[0]
+            for group in enumerations(system)[:40]]
+    block = compile_conditions(sets, points, tgrid)
+    exps = [_dict_merge_compile(conds, point)[2] for conds in sets for point in points]
+    union = sorted(set(np.concatenate(exps).tolist()), reverse=True)
+    assert block.coef.shape[0] == len(sets) * len(points)
+    assert block.shape == (max(len(conds.minors) for conds in sets), len(union))
+    padded = False
+    for g, conds in enumerate(sets):
+        alone = compile_conditions([conds], points, tgrid)
+        columns = [union.index(e) for e in exps[g * len(points)].tolist()]
+        n_kpows, (n_minors, n_exps) = len(alone.kexps), alone.shape
+        padded |= (n_kpows, n_minors, n_exps) != (len(block.kexps),) + block.shape
+        assert np.array_equal(block.tpowers[columns], alone.tpowers)
+        assert block.tpowers[columns].tobytes() == alone.tpowers.tobytes()
+        for i in range(len(points)):
+            row = g * len(points) + i
+            for name in ("coef", "size"):
+                mine = getattr(block, name)[row].reshape(len(block.kexps), *block.shape)
+                inner = mine[:n_kpows, :n_minors][:, :, columns]
+                expected = getattr(alone, name)[i].reshape(n_kpows, n_minors, n_exps)
+                assert inner.tobytes() == expected.tobytes(), (g, i, name)
+                rest = mine.copy()
+                rest[np.ix_(range(n_kpows), range(n_minors), columns)] = 0.0
+                assert not rest.any(), (g, i, name)
+    assert padded  # some set is narrower than the block
+
+
+_RUN_CASES = _DIFFERENTIAL_CASES + [
+    pytest.param("second-order-hessian",
+                 [row.query for row in catalog_rows(1.0, 4.0)
+                  if row.label in ("sc-nag", "second-order-hessian")],
+                 id="sc-nag+second-order-hessian")]
+
+
+@pytest.mark.parametrize("system, queries", _RUN_CASES)
+def test_block_run_matches_each_group_alone(system, queries, enumerations):
+    queries = queries if isinstance(queries, list) else [queries]
+    pairs = [(group.group_id, group.representative) for group in enumerations(system)]
+    run = analysis._analyze_run(pairs, queries)
+    assert len(run) == len(pairs)
+    for pair, rates in zip(pairs, run):
+        assert rates == analysis._analyze_run([pair], queries)[0], pair[0]
+
+
+def test_suspect_search_stays_within_its_budget(enumerations, monkeypatch):
+    """A grid of 400 points is one block of 400 rows, every one feasible at
+    k = 0 for these groups.  Its checks ask for more than SUSPECT_BUDGET
+    elements of c at once, but no pass of the search builds more."""
+    query = RateQuery(LINEAR, mu=1.0, grid={"a": tuple(np.linspace(0.25, 3.0, 20)),
+                                            "b": tuple(np.linspace(0.0, 1.5, 20))})
+    asked, built = [], []
+    feasible_ = analysis.CompiledConditions.feasible
+    suspects = analysis.CompiledConditions._suspect_pairs
+
+    def asking(self, ks, *args):
+        asked.append(ks.size * self.coef.shape[2])
+        return feasible_(self, ks, *args)
+
+    def building(self, ks, rows):
+        built.append(ks.size * self.coef.shape[2])
+        return suspects(self, ks, rows)
+
+    monkeypatch.setattr(analysis.CompiledConditions, "feasible", asking)
+    monkeypatch.setattr(analysis.CompiledConditions, "_suspect_pairs", building)
+    groups = [group for group in enumerations("second-order-hessian")
+              if group.group_id in (125, 165, 209)]
+    rates = analyze_groups(groups, query)
+    monkeypatch.undo()
+    assert all(rate.result is not None for rate in rates)
+    assert max(asked) > 4 * analysis.SUSPECT_BUDGET
+    assert max(built) <= analysis.SUSPECT_BUDGET
+
+
 def test_alpha_grid_binds_one_layout_per_alpha(enumerations, monkeypatch):
     query = RateQuery(POWER, mu=1.0, grid={"alpha": (0.25, 0.5), "r": (1.0,)},
                       t_domain=Eventually(1e4))
     bound = []
     compile_ = analysis.compile_conditions
 
-    def recording(conds, points, tgrid):
-        bound.append((conds.alpha_exponents, [point["alpha"] for point in points]))
-        return compile_(conds, points, tgrid)
+    def recording(sets, points, tgrid):
+        bound.append((len(sets), any(conds.alpha_exponents for conds in sets),
+                      [point["alpha"] for point in points]))
+        return compile_(sets, points, tgrid)
 
     monkeypatch.setattr(analysis, "compile_conditions", recording)
     groups = enumerations("generalized-nag")
     rates = analyze_groups(groups, query, jobs=1)
     monkeypatch.undo()
-    assert ((True, [0.25]) in bound) and ((True, [0.5]) in bound)
-    assert all(alphas in ([0.25], [0.5]) if by_alpha else alphas == [0.25, 0.5]
-               for by_alpha, alphas in bound)
+    # One compile per block and alpha, each alpha once per block, and every
+    # group's set in some block.
+    block = max(1, analysis.BLOCK_POINTS // 2)
+    sizes = [min(block, len(groups) - start) for start in range(0, len(groups), block)]
+    assert [n_sets for n_sets, _by_alpha, _alphas in bound] == [n for n in sizes for _ in "ab"]
+    assert [alphas for _n, _by_alpha, alphas in bound] == [[0.25], [0.5]] * len(sizes)
+    assert all(by_alpha for _n, by_alpha, _alphas in bound)
     _assert_matches_point_by_point(groups, query, rates)
     assert any(rate.result is not None for rate in rates)
 
@@ -930,7 +1047,7 @@ def test_compiling_two_alphas_together_is_refused(enumerations):
                  if (conds := psd_conditions(group.representative, POWER,
                                              query.corners())).alpha_exponents)
     with pytest.raises(AnalysisError, match="must bind one alpha"):
-        compile_conditions(conds, [{"r": 1.0, "alpha": 0.25}, {"r": 1.0, "alpha": 0.5}],
+        compile_conditions([conds], [{"r": 1.0, "alpha": 0.25}, {"r": 1.0, "alpha": 0.5}],
                            time_grid(AllPositive()))
 
 
@@ -942,7 +1059,7 @@ def test_compiling_an_alpha_again_gives_the_same_tables(enumerations):
                  if (conds := psd_conditions(group.representative, POWER,
                                              query.corners())).alpha_exponents)
     tgrid = time_grid(query.t_domain)
-    first, other, again = (compile_conditions(conds, [{"r": 1.0, "alpha": alpha}], tgrid)
+    first, other, again = (compile_conditions([conds], [{"r": 1.0, "alpha": alpha}], tgrid)
                            for alpha in (0.25, 0.5, 0.25))
     assert not np.array_equal(other.tpowers, first.tpowers)
     for name in ("coef", "size", "tpowers"):
@@ -954,17 +1071,21 @@ def test_rows_sharing_a_condition_set_run_as_one_batch(enumerations, monkeypatch
     rows = {row.label: row for row in catalog_rows(1.0, 4.0)}
     queries = [rows[label].query for label in ("sc-nag", "second-order-hessian")]
     groups = enumerations("second-order-hessian")
-    batch_sizes = []
+    compiles = []
     compile_ = analysis.compile_conditions
 
-    def recording(conds, points, tgrid):
-        batch_sizes.append(len(points))
-        return compile_(conds, points, tgrid)
+    def recording(sets, points, tgrid):
+        compiles.append((len(sets), len(points)))
+        return compile_(sets, points, tgrid)
 
     monkeypatch.setattr(analysis, "compile_conditions", recording)
     bundled = _analyze_queries(groups, queries, jobs=1)
     monkeypatch.undo()
-    assert batch_sizes == [2] * len(groups)
+    # Both rows' points in every compile, over the groups in blocks of
+    # BLOCK_POINTS grid points.
+    block = max(1, analysis.BLOCK_POINTS // 2)
+    assert compiles == [(min(block, len(groups) - start), 2)
+                        for start in range(0, len(groups), block)]
     for query, rates in zip(queries, bundled):
         assert rates == analyze_groups(groups, query)
     enumerated = {"second-order-hessian": groups}
@@ -995,7 +1116,7 @@ def test_batched_flags_keep_each_k_and_check():
     for domain, expected in ((AllPositive(), [True, False, False]),
                              (Window(T_GRID_LO, T_GRID_HI), [True, True, False])):
         query = RateQuery(LINEAR, mu=1.0, t_domain=domain)
-        compiled = compile_conditions(conds, [{}], time_grid(domain))
+        compiled = compile_conditions([conds], [{}], time_grid(domain))
         assert _flags(compiled, ks, domain).tolist() == expected
         assert [_flags(compiled, [k], domain)[0] for k in ks] == expected
         assert [feasible(conds, k, query) for k in ks] == expected
@@ -1035,7 +1156,7 @@ def test_tpower_tables_are_kept_per_grid():
                            RateQuery(LINEAR, mu=1.0, convex=True).corners())
     for tgrid in (time_grid(AllPositive()), time_grid(Eventually(1e4)),
                   time_grid(AllPositive())):
-        first, again = (compile_conditions(conds, [{}], tgrid) for _ in range(2))
+        first, again = (compile_conditions([conds], [{}], tgrid) for _ in range(2))
         assert again.tpowers is first.tpowers
         exps = sorted({float(p) for _c, p, _q, _mono, _powers in conds.terms}, reverse=True)
         assert np.array_equal(first.tpowers, tgrid[None, :] ** np.array(exps)[:, None])
@@ -1050,7 +1171,7 @@ def test_identically_zero_minor_survives_float_rounding():
     assert minor.subs_params({"b": Fraction(-1, 5)}) == ZERO
     conds = PsdConditionSet(((0.5, 5.0),), (minor,), [float_terms(minor, ("k",))])
     query = RateQuery(LINEAR, mu=0.5, L=5.0, grid={"b": (-1 / 5,)})
-    compiled = compile_conditions(conds, [query.point()], time_grid(query.t_domain))
+    compiled = compile_conditions([conds], [query.point()], time_grid(query.t_domain))
     assert compiled.coef.min() < 0  # the rounding this test is about
     for k in (0.0, 0.25, 0.5, 1.0, 4.0, K_CAP):
         assert _flags(compiled, [k], query.t_domain)[0]

@@ -259,10 +259,14 @@ def test_bad_sizes_are_errors(capsys, argv, message):
     (["search", "--spec", "second-order-hessian", "--param-grid", "a=1,inf", "--param", "b=0"],
      "parameter a must be finite, got inf"),
     (["verify-catalog", "--rows", "bogus"],
-     "unknown catalog rows bogus; valid rows are damped-newton, gradient-flow,"),
-    (["verify-catalog", "--rows", "foo,damped-newton"], "unknown catalog rows foo;"),
+     "unknown catalog rows 'bogus'; valid rows are damped-newton, gradient-flow,"),
+    (["verify-catalog", "--rows", ""],
+     "unknown catalog rows ''; valid rows are damped-newton, gradient-flow,"),
+    (["verify-catalog", "--rows", "foo,damped-newton"], "unknown catalog rows 'foo';"),
+    (["verify-catalog", "--rows", " sc-nag"], "unknown catalog rows ' sc-nag';"),
 ], ids=["search-param-nan", "search-param-grid-inf", "verify-catalog-unknown-row",
-        "verify-catalog-unknown-among-known"])
+        "verify-catalog-empty-row", "verify-catalog-unknown-among-known",
+        "verify-catalog-row-with-a-space"])
 def test_bad_values_are_errors_not_results(capsys, argv, message):
     assert main(["--jobs", "1"] + argv) == 1
     captured = capsys.readouterr()
