@@ -30,14 +30,17 @@ row of a block in one pass over arrays: k = 0; the doubling 1, 2, 4, ...,
 K_CAP; a coarse pre-scan up to each row's first infeasible doubling k,
 which guards against non-monotone feasibility; and bisection, which checks
 the midpoints of BISECT_LEVELS levels per pass, each row to its own
-interval and tolerance.  A batch holds every grid point of the queries that
-share a pair's condition set and t domain, which in the catalog are the
-sc-nag and second-order-hessian rows, and a block as many groups of a run
-as keep it within BLOCK_POINTS grid points.  A pass splits its rows so that
-no product it builds exceeds SUSPECT_BUDGET elements.  Each pass holds, for
-each row, the same ks as a one-point, one-k-at-a-time search of that pair
-would check, and more, and the search reads the same flags off it, so k_max
-and the status are the same.
+interval and tolerance.  A batch holds every grid point of one alpha of
+the queries that share a pair's condition set and t domain, which in the
+catalog are the sc-nag and second-order-hessian rows, and a block as many
+groups of a run as keep those points within BLOCK_POINTS.  A pass splits
+its rows so that no product it builds exceeds SUSPECT_BUDGET elements.
+Each pass holds, for each row, the same ks as a one-point, one-k-at-a-time
+search of that pair would check, and more, and the search reads the same
+flags off it, so k_max and the status are the same.  _analyze_run is the
+one driver of the search, and max_rate a run of one pair.  The validity
+ranges of a block, and certified_time's Window prefixes, come from one
+violations pass per compile.
 
 The exact work is shared across pairs through a MinorTable, made for one
 gamma form and the corners of the queries it serves: gamma is substituted
@@ -48,11 +51,11 @@ float term table once.  A run over groups threads one table through them and
 drops it at the end: analyze_groups, and verify_catalog for the rows that
 share a system and a gamma form; only one block's condition sets are held
 at a time.  With a pool, each worker gets one contiguous run of groups and
-makes its own table for it; its task carries only each group's id and
-representative pair, not its member positions.
-Queries with the same corners share a pair's whole condition set.  A run
-makes one t grid per t domain of its batches, and the table keeps the grid's
-powers per set of exponents of t.
+makes its own table for it; its task carries only each group's
+representative pair, not its id or member positions.  Queries with the same
+corners share a pair's whole condition set.  A run makes one t grid per t
+domain of its batches, and each compile takes the powers of that grid for
+its own exponents of t.
 
 That exact work is integer arithmetic.  The table keeps each substituted
 entry also as integers over one common denominator s, so the cofactor
@@ -226,9 +229,6 @@ class PsdConditionSet:
     minors: tuple[Expr, ...]  # nonzero minors of every corner, deduplicated
     # float_terms(minor, ("k",)) of each minor.
     tables: InitVar[Sequence[tuple[FloatTerm, ...]]]
-    # compile_conditions' t-power tables, shared by the condition sets of one
-    # MinorTable: (id of the t grid, exponents) -> (that grid, its powers).
-    tpower_cache: dict = field(default_factory=dict, repr=False, compare=False)
     # float_terms(minor, ("k",)) of every minor, concatenated in minor order,
     # and the index of the minor each term belongs to.
     terms: tuple = field(init=False, repr=False)
@@ -392,8 +392,7 @@ class MinorTable:
     the condition sets hand out.
 
     A table lives for one run over a list of pairs; the corners of every
-    query it serves are fixed when it is made.  It also keeps the t-power
-    tables of compile_conditions for the condition sets it makes.
+    query it serves are fixed when it is made.
     """
 
     def __init__(self, gamma: GammaForm, corner_sets: Iterable[Iterable[tuple[float, float]]]):
@@ -415,7 +414,6 @@ class MinorTable:
         self._minor_ids: dict[tuple[int, frozenset], int] = {}  # reduced form -> index
         self._minors: list[Expr] = []
         self._tables: list[tuple[FloatTerm, ...]] = []
-        self._tpower_cache: dict = {}
 
     def _entry_id(self, entry: Expr) -> tuple[int, tuple | None]:
         seen = self._entry_ids.get(entry)
@@ -525,7 +523,7 @@ class MinorTable:
                     if (index := indices[pos]) is not None)
                 by_corners[corners] = PsdConditionSet(
                     corners, tuple(self._minors[i] for i in union),
-                    [self._tables[i] for i in union], tpower_cache=self._tpower_cache)
+                    [self._tables[i] for i in union])
         return [by_corners[corners] for corners in corner_sets]
 
 
@@ -582,7 +580,8 @@ class CompiledConditions:
     for every t > 0 up to the floor, so only the other (row, k, minor)
     triples, the suspects, are checked further.  A minor, power of k or
     exponent that a row lacks is all zeros there, and a zero minor is never
-    a suspect.  One set at one point is the block of one.
+    a suspect.  One set at one point is the block of one.  feasible and
+    violations split their rows, and their grid checks, the same way.
     """
 
     __slots__ = ("coef", "size", "kexps", "tpowers", "shape")
@@ -608,15 +607,44 @@ class CompiledConditions:
         ki, mi = np.nonzero(neg.any(axis=2))
         return ki, c[ki, mi], a[ki, mi], neg[ki, mi]
 
-    def _grid_bad(self, c: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """Per row of c and a, the grid points where that minor is below the floor."""
-        return c @ self.tpowers < -REL_FLOOR * (a @ self.tpowers)
+    def _grid_blocks(self, c: np.ndarray, a: np.ndarray, pending: np.ndarray, keep=None):
+        """The suspects pending, GRID_BLOCK at a time, so that temporaries
+        stay at GRID_BLOCK rows of the grid: each block, and per suspect the
+        grid points where its minor is below the floor.  keep, when given,
+        filters the rest of pending after each block."""
+        while len(pending):
+            block, pending = pending[:GRID_BLOCK], pending[GRID_BLOCK:]
+            yield block, c[block] @ self.tpowers < -REL_FLOOR * (a[block] @ self.tpowers)
+            if keep is not None:
+                pending = pending[keep(pending)]
 
-    def violations(self, k: float, row: int = 0) -> np.ndarray:
-        """Boolean mask over the grid where some minor goes negative at k, in
-        the row of that index."""
-        _ki, c, a, _neg = self._suspect_pairs(np.array([[k]], dtype=float), [row])
-        return self._grid_bad(c, a).any(axis=0)
+    def _in_passes(self, one_pass, ks: np.ndarray, rows: Sequence[int] | None,
+                   out: np.ndarray) -> np.ndarray:
+        """out, filled by one_pass(ks, rows) over as many rows of the 2-D ks at
+        a time as keep c within SUSPECT_BUDGET elements, and at least one; row
+        i of ks belongs to the i-th of rows, some row indices (all of them
+        when None)."""
+        step = max(1, SUSPECT_BUDGET // max(1, ks.shape[1] * self.coef.shape[2]))
+        for start in range(0, len(ks), step):
+            stop = start + step
+            out[start:stop] = one_pass(
+                ks[start:stop], slice(start, stop) if rows is None else rows[start:stop])
+        return out
+
+    def violations(self, ks: np.ndarray, rows: Sequence[int] | None = None) -> np.ndarray:
+        """Per row of rows (all of them when None), the boolean mask over the
+        grid where some minor goes negative at that row's k in ks."""
+        masks = np.empty((len(ks), self.tpowers.shape[1]), dtype=bool)
+        return self._in_passes(self._violation_rows, np.asarray(ks, dtype=float)[:, None],
+                               rows, masks)
+
+    def _violation_rows(self, ks: np.ndarray, rows: slice | Sequence[int]) -> np.ndarray:
+        """violations for the row indices rows, one k each in ks, in one pass."""
+        ki, c, a, _neg = self._suspect_pairs(ks, rows)
+        masks = np.zeros((len(ks), self.tpowers.shape[1]), dtype=bool)
+        for block, bad in self._grid_blocks(c, a, np.arange(len(ki))):
+            np.logical_or.at(masks, ki[block], bad)
+        return masks
 
     def feasible(self, ks: np.ndarray, domain: TDomain,
                  rows: Sequence[int] | None = None) -> np.ndarray:
@@ -628,16 +656,10 @@ class CompiledConditions:
         Row i of the 2-D ks holds ks of the i-th of rows, some row indices
         (all of them when None).  A nan k is padding: no minor is a suspect
         at it, so it costs no check, and its flag means nothing.  The rows go
-        as many at a time as keep c within SUSPECT_BUDGET elements, and at
-        least one.
+        in passes, as _in_passes splits them.
         """
-        ok = np.empty(ks.shape, dtype=bool)
-        step = max(1, SUSPECT_BUDGET // max(1, ks.shape[1] * self.coef.shape[2]))
-        for start in range(0, len(ks), step):
-            stop = start + step
-            ok[start:stop] = self._feasible_rows(
-                ks[start:stop], domain, slice(start, stop) if rows is None else rows[start:stop])
-        return ok
+        return self._in_passes(lambda ks, rows: self._feasible_rows(ks, domain, rows),
+                               ks, rows, np.empty(ks.shape, dtype=bool))
 
     def _feasible_rows(self, ks: np.ndarray, domain: TDomain,
                        rows: slice | Sequence[int]) -> np.ndarray:
@@ -653,13 +675,10 @@ class CompiledConditions:
             if isinstance(domain, AllPositive):
                 bad |= neg[rows, clears.shape[1] - 1 - clears[:, ::-1].argmax(axis=1)]
             ok[ki[bad]] = False
-        # The grid goes GRID_BLOCK suspects at a time, skipping the ks already
-        # settled, so its temporaries stay at GRID_BLOCK rows of the grid.
-        pending = np.flatnonzero(ok[ki])
-        while len(pending):
-            rows, pending = pending[:GRID_BLOCK], pending[GRID_BLOCK:]
-            ok[ki[rows[self._grid_bad(c[rows], a[rows]).any(axis=1)]]] = False
-            pending = pending[ok[ki[pending]]]
+        # The grid skips the ks already settled.
+        for block, bad in self._grid_blocks(c, a, np.flatnonzero(ok[ki]),
+                                            lambda rest: ok[ki[rest]]):
+            ok[ki[block[bad.any(axis=1)]]] = False
         return ok.reshape(ks.shape)
 
 
@@ -682,10 +701,8 @@ def compile_conditions(sets: Sequence[PsdConditionSet], points: Sequence[Mapping
     which changes nothing).  The products are then summed into their slots
     in term order, row r's slots offset by r tables, so one summation per
     table gives every row tables bit-identical to merging bind_terms' output
-    for its set key by key.  tgrid's powers of the exponents are taken once
-    per grid and set of exponents among the sets of one MinorTable, which
-    the sets must share.  Raises UnboundSymbolError for the first point that
-    lacks a symbol, naming the first such symbol in the sets' term order.
+    for its set key by key.  Raises UnboundSymbolError for the first point
+    that lacks a symbol, naming the first such symbol in the sets' term order.
     """
     terms = [term for conds in sets for term in conds.terms]
     alpha = None
@@ -725,14 +742,7 @@ def compile_conditions(sets: Sequence[PsdConditionSet], points: Sequence[Mapping
     for bindings in points:
         if not symbols.issubset(bindings):
             bind_terms(terms, bindings)
-    exps = exps[::-1]
-    # The entry holds the grid, so no other array can take its id meanwhile.
-    key = (id(tgrid), exps.tobytes())
-    cached = sets[0].tpower_cache.get(key)
-    if cached is None:
-        tpowers = tgrid[None, :] ** exps[:, None]
-        tpowers.flags.writeable = False
-        cached = sets[0].tpower_cache[key] = (tgrid, tpowers)
+    tpowers = tgrid[None, :] ** exps[::-1, None]
     # The last entry of each row, 1.0, is what position -1 picks.
     values = np.array([[float(bindings[sym] ** power) for sym, power in factors] + [1.0]
                        for bindings in points])
@@ -751,7 +761,7 @@ def compile_conditions(sets: Sequence[PsdConditionSet], points: Sequence[Mapping
     size = np.bincount(slots, weights=np.abs(base).ravel(), minlength=n_slots * n_rows)
     # Over no terms at all, bincount counts in ints.
     return CompiledConditions(coef.astype(float, copy=False).reshape(shape),
-                              size.astype(float, copy=False).reshape(shape), cached[1])
+                              size.astype(float, copy=False).reshape(shape), tpowers)
 
 
 def feasible(conds: PsdConditionSet, k: float, query: RateQuery) -> bool:
@@ -766,7 +776,6 @@ def feasible(conds: PsdConditionSet, k: float, query: RateQuery) -> bool:
 
 @dataclass
 class RateResult:
-    group_id: int | None
     k_max: float
     params: dict[str, float]
     validity: tuple[float, float]
@@ -893,73 +902,95 @@ def _certified_range(bad: np.ndarray, tgrid: np.ndarray, domain: TDomain) -> tup
 def max_rate(pair: PQPair, query: RateQuery) -> RateResult:
     """Maximize k over the query's parameter grid, certifying PSD feasibility.
 
-    The result has no group id.  Raises InfeasiblePairError when no grid
-    point is PSD even at k = 0.
+    This is a run of one pair.  Raises InfeasiblePairError when no grid point
+    is PSD even at k = 0.
     """
-    result = _maximize([psd_conditions(pair, query.gamma, query.corners())], [query], [None],
-                       time_grid(query.t_domain))[0][0]
+    result = _analyze_run([pair], [query])[0][0]
     if result is None:
         raise InfeasiblePairError("pair is not PSD at k = 0 for any grid point")
     return result
 
 
-def _maximize(sets: Sequence[PsdConditionSet], queries: Sequence[RateQuery],
-              group_ids: Sequence[int | None], tgrid: np.ndarray
-              ) -> list[list[RateResult | None]]:
-    """Per condition set of a block, with its group id, max_rate on it for
-    each of the queries, which share its corners and a t domain whose
-    time_grid is tgrid; None for a query with no grid point PSD at k = 0.
+def _analyze_run(pairs: Sequence[PQPair],
+                 queries: Sequence[RateQuery]) -> list[list[RateResult | None]]:
+    """Per pair of a run, max_rate on it for each of the queries, which share
+    one gamma form; None for a query with no grid point PSD at k = 0.
 
-    The block's sets at the grid points of all the queries run as one batch
-    per alpha: one compile_conditions call binds them, and each stage of the
-    search checks every live (set, point) in one pass.  A query's result is
-    its first point with the largest k, and only that point's validity range
-    is computed.
+    The grid points of the queries go in batches keyed by (corners, t
+    domain, alpha), each sharing a condition set per pair, a t grid and an
+    alpha.  The pairs go in blocks, through one MinorTable, of as many as
+    keep the points of every (corners, t domain) within BLOCK_POINTS, and at
+    least one; each batch compiles a whole block once, and each stage of the
+    search checks every live row of it in one pass.  A query's result is its
+    first point with the largest k, and only that point gets a validity
+    range: one violations pass per compile, over the rows that won.
     """
-    domain = queries[0].t_domain
-    grids = [query.grid_points() for query in queries]
-    points = [point for grid in grids for point in grid]
-    batches: dict = {}
-    for i, point in enumerate(points):
-        batches.setdefault(point.get("alpha"), []).append(i)
-    # Per set and point: (k, status, its batch's CompiledConditions, its row there), or None.
-    found: list[list[tuple | None]] = [[None] * len(points) for _ in sets]
-    for batch in batches.values():
-        compiled = compile_conditions(sets, [points[i] for i in batch], tgrid)
-        for row, rate in enumerate(_max_ks(compiled, domain)):
-            if rate is not None:
-                g, j = divmod(row, len(batch))
-                found[g][batch[j]] = rate + (compiled, row)
-    per_set = []
-    for conds, group_id, rates in zip(sets, group_ids, found):
-        results: list[RateResult | None] = []
-        end = 0
-        for grid in grids:
-            start, end = end, end + len(grid)
-            live = [i for i in range(start, end) if rates[i] is not None]
-            if not live:
-                results.append(None)
+    corner_sets = [query.corners() for query in queries]
+    batches: dict[tuple, list[tuple[int, int, dict[str, float]]]] = {}
+    n_points: dict[tuple, int] = {}  # per (corners, t domain)
+    for q, (corners, query) in enumerate(zip(corner_sets, queries)):
+        points, domain = query.grid_points(), query.t_domain
+        n_points[corners, domain] = n_points.get((corners, domain), 0) + len(points)
+        for i, point in enumerate(points):
+            batches.setdefault((corners, domain, point.get("alpha")), []).append((q, i, point))
+    block = max(1, BLOCK_POINTS // max(n_points.values()))
+    tgrids = {domain: time_grid(domain) for _corners, domain, _alpha in batches}
+    table = MinorTable(queries[0].gamma, corner_sets)
+    per_pair: list[list[RateResult | None]] = []
+    for start in range(0, len(pairs), block):
+        conds = [table.conditions(pair, corner_sets) for pair in pairs[start:start + block]]
+        compiled = {}
+        # (pair, query) -> (k, -point index, status, batch key, row) of its best point so far
+        best: dict[tuple[int, int], tuple] = {}
+        for key, members in batches.items():
+            compiled[key] = compile_conditions([sets[members[0][0]] for sets in conds],
+                                               [point for _q, _i, point in members],
+                                               tgrids[key[1]])
+            for row, rate in enumerate(_max_ks(compiled[key], key[1])):
+                if rate is not None:
+                    g, j = divmod(row, len(members))
+                    q, i, _point = members[j]
+                    if (g, q) not in best or (rate[0], -i) > best[g, q][:2]:
+                        best[g, q] = (rate[0], -i, rate[1], key, row)
+        results: list[list[RateResult | None]] = [[None] * len(queries) for _ in conds]
+        for key, members in batches.items():
+            won = [(g, q, k, status, row)
+                   for (g, q), (k, _i, status, won_in, row) in best.items() if won_in == key]
+            if not won:
                 continue
-            best = max(live, key=lambda i: rates[i][0])  # the first of the largest k
-            k, status, compiled, row = rates[best]
-            validity = _certified_range(compiled.violations(k, row), tgrid, domain)
-            results.append(RateResult(group_id, k, dict(points[best]), validity, status,
-                                      len(conds.minors)))
-        per_set.append(results)
-    return per_set
+            ks = [k for _g, _q, k, _status, _row in won]
+            masks = compiled[key].violations(ks, [row for _g, _q, _k, _status, row in won])
+            for (g, q, k, status, row), mask in zip(won, masks):
+                point = members[row % len(members)][2]
+                validity = _certified_range(mask, tgrids[key[1]], key[1])
+                results[g][q] = RateResult(k, dict(point), validity, status,
+                                           len(conds[g][q].minors))
+        per_pair += results
+    return per_pair
 
 
-def certified_time(pair: PQPair, query: RateQuery, k: float) -> float:
-    """Largest t up to which every minor stays nonnegative at the given k."""
-    conds = psd_conditions(pair, query.gamma, query.corners())
-    tgrid = time_grid(query.t_domain)
+def certified_time(pairs: Sequence[PQPair], query: RateQuery, k: float) -> float:
+    """Largest t up to which, for some pair and grid point, every minor stays
+    nonnegative at the given k: the end of the longest certified prefix of
+    the query's Window, or 0 where none holds at its start.
+
+    The pairs go through one MinorTable in blocks of BLOCK_POINTS, with one
+    compile and one violations pass per block and grid point.  Raises
+    AnalysisError for a t domain that is not a Window.
+    """
+    domain = query.t_domain
+    if not isinstance(domain, Window):
+        raise AnalysisError(f"a certified time needs a Window t domain, got {domain!r}")
+    corners = query.corners()
+    table = MinorTable(query.gamma, (corners,))
+    tgrid = time_grid(domain)
     best = 0.0
-    for point in query.grid_points():
-        bad = compile_conditions([conds], [point], tgrid).violations(k)
-        if bad[0]:
-            continue  # infeasible already at the left end of the grid
-        first_bad = int(np.argmax(bad)) if bad.any() else len(tgrid)
-        best = max(best, float(tgrid[first_bad - 1]))
+    for start in range(0, len(pairs), BLOCK_POINTS):
+        sets = [table.conditions(pair, (corners,))[0] for pair in pairs[start:start + BLOCK_POINTS]]
+        for point in query.grid_points():
+            for mask in compile_conditions(sets, [point], tgrid).violations(np.full(len(sets), k)):
+                if not mask[0]:  # certified at the left end of the grid
+                    best = max(best, _certified_range(mask, tgrid, domain)[1])
     return best
 
 
@@ -972,61 +1003,27 @@ class GroupRate:
     result: RateResult | None  # None when infeasible at k = 0
 
 
-def _analyze_run(pairs: Sequence[tuple[int, PQPair]],
-                 queries: Sequence[RateQuery]) -> list[list[GroupRate]]:
-    """Per (group id, representative) of a run, its GroupRate for each of the
-    queries, from one MinorTable.
-
-    The queries that share corners and a t domain share a condition set and
-    a t grid, and run as one batch of grid points.  The groups go in blocks
-    of as many as keep the largest batch within BLOCK_POINTS grid points, and
-    at least one; each batch runs a whole block through one _maximize.
-    """
-    corner_sets = [query.corners() for query in queries]
-    batches: dict[tuple, list[int]] = {}
-    for i, (corners, query) in enumerate(zip(corner_sets, queries)):
-        batches.setdefault((corners, query.t_domain), []).append(i)
-    tgrids = {key: time_grid(key[1]) for key in batches}
-    n_points = max(sum(len(queries[i].grid_points()) for i in members)
-                   for members in batches.values())
-    block = max(1, BLOCK_POINTS // n_points)
-    table = MinorTable(queries[0].gamma, corner_sets)
-    per_group = []
-    for start in range(0, len(pairs), block):
-        ids, block_pairs = zip(*pairs[start:start + block])
-        conds = [table.conditions(pair, corner_sets) for pair in block_pairs]
-        rates: list[list[GroupRate | None]] = [[None] * len(queries) for _ in ids]
-        for key, members in batches.items():
-            results = _maximize([sets[members[0]] for sets in conds],
-                                [queries[i] for i in members], ids, tgrids[key])
-            for group_id, group_rates, group_results in zip(ids, rates, results):
-                for i, result in zip(members, group_results):
-                    group_rates[i] = GroupRate(group_id, result)
-        per_group += rates
-    return per_group
-
-
 def _analyze_queries(groups: Sequence[PairGroup], queries: Sequence[RateQuery],
                      jobs: int) -> list[list[GroupRate]]:
     """analyze_groups for each of the queries, which share one gamma form.
 
     The work runs block by block of groups through one MinorTable, so only
     one block's condition sets are held at a time.  With a pool, each worker
-    takes one contiguous run of groups and makes a table of its own.  A task
-    carries only what the analysis reads of a group, its id and
-    representative pair, not its member positions.
+    takes one contiguous run of groups and makes a table of its own; a task
+    carries only each group's representative pair, not its id or member
+    positions, and the runs come back in order.
     """
-    pairs = [(group.group_id, group.representative) for group in groups]
+    pairs = [group.representative for group in groups]
     if jobs > 1:
         n_runs = min(jobs, len(pairs)) or 1
         bounds = [len(pairs) * i // n_runs for i in range(n_runs + 1)]
         runs = [(pairs[lo:hi], queries) for lo, hi in zip(bounds, bounds[1:])]
         with multiprocessing.Pool(jobs) as pool:
-            per_group = list(itertools.chain.from_iterable(pool.starmap(_analyze_run, runs)))
+            per_pair = list(itertools.chain.from_iterable(pool.starmap(_analyze_run, runs)))
     else:
-        per_group = _analyze_run(pairs, queries)
-    per_group.sort(key=lambda rates: rates[0].group_id)
-    return [[rates[i] for rates in per_group] for i in range(len(queries))]
+        per_pair = _analyze_run(pairs, queries)
+    return [[GroupRate(group.group_id, results[i]) for group, results in zip(groups, per_pair)]
+            for i in range(len(queries))]
 
 
 def analyze_groups(groups: Sequence[PairGroup], query: RateQuery,
@@ -1064,7 +1061,6 @@ class RowOutcome:
     expected: str
     observed: str
     passed: bool
-    group_id: int | None
     n_groups: int
     n_infeasible: int
 
@@ -1142,6 +1138,8 @@ def verify_catalog(mu: float = 1.0, L: float = 4.0, jobs: int = 1,
             raise ValueError(f"unknown catalog rows {', '.join(map(repr, unknown))}; "
                              f"valid rows are {', '.join(labels)}")
         table = [row for row in table if row.label in rows]
+        if not table:
+            raise ValueError(f"no catalog row selected; valid rows are {', '.join(labels)}")
     enumerated: dict[str, list[PairGroup]] = dict(enumerations or {})
     by_system: dict[str, list[CatalogRow]] = {}
     for row in table:
@@ -1156,13 +1154,13 @@ def verify_catalog(mu: float = 1.0, L: float = 4.0, jobs: int = 1,
             if row.expected_window is None:
                 bundles.setdefault(row.query.gamma, []).append(row)
                 continue
-            observed = max(certified_time(g.representative, row.query, row.k_probe)
-                           for g in groups)
+            observed = certified_time([g.representative for g in groups], row.query,
+                                      row.k_probe)
             step = grid_step_factor()
             passed = row.expected_window / step ** 2 <= observed <= row.expected_window * step ** 2
             outcomes[row.label] = RowOutcome(
                 row.label, f"T={row.expected_window:.6g}", f"T={observed:.6g}",
-                passed, None, len(groups), 0)
+                passed, len(groups), 0)
         for bundle in bundles.values():
             per_row = _analyze_queries(groups, [row.query for row in bundle], jobs)
             for row, rates in zip(bundle, per_row):
@@ -1175,8 +1173,7 @@ def _rate_outcome(row: CatalogRow, rates: list[GroupRate], n_groups: int) -> Row
     n_bad = sum(1 for r in rates if r.result is None)
     best = best_rate(rates)
     if best is None:
-        return RowOutcome(row.label, "feasible", "all pairs infeasible",
-                          False, None, n_groups, n_bad)
+        return RowOutcome(row.label, "feasible", "all pairs infeasible", False, n_groups, n_bad)
     if row.k_range is not None:
         lo, hi = row.k_range
         passed = lo <= best.k_max < hi
@@ -1184,5 +1181,4 @@ def _rate_outcome(row: CatalogRow, rates: list[GroupRate], n_groups: int) -> Row
     else:
         passed = abs(best.k_max - row.expected_k) <= CATALOG_REL_TOL * abs(row.expected_k)
         expected = f"k={row.expected_k:.6g}"
-    return RowOutcome(row.label, expected, f"k={best.k_max:.6g}",
-                      passed, best.group_id, n_groups, n_bad)
+    return RowOutcome(row.label, expected, f"k={best.k_max:.6g}", passed, n_groups, n_bad)

@@ -706,7 +706,7 @@ def test_feasible_matches_per_minor_reference(system, query, enumerations):
                     expected = np.zeros(len(tgrid), dtype=bool)
                     for minor in reference:
                         expected |= minor.violations(k)
-                    assert np.array_equal(compiled.violations(k), expected), f"{where}, k={k}"
+                    assert np.array_equal(compiled.violations([k])[0], expected), f"{where}, k={k}"
                 return flag
 
             if not same(0.0, mask=True):
@@ -843,7 +843,7 @@ def test_compile_conditions_names_the_same_unbound_symbol(system, gamma, full, p
     assert len(raised - {None}) >= 2
 
 
-def _point_by_point_rate(conds, query, group_id):
+def _point_by_point_rate(conds, query):
     """max_rate as it ran before grid points were batched: per point, one
     compile, k = 0, the doubling, the pre-scan, bisection one midpoint at a
     time and the validity range; the first point with the largest k wins."""
@@ -861,8 +861,9 @@ def _point_by_point_rate(conds, query, group_id):
             ks = np.linspace(0.0, DOUBLING_KS[np.argmin(doubling)], PRESCAN_POINTS)
             k_best, status = _one_midpoint_bisection(
                 lambda k: _flags(compiled, [k], domain)[0], ks, _flags(compiled, ks, domain))
-        result = RateResult(group_id, k_best, dict(point),
-                            _certified_range(compiled.violations(k_best), tgrid, query.t_domain),
+        result = RateResult(k_best, dict(point),
+                            _certified_range(compiled.violations([k_best])[0], tgrid,
+                                             query.t_domain),
                             status, len(conds.minors))
         if best is None or result.k_max > best.k_max:
             best = result
@@ -873,7 +874,7 @@ def _assert_matches_point_by_point(groups, query, rates):
     assert [rate.group_id for rate in rates] == [group.group_id for group in groups]
     for group, rate in zip(groups, rates):
         conds = psd_conditions(group.representative, query.gamma, query.corners())
-        expected = _point_by_point_rate(conds, query, group.group_id)
+        expected = _point_by_point_rate(conds, query)
         where = f"group {group.group_id}"
         if expected is None:
             assert rate.result is None, where
@@ -918,8 +919,9 @@ def test_stacked_kernel_flags_match_each_point_alone(enumerations):
                 checked += int((~flags[i][real]).sum())
             subset = [7, 2, 5]
             assert np.array_equal(stacked.feasible(ks[subset], domain, subset), flags[subset])
+        masks = stacked.violations(ks[:, 0])
         for i, one in enumerate(alone):
-            assert np.array_equal(stacked.violations(ks[i, 0], i), one.violations(ks[i, 0])), i
+            assert np.array_equal(masks[i], one.violations(ks[i, :1])[0]), i
     assert checked  # some flags are False
 
 
@@ -979,11 +981,11 @@ _RUN_CASES = _DIFFERENTIAL_CASES + [
 @pytest.mark.parametrize("system, queries", _RUN_CASES)
 def test_block_run_matches_each_group_alone(system, queries, enumerations):
     queries = queries if isinstance(queries, list) else [queries]
-    pairs = [(group.group_id, group.representative) for group in enumerations(system)]
+    pairs = [group.representative for group in enumerations(system)]
     run = analysis._analyze_run(pairs, queries)
     assert len(run) == len(pairs)
-    for pair, rates in zip(pairs, run):
-        assert rates == analysis._analyze_run([pair], queries)[0], pair[0]
+    for g, (pair, rates) in enumerate(zip(pairs, run)):
+        assert rates == analysis._analyze_run([pair], queries)[0], g
 
 
 def test_suspect_search_stays_within_its_budget(enumerations, monkeypatch):
@@ -1013,6 +1015,57 @@ def test_suspect_search_stays_within_its_budget(enumerations, monkeypatch):
     assert all(rate.result is not None for rate in rates)
     assert max(asked) > 4 * analysis.SUSPECT_BUDGET
     assert max(built) <= analysis.SUSPECT_BUDGET
+
+
+def test_block_violations_match_each_row_alone(enumerations, monkeypatch):
+    """Masks over a block's rows, each at its own k, equal each row's one-row
+    pass bit for bit, also when a small SUSPECT_BUDGET splits the rows into
+    passes of three."""
+    query = RateQuery(LINEAR, mu=1.0, grid={"a": (0.5, 1.0, 1.5), "b": (0.0, 0.5, 1.0)})
+    table = MinorTable(query.gamma, [query.corners()])
+    sets = [table.conditions(group.representative, [query.corners()])[0]
+            for group in enumerations("second-order-hessian")[::10]]
+    block = compile_conditions(sets, query.grid_points(), time_grid(query.t_domain))
+    n_rows = len(block.coef)
+    ks = np.random.default_rng(11).uniform(0.0, 3.0, size=n_rows)
+    alone = np.array([block.violations(ks[r:r + 1], [r])[0] for r in range(n_rows)])
+    assert alone.any() and not alone.all()
+    passes = []
+    suspects = analysis.CompiledConditions._suspect_pairs
+
+    def counting(self, ks, rows):
+        passes.append(len(ks))
+        return suspects(self, ks, rows)
+
+    monkeypatch.setattr(analysis.CompiledConditions, "_suspect_pairs", counting)
+    monkeypatch.setattr(analysis, "SUSPECT_BUDGET", 3 * block.coef.shape[2])
+    assert block.violations(ks).tobytes() == alone.tobytes()
+    assert passes == [3] * (n_rows // 3) + [n_rows % 3] * bool(n_rows % 3)
+    subset = [40, 2, 17, 5]
+    assert block.violations(ks[subset], subset).tobytes() == alone[subset].tobytes()
+
+
+def test_certified_time_over_groups_is_the_max_over_each_alone(enumerations, monkeypatch):
+    """Over every nag group in blocks of two, at two grid points, the certified
+    time is the largest of the groups' own."""
+    query = RateQuery(LINEAR, mu=1.0, grid={"r": (6.0, 8.0)}, t_domain=Window(1e-2, 64.0))
+    pairs = [group.representative for group in enumerations("nag")]
+    alone = [certified_time([pair], query, 1.0) for pair in pairs]
+    assert 0.0 < max(alone) < 64.0 and min(alone) == 0.0
+    monkeypatch.setattr(analysis, "BLOCK_POINTS", 4)
+    assert certified_time(pairs, query, 1.0) == max(alone)
+
+
+@pytest.mark.parametrize("domain", [AllPositive(), Eventually(1e4)], ids=["all", "eventually"])
+def test_certified_time_needs_a_window(domain):
+    query = RateQuery(LINEAR, mu=1.0, grid={"r": (8.0,)}, t_domain=domain)
+    with pytest.raises(AnalysisError, match="needs a Window"):
+        certified_time([nag_winner()], query, 1.0)
+
+
+def test_verify_catalog_refuses_an_empty_row_selection():
+    with pytest.raises(ValueError, match="no catalog row selected"):
+        verify_catalog(1.0, 4.0, rows=[])
 
 
 def test_alpha_grid_binds_one_layout_per_alpha(enumerations, monkeypatch):
@@ -1149,20 +1202,6 @@ def test_analysis_imports_neither_simulate_nor_lyapunov():
     assert not named & {"simulate", "lyapunov"}
 
 
-def test_tpower_tables_are_kept_per_grid():
-    """A condition set compiled again over the same grid reuses its t-power
-    table; another grid, even one with equal values, gets its own."""
-    conds = psd_conditions(damped_newton_winner(), LINEAR,
-                           RateQuery(LINEAR, mu=1.0, convex=True).corners())
-    for tgrid in (time_grid(AllPositive()), time_grid(Eventually(1e4)),
-                  time_grid(AllPositive())):
-        first, again = (compile_conditions([conds], [{}], tgrid) for _ in range(2))
-        assert again.tpowers is first.tpowers
-        exps = sorted({float(p) for _c, p, _q, _mono, _powers in conds.terms}, reverse=True)
-        assert np.array_equal(first.tpowers, tgrid[None, :] ** np.array(exps)[:, None])
-    assert len(conds.tpower_cache) == 3
-
-
 def test_identically_zero_minor_survives_float_rounding():
     # A minor of the first-order-hessian row that vanishes identically at
     # b = -1/L.  In floats at L = 5 its k^2 terms merge to -1.1e-16, which must
@@ -1175,7 +1214,7 @@ def test_identically_zero_minor_survives_float_rounding():
     assert compiled.coef.min() < 0  # the rounding this test is about
     for k in (0.0, 0.25, 0.5, 1.0, 4.0, K_CAP):
         assert _flags(compiled, [k], query.t_domain)[0]
-        assert not compiled.violations(k).any()
+        assert not compiled.violations([k]).any()
 
 
 @pytest.mark.parametrize("mu, L", [(0.5, 5.0), (2.0, 20.0)])
@@ -1240,7 +1279,7 @@ def test_catalog_rows_need_mu_below_L():
 def test_nag_window_certified_time():
     # r tuned for unit rate: PSD holds exactly up to T = 2(k^2 + mu)/k^3 = 4.
     query = RateQuery(LINEAR, mu=1.0, grid={"r": (8.0,)}, t_domain=Window(1e-2, 64.0))
-    observed = certified_time(nag_winner(), query, 1.0)
+    observed = certified_time([nag_winner()], query, 1.0)
     assert observed == pytest.approx(4.0, rel=0.025)
 
 

@@ -341,7 +341,7 @@ def test_verify_catalog_mismatch_exit_code(monkeypatch):
     from lyapsearch import analysis
 
     report = analysis.CatalogReport([analysis.RowOutcome(
-        "demo", "k=1", "k=2", False, None, 1, 0)])
+        "demo", "k=1", "k=2", False, 1, 0)])
     monkeypatch.setattr(analysis, "verify_catalog", lambda **kw: report)
     assert main(["verify-catalog"]) == 2
 

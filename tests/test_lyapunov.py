@@ -40,7 +40,7 @@ def test_certificates_are_the_catalog_pairs(mu, L):
         pair = apply_sequence(initial_pair(SYSTEMS[row.system]), spec.ops)
         if row.expected_window is not None:
             step = grid_step_factor()
-            window = certified_time(pair, query, row.k_probe)
+            window = certified_time([pair], query, row.k_probe)
             assert row.expected_window / step ** 2 <= window <= row.expected_window * step ** 2
         elif row.k_range is not None:
             assert row.k_range[0] <= max_rate(pair, query).k_max < row.k_range[1], name
