@@ -29,9 +29,9 @@ The largest feasible k is searched in stages, each checked for every live
 row of a block in one pass over arrays: k = 0; the doubling 1, 2, 4, ...,
 K_CAP; a coarse pre-scan up to each row's first infeasible doubling k,
 which guards against non-monotone feasibility; and bisection, which checks
-the midpoints of BISECT_LEVELS levels per pass, each row to its own
-interval and tolerance.  A batch holds every grid point of one alpha of
-the queries that share a pair's condition set and t domain, which in the
+one midpoint per pass for every row still bisecting, each row to its own
+interval and tolerance.  A batch holds every grid point of one alpha of the
+queries that share a pair's condition set and t domain, which in the
 catalog are the sc-nag and second-order-hessian rows, and a block as many
 groups of a run as keep those points within BLOCK_POINTS.  A pass splits
 its rows so that no product it builds exceeds SUSPECT_BUDGET elements.
@@ -785,40 +785,18 @@ class RateResult:
 
 PRESCAN_POINTS = 65
 BISECT_REL_TOL = 1e-6
-BISECT_LEVELS = 4  # bisection levels whose midpoints are checked in one pass
 DOUBLING_KS = np.array([2.0 ** i for i in range(int(math.log2(K_CAP)) + 1)])  # 1, 2, ..., K_CAP
-
-
-def _level_midpoints(lo: float, hi: float, tol: float) -> list[float]:
-    """The midpoints of every interval the next BISECT_LEVELS levels of
-    bisection from [lo, hi] can reach, each 0.5 * (lo + hi) of its parent's
-    ends and only while hi - lo is above tol."""
-    mids, level = [], [(lo, hi)]
-    for _ in range(BISECT_LEVELS):
-        below = []
-        for a, b in level:
-            if b - a > tol:
-                mid = 0.5 * (a + b)
-                mids.append(mid)
-                below += [(a, mid), (mid, b)]
-        level = below
-    return mids
 
 
 def _bisect_max_k(check, ks: np.ndarray, flags: np.ndarray) -> tuple[list[float], list[str]]:
     """Per row of ks, the largest k with a feasible check on [0, ks[row, -1]],
     from that row's pre-scan flags at its ks, and the row's status.
 
-    check takes a list of row indices and a 2-D array holding ks for each of
-    those rows, padded with nan, and returns one flag per k; the flags of the
-    padding are not read.  Each row bisects between the last pre-scan k
-    before its first infeasible one and that one, to its own tolerance; a
-    feasible pre-scan k after it makes the result nonmonotone.
-
-    Bisection goes BISECT_LEVELS levels at a time: one call of check takes,
-    for every row still bisecting, the _level_midpoints of its interval, and
-    the walk down through their flags moves each row's lo and hi exactly as
-    checking one midpoint at a time would.
+    check takes a list of row indices and a 2-D array holding one k for each
+    of those rows, and returns its flags.  Each row bisects between the last
+    pre-scan k before its first infeasible one and that one, to its own
+    tolerance, one midpoint per call of check for every row still bisecting;
+    a feasible pre-scan k after it makes the result nonmonotone.
     """
     lo, hi, tol, statuses = [], [], [], []
     for row_ks, row in zip(ks.tolist(), flags.tolist()):
@@ -832,19 +810,12 @@ def _bisect_max_k(check, ks: np.ndarray, flags: np.ndarray) -> tuple[list[float]
         tol.append(BISECT_REL_TOL * row_ks[-1])
     active = [r for r in range(len(lo)) if hi[r] - lo[r] > tol[r]]
     while active:
-        mids = [_level_midpoints(lo[r], hi[r], tol[r]) for r in active]
-        width = max(map(len, mids))
-        batch = np.array([row_mids + [math.nan] * (width - len(row_mids)) for row_mids in mids])
-        for r, row_mids, row_flags in zip(active, mids, check(active, batch).tolist()):
-            feasible_at = dict(zip(row_mids, row_flags))
-            for _ in range(BISECT_LEVELS):
-                if not hi[r] - lo[r] > tol[r]:
-                    break
-                mid = 0.5 * (lo[r] + hi[r])
-                if feasible_at[mid]:
-                    lo[r] = mid
-                else:
-                    hi[r] = mid
+        mids = [0.5 * (lo[r] + hi[r]) for r in active]
+        for r, mid, ok in zip(active, mids, check(active, np.array(mids)[:, None])[:, 0].tolist()):
+            if ok:
+                lo[r] = mid
+            else:
+                hi[r] = mid
         active = [r for r in active if hi[r] - lo[r] > tol[r]]
     return lo, statuses
 

@@ -16,18 +16,23 @@ from .sequences import dump_groups_csv, enumerate_pairs
 from .systems import resolve_system
 
 
+def _number(text: str, arg: str, form: str) -> float:
+    """float(text), or a usage error naming form, the expected shape of arg."""
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected {form}, got {arg!r}") from None
+
+
 def _parse_param(text: str) -> tuple[str, float]:
     name, _, value = text.partition("=")
     if not _:
-        raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}")
-    return name.strip(), float(value)
+        raise argparse.ArgumentTypeError(f"expected NAME=NUMBER, got {text!r}")
+    return name.strip(), _number(value, text, "NAME=NUMBER")
 
 
 def _parse_finite(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    value = _number(text, text, "a number")
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
@@ -41,14 +46,15 @@ def _parse_finite_param(text: str) -> tuple[str, float]:
 
 
 def _parse_param_grid(text: str) -> tuple[str, tuple[float, ...]]:
+    form = "NAME=V1,V2,... or NAME=START:STEP:STOP"
     name, _, spec = text.partition("=")
-    if not _:
-        raise argparse.ArgumentTypeError(f"expected NAME=START:STEP:STOP, got {text!r}")
     parts = spec.split(":")
+    if not _ or len(parts) not in (1, 3):
+        raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
     if len(parts) == 1:
-        values = tuple(float(v) for v in spec.split(","))
-    elif len(parts) == 3:
-        start, step, stop = (float(p) for p in parts)
+        values = tuple(_number(v, text, form) for v in spec.split(","))
+    else:
+        start, step, stop = (_number(p, text, form) for p in parts)
         if not all(map(math.isfinite, (start, step, stop))):
             raise argparse.ArgumentTypeError(f"grid range {text!r} must be finite")
         if step == 0 or (stop - start) * step < 0:
@@ -56,8 +62,6 @@ def _parse_param_grid(text: str) -> tuple[str, tuple[float, ...]]:
                 f"grid step of {text!r} must be nonzero and point from start to stop")
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
         values = tuple(start + i * step for i in range(n))
-    else:
-        raise argparse.ArgumentTypeError(f"bad grid spec {text!r}")
     return name.strip(), values
 
 
@@ -68,19 +72,23 @@ def _parse_jobs(text: str) -> int:
 
 
 def _parse_t_domain(text: str):
+    if text == "all":
+        return analysis.AllPositive()
+    if text == "eventually":
+        return analysis.Eventually()
+    kind, _, bounds = text.partition(":")
     try:
-        if text == "all":
-            return analysis.AllPositive()
-        if text == "eventually":
-            return analysis.Eventually()
-        if text.startswith("eventually:"):
-            return analysis.Eventually(float(text.split(":", 1)[1]))
-        if text.startswith("window:"):
-            _, lo, hi = text.split(":")
-            return analysis.Window(float(lo), float(hi))
+        if kind == "eventually":
+            return analysis.Eventually(_number(bounds, text, "eventually:T"))
+        if kind == "window":
+            lo_hi = bounds.split(":")
+            if len(lo_hi) != 2:
+                raise argparse.ArgumentTypeError(f"expected window:LO:HI, got {text!r}")
+            return analysis.Window(*(_number(b, text, "window:LO:HI") for b in lo_hi))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad t-domain {text!r}: {exc}")
-    raise argparse.ArgumentTypeError(f"bad t-domain {text!r}")
+    raise argparse.ArgumentTypeError(
+        f"expected all, eventually, eventually:T or window:LO:HI, got {text!r}")
 
 
 class _Parser(argparse.ArgumentParser):

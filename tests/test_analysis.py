@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from lyapsearch import analysis
-from lyapsearch.analysis import (BISECT_LEVELS, BISECT_REL_TOL, DOUBLING_KS, K_CAP,
+from lyapsearch.analysis import (BISECT_REL_TOL, DOUBLING_KS, K_CAP,
                                  PRESCAN_POINTS, REL_FLOOR, T_GRID_HI, T_GRID_LO,
                                  AllPositive, AnalysisError, DiagonalParameterError, Eventually,
                                  InfeasiblePairError, MinorTable, PsdConditionSet, RateQuery,
@@ -569,25 +569,23 @@ def test_bisect_max_k_on_synthetic_prescans():
             _bisect_one(check, ks, flags)
 
 
-def test_bisection_checks_its_levels_in_batches():
+def test_bisection_checks_one_midpoint_per_call():
     ks = np.linspace(0.0, 1.0, PRESCAN_POINTS)
     edge = 0.3
-    batches = []
+    shapes = []
 
     def check(rows, batch):
-        batches.append(batch.shape[1])
+        shapes.append(batch.shape)
         return batch <= edge
 
     assert _bisect_one(check, ks, ks <= edge) == (math.floor(edge * 2 ** 20) / 2 ** 20, "ok")
-    # [19/64, 20/64] halves 14 times, down to 2^-20; a batch holds every
-    # midpoint of its levels, 2^levels - 1 of them.
-    levels = [min(BISECT_LEVELS, 14 - done) for done in range(0, 14, BISECT_LEVELS)]
-    assert batches == [2 ** n - 1 for n in levels]
+    # [19/64, 20/64] halves 14 times, down to 2^-20, one midpoint per call.
+    assert shapes == [(1, 1)] * 14
 
 
 def test_bisection_rows_keep_their_own_interval_and_tolerance():
-    # Rows of other scales and spacings need 14, 15 and 17 levels: the last
-    # passes pad the shorter rows and run the last row alone.
+    # Rows of other scales and spacings need 14, 15 and 17 levels: each pass
+    # holds one midpoint of every row still bisecting, and the last row ends alone.
     ks = np.stack([np.linspace(0.0, 1.0, PRESCAN_POINTS),
                    4.0 * np.linspace(0.0, 1.0, PRESCAN_POINTS) ** 2,
                    np.concatenate([[0.0], np.geomspace(1e-3, 2.0, PRESCAN_POINTS - 1)])])
@@ -596,14 +594,15 @@ def test_bisection_rows_keep_their_own_interval_and_tolerance():
     passes = []
 
     def check(rows, batch):
-        passes.append([int((~np.isnan(row)).sum()) for row in batch])
+        assert batch.shape == (len(rows), 1)
+        passes.append(len(rows))
         return batch <= edges[rows, None]
 
     k_max, statuses = _bisect_max_k(check, ks, flags)
     for r, edge in enumerate(edges):
         alone = _bisect_one(lambda rows, batch: batch <= edge, ks[r], flags[r])
         assert (k_max[r], statuses[r]) == alone, r
-    assert [3, 7, 15] in passes and [1] in passes  # padded, then alone
+    assert passes == [3] * 14 + [2] + [1, 1]
 
 
 class _ReferenceMinor:

@@ -179,12 +179,18 @@ def test_search_takes_the_power_form_parameters(tmp_path):
     assert rows and all(r["params"] == "alpha=0.5 r=1" for r in rows if r["k_max"])
 
 
-@pytest.mark.parametrize("spec", ["a=0:0:1", "a=1:-0.5:3", "a=0:1:inf"])
-def test_bad_param_grid_range_is_a_usage_error(tmp_path, capsys, spec):
+@pytest.mark.parametrize("spec, message", [
+    ("a=0:0:1", "grid step of 'a=0:0:1' must be nonzero"),
+    ("a=1:-0.5:3", "grid step of 'a=1:-0.5:3' must be nonzero"),
+    ("a=0:1:inf", "grid range 'a=0:1:inf' must be finite"),
+    ("a=1,,2", "expected NAME=V1,V2,... or NAME=START:STEP:STOP, got 'a=1,,2'"),
+    ("a=1:x:3", "expected NAME=V1,V2,... or NAME=START:STEP:STOP, got 'a=1:x:3'"),
+], ids=["a=0:0:1", "a=1:-0.5:3", "a=0:1:inf", "a=1,,2", "a=1:x:3"])
+def test_bad_param_grid_range_is_a_usage_error(tmp_path, capsys, spec, message):
     argv = ["--jobs", "1", "search", "--spec", "damped-newton", "--convex",
             "--param-grid", spec, "--out", str(tmp_path / "out.csv")]
     assert main(argv) == 1
-    assert "grid" in capsys.readouterr().err
+    assert f"argument --param-grid: {message}" in capsys.readouterr().err
 
 
 def test_param_grid_forms():
@@ -194,7 +200,11 @@ def test_param_grid_forms():
 
 
 @pytest.mark.parametrize("domain, bound", [
-    ("window:0:10", "t_lo"), ("window:5:1", "t_hi"), ("eventually:-1", "t_search")])
+    ("window:0:10", "t_lo"), ("window:5:1", "t_hi"), ("eventually:-1", "t_search"),
+    ("window:1", "expected window:LO:HI, got 'window:1'"),
+    ("window:1:2:3", "expected window:LO:HI, got 'window:1:2:3'")],
+    ids=["window:0:10-t_lo", "window:5:1-t_hi", "eventually:-1-t_search", "window:1",
+         "window:1:2:3"])
 def test_bad_t_domain_is_a_usage_error(tmp_path, capsys, domain, bound):
     argv = ["--jobs", "1", "search", "--spec", "damped-newton", "--convex",
             "--t-domain", domain, "--out", str(tmp_path / "out.csv")]
@@ -285,8 +295,12 @@ def test_bad_values_are_errors_not_results(capsys, argv, message):
     (["restart", "--l", "nan", "--c", "2"], "argument --l: expected a finite number, got 'nan'"),
     (["restart", "--l", "0.7", "--c", "2", "--mu=-inf"],
      "argument --mu: expected a finite number, got '-inf'"),
+    (["simulate", "--spec", "nag", "--param", "r=abc"],
+     "argument --param: expected NAME=NUMBER, got 'r=abc'"),
+    (["search", "--spec", "nag", "--param", "r=abc"],
+     "argument --param: expected NAME=NUMBER, got 'r=abc'"),
 ], ids=["simulate-param-nan", "simulate-dt-nan", "simulate-t1-inf", "restart-l-nan",
-        "restart-mu-minus-inf"])
+        "restart-mu-minus-inf", "simulate-param-not-a-number", "search-param-not-a-number"])
 def test_non_finite_simulate_and_restart_inputs_are_usage_errors(capsys, argv, message):
     assert main(argv) == 1
     captured = capsys.readouterr()
