@@ -18,12 +18,13 @@ arithmetic is not failed by the rounding of its float coefficients.  A block
 of pairs is compiled once per batch of parameter points into tables of the
 coefficient of k^p * t^e per minor, with one row per pair and point; at each
 k these settle every minor whose coefficients all clear the floor, and only
-the rest are evaluated on the grid.  One compile finds each term's slot in
-the tables, its float coefficient and its factors, then binds every point of
-the batch, which must share one alpha, with array multiplies and one
-summation per table.  The rows share one shape, each pair's tables padded
-with zeros to the block's most minors, powers of k and exponents of t; a
-zero minor is never below the floor, so the padding changes no flag.
+the rest are evaluated on the grid.  One compile gathers the pairs' terms by
+minor index from their MinorTable's flat arrays, finds each term's slot in
+the tables, then binds every point of the batch, which must share one
+alpha, with array multiplies and one summation per table.  The rows share
+one shape, each pair's tables padded with zeros to the block's most minors,
+powers of k and exponents of t; a zero minor is never below the floor, so
+the padding changes no flag.
 
 The largest feasible k is searched in stages, each checked for every live
 row of a block in one pass over arrays: k = 0; the doubling 1, 2, 4, ...,
@@ -47,15 +48,16 @@ gamma form and the corners of the queries it serves: gamma is substituted
 once per distinct entry, each distinct principal submatrix's determinant is
 built once, from sub-determinants also built once, each distinct
 determinant is bound once per corner, and each distinct bound minor gets its
-float term table once.  A run over groups threads one table through them and
+float terms once.  A run over groups threads one table through them and
 drops it at the end: analyze_groups, and verify_catalog for the rows that
 share a system and a gamma form; only one block's condition sets are held
 at a time.  With a pool, each worker gets one contiguous run of groups and
-makes its own table for it; its task carries only each group's
-representative pair, not its id or member positions.  Queries with the same
-corners share a pair's whole condition set.  A run makes one t grid per t
-domain of its batches, and each compile takes the powers of that grid for
-its own exponents of t.
+makes its own table for it; its task carries only the groups' entry pool
+and their cells there.  The table maps each pool id to its substituted
+entry through a list per pool.  Queries with the same corners share a
+pair's whole condition set.  A run makes one t grid per t domain of its
+batches, and each compile takes the powers of that grid for its own
+exponents of t.
 
 That exact work is integer arithmetic.  The table keeps each substituted
 entry also as integers over one common denominator s, so the cofactor
@@ -66,8 +68,9 @@ Lam^a * Theta^b * D^(n - a - b), a whole number because lambda and theta
 enter only diagonal entries, and affinely, so no product of n entries holds
 more than n of them.  A bound minor, over (D * s)^n and reduced by the gcd of
 that denominator and its numerators, has one form, on which it is interned.
-Fractions are made only for a minor seen for the first time: the Expr that
-its condition sets hand out.
+A new minor's float terms come from that form, numerator / den per term,
+which rounds as float(Fraction) does; an Expr of it is made only when
+MinorTable.minor_expr asks for one.
 """
 
 from __future__ import annotations
@@ -77,15 +80,15 @@ import itertools
 import math
 import multiprocessing
 import operator
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .expr import (Exponent, Expr, FloatTerm, GammaForm, LINEAR, LOG, Monomial, POWER, ZERO,
-                   _exp_part, _mono_mul, bind_terms, float_terms)
-from .pq import PQPair
+from .expr import (Exponent, Expr, GammaForm, LINEAR, LOG, Monomial, POWER, ZERO,
+                   UnboundSymbolError, _exp_part, _mono_mul)
+from .pq import EntryPool, PQPair
 from .sequences import PairGroup, enumerate_pairs
 from .systems import CATALOG
 
@@ -225,24 +228,17 @@ class RateQuery:
 
 @dataclass
 class PsdConditionSet:
-    corners: tuple[tuple[float, float], ...]
-    minors: tuple[Expr, ...]  # nonzero minors of every corner, deduplicated
-    # float_terms(minor, ("k",)) of each minor.
-    tables: InitVar[Sequence[tuple[FloatTerm, ...]]]
-    # float_terms(minor, ("k",)) of every minor, concatenated in minor order,
-    # and the index of the minor each term belongs to.
-    terms: tuple = field(init=False, repr=False)
-    term_minors: tuple[int, ...] = field(init=False, repr=False)
-    # Whether some exponent of t involves alpha.
-    alpha_exponents: bool = field(init=False, repr=False)
+    """The nonzero minors of every corner, deduplicated, as indices into the
+    MinorTable that built them; table.minor_expr(i) is minor i as an Expr."""
 
-    def __post_init__(self, tables):
-        self.terms = tuple(itertools.chain.from_iterable(tables))
-        self.term_minors = tuple(itertools.chain.from_iterable(
-            itertools.repeat(i, len(table)) for i, table in enumerate(tables)))
-        if any(powers[0] < 0 for _c, _p, _q, _mono, powers in self.terms):
-            raise AnalysisError("a minor has a negative power of k")
-        self.alpha_exponents = any(q for _c, _p, q, _mono, _powers in self.terms)
+    corners: tuple[tuple[float, float], ...]
+    minors: tuple[int, ...]
+    table: MinorTable = field(repr=False, compare=False)
+
+    @property
+    def alpha_exponents(self) -> bool:
+        """Whether some exponent of t involves alpha."""
+        return any(map(self.table._alpha.__getitem__, self.minors))
 
 
 _CURVATURE = frozenset({"lambda", "theta"})
@@ -362,20 +358,21 @@ class MinorTable:
     """The exact minor work of many pairs under one gamma form and set of corners.
 
     Pairs of one system share most of their entries, and so most of their
-    principal submatrices and minors.  The table holds each raw entry's gamma
-    substitution, interned; for each distinct principal submatrix, keyed by
-    its interned entries, the index of its minor bound at each corner, or None
-    where that minor vanishes; and each distinct bound minor once, with its
-    float_terms(minor, ("k",)).  So gamma is substituted once per distinct
-    entry, a determinant is built once per distinct nonzero submatrix, each
-    distinct determinant is bound once per corner, and a term table is made
-    once per distinct minor.  The determinants come from a cofactor expansion
-    memoised on the entry ids of every sub-block it meets, principal or not,
-    so a sub-determinant shared by several subsets or pairs is built once;
-    that memo lives and dies with the table.  Binding commutes with the
-    determinant, and a row that vanishes at a corner only adds minors that
-    vanish there, so the bound minors are the nonzero minors of the
-    corner-substituted matrices.
+    principal submatrices and minors.  The table holds each entry's gamma
+    substitution, interned, and for each EntryPool that hands it cells, a
+    list from pool id to substituted id; for each distinct principal
+    submatrix, keyed by its interned entries, the index of its minor bound
+    at each corner, or None where that minor vanishes; and each distinct
+    bound minor once, as its float terms.  So gamma is substituted once per
+    distinct entry, a determinant is built once per distinct nonzero
+    submatrix, each distinct determinant is bound once per corner, and a
+    minor's terms are made once.  The determinants come from a cofactor
+    expansion memoised on the entry ids of every sub-block it meets,
+    principal or not, so a sub-determinant shared by several subsets or
+    pairs is built once; that memo lives and dies with the table.  Binding
+    commutes with the determinant, and a row that vanishes at a corner only
+    adds minors that vanish there, so the bound minors are the nonzero minors
+    of the corner-substituted matrices.
 
     The exact work runs on integers.  Each substituted entry is kept a second
     time as {term id: int}, times the common denominator s of every entry
@@ -387,9 +384,13 @@ class MinorTable:
     lambda and theta enter only diagonal entries, and affinely, so a product
     of n entries carries a + b <= n of them, and the bound minor is the
     result over (D * s)^n.  Divided by the gcd of that denominator and its
-    numerators, a minor has one form, on which minors are interned.  Only a
-    minor seen for the first time is made into the Fraction-based Expr that
-    the condition sets hand out.
+    numerators, a minor has one form, on which minors are interned.
+
+    A new minor's terms go, in Expr.terms() order, into flat lists that every
+    minor shares: coefficient numerator / den, as float_terms(minor, ("k",))
+    rounds it, p, q, power of k and the id of the monomial left without k;
+    minor i holds the terms from _starts[i], _counts[i] of them.  An Expr of
+    a minor is made only when minor_expr asks for it.
 
     A table lives for one run over a list of pairs; the corners of every
     query it serves are fixed when it is made.
@@ -400,8 +401,9 @@ class MinorTable:
         corners = dict.fromkeys(c for cs in corner_sets for c in cs)
         self._corner_index = {c: i for i, c in enumerate(corners)}
         self._corners = [_over_common_denominator(lam, theta) for lam, theta in corners]
-        # raw entry -> (id of its substitution, its _curvature_part)
-        self._entry_ids: dict[Expr, tuple[int, tuple | None]] = {}
+        # per pool, pool id -> (id of its substitution, its _curvature_part)
+        self._pool_entries: dict[EntryPool, list[tuple[int, tuple | None] | None]] = {}
+        self._pairs = EntryPool()              # the pool of the pairs given to conditions
         self._entries: list[Expr] = [ZERO]     # substituted entries by id
         self._entry_index: dict[Expr, int] = {ZERO: 0}
         self._scale = 1                        # s, the common denominator of the entries
@@ -412,20 +414,27 @@ class MinorTable:
         self._bound: dict[tuple, tuple[int | None, ...]] = {}  # (n, s^n det) -> _bound_minors
         self._weights: dict[int, list[dict[tuple[int, int], int]]] = {}  # n -> per corner
         self._minor_ids: dict[tuple[int, frozenset], int] = {}  # reduced form -> index
-        self._minors: list[Expr] = []
-        self._tables: list[tuple[FloatTerm, ...]] = []
+        self._forms: list[tuple[int, frozenset]] = []  # (den, numerators) by index
+        self._alpha: list[bool] = []  # by index: whether some exponent of t involves alpha
+        self._starts: list[int] = []
+        self._counts: list[int] = []
+        # The terms of every minor: coefficient, p, q, power of k, monomial id.
+        self._columns: tuple[list, ...] = ([], [], [], [], [])
+        self._arrays: tuple[np.ndarray, ...] = ()  # _columns, _starts, _counts as arrays
+        self._term_rows: list[tuple[float, float, int, int]] = []  # by term id: p, q, k, mono
+        self._monos: dict[Monomial, int] = {}
+        self._mono_factors: list[tuple[int, ...]] = []  # by monomial id: its factors' ids
+        self._factors: dict[tuple[str, int], int] = {}  # (symbol, power) -> id
 
     def _entry_id(self, entry: Expr) -> tuple[int, tuple | None]:
-        seen = self._entry_ids.get(entry)
-        if seen is None:
-            substituted = self.gamma.substitute(entry)
-            eid = self._entry_index.get(substituted)
-            if eid is None:
-                eid = self._entry_index[substituted] = len(self._entries)
-                self._entries.append(substituted)
-                self._scaled.append(self._scale_entry(substituted))
-            seen = self._entry_ids[entry] = (eid, _curvature_part(entry))
-        return seen
+        """The id of entry's substitution, and entry's _curvature_part."""
+        substituted = self.gamma.substitute(entry)
+        eid = self._entry_index.get(substituted)
+        if eid is None:
+            eid = self._entry_index[substituted] = len(self._entries)
+            self._entries.append(substituted)
+            self._scaled.append(self._scale_entry(substituted))
+        return eid, _curvature_part(entry)
 
     def _scale_entry(self, entry: Expr) -> dict[int, int]:
         """s times entry, as {term id: int}; s first grows to a multiple of its denominators."""
@@ -482,29 +491,117 @@ class MinorTable:
         form = (den // g, frozenset((t, c // g) for t, c in numerators))
         index = self._minor_ids.get(form)
         if index is None:
-            index = self._minor_ids[form] = len(self._minors)
-            minor = self._expr(form[1], form[0])
-            self._minors.append(minor)
-            self._tables.append(float_terms(minor, ("k",)))
+            index = self._minor_ids[form] = self._add_minor(*form)
         return index
+
+    def _add_minor(self, den: int, numerators: Iterable[tuple[int, int]]) -> int:
+        """Append the terms of the minor whose coefficient of each term id is
+        its numerator / den, and return its index."""
+        terms = self._terms.terms
+        rows = self._term_rows
+        for t in range(len(rows), len(terms)):
+            rows.append(self._term_row(*terms[t]))
+        coefs, ps, qs, kpows, monos = self._columns
+        ordered = sorted(numerators, key=lambda item: terms[item[0]])
+        if any(rows[t][2] < 0 for t, _c in ordered):
+            raise AnalysisError("a minor has a negative power of k")
+        self._starts.append(len(coefs))
+        self._counts.append(len(ordered))
+        self._alpha.append(any(rows[t][1] for t, _c in ordered))
+        self._forms.append((den, frozenset(ordered)))
+        for t, c in ordered:
+            p, q, kpow, mono = rows[t]
+            coefs.append(c / den)  # correctly rounded, as float(Fraction(c, den)) is
+            ps.append(p)
+            qs.append(q)
+            kpows.append(kpow)
+            monos.append(mono)
+        return len(self._forms) - 1
+
+    def _term_row(self, exp: Exponent, mono: Monomial) -> tuple[float, float, int, int]:
+        """p and q as floats, the power of k and the id of the monomial without k."""
+        kept = tuple(item for item in mono if item[0] != "k")
+        mono_id = self._monos.get(kept)
+        if mono_id is None:
+            mono_id = self._monos[kept] = len(self._mono_factors)
+            self._mono_factors.append(tuple(self._factors.setdefault(item, len(self._factors))
+                                            for item in kept))
+        return float(exp[0]), float(exp[1]), dict(mono).get("k", 0), mono_id
 
     def _expr(self, numerators: Iterable[tuple[int, int]], den: int) -> Expr:
         """The Expr whose coefficient of each term id is its numerator / den."""
         terms = self._terms.terms
         return Expr({terms[t]: Fraction(c, den) for t, c in numerators})
 
+    def minor_expr(self, index: int) -> Expr:
+        """Minor index as an Expr."""
+        den, numerators = self._forms[index]
+        return self._expr(numerators, den)
+
+    def _term_arrays(self) -> tuple[np.ndarray, ...]:
+        """The terms of every minor so far as arrays: coefficient, p, q, power
+        of k and monomial id; then each minor's first term and count; then,
+        per monomial id, its factors' ids, padded with -1 to the longest."""
+        if self._arrays and len(self._arrays[5]) == len(self._counts):
+            return self._arrays
+        columns = self._columns + (self._starts, self._counts)
+        dtypes = (float, float, float, np.intp, np.intp, np.intp, np.intp)
+        old = self._arrays[:7] or tuple(np.empty(0, dtype=dtype) for dtype in dtypes)
+        arrays = [np.concatenate([a, np.array(c[len(a):], dtype=dtype)])
+                  for a, c, dtype in zip(old, columns, dtypes)]
+        factors = self._arrays[7] if self._arrays else np.empty((0, 0), dtype=np.intp)
+        if len(factors) < len(self._mono_factors):
+            width = max(map(len, self._mono_factors))
+            factors = np.full((len(self._mono_factors), width), -1, dtype=np.intp)
+            for mono, row in enumerate(self._mono_factors):
+                factors[mono, :len(row)] = row
+        self._arrays = (*arrays, factors)
+        return self._arrays
+
+    def _first_unbound(self, terms: np.ndarray, bindings: Mapping[str, float]) -> str | None:
+        """The symbol that bind_terms would name as unbound over the terms,
+        indices into _term_arrays, at bindings; None when all are bound."""
+        _coefs, _ps, qs, _kpows, monos = self._columns
+        names = [sym for sym, _power in self._factors]
+        for t in terms.tolist():
+            if qs[t] and "alpha" not in bindings:
+                return "alpha"
+            for f in self._mono_factors[monos[t]]:
+                if names[f] not in bindings:
+                    return names[f]
+        return None
+
+    def _cell_ids(self, pool: EntryPool, cells: Sequence[int]) -> list[tuple[int, tuple | None]]:
+        """(substituted id, _curvature_part) of each of the pool's cells."""
+        known = self._pool_entries.setdefault(pool, [])
+        if len(known) < len(pool.entries):
+            known.extend([None] * (len(pool.entries) - len(known)))
+        out = []
+        for cell in cells:
+            seen = known[cell]
+            if seen is None:
+                seen = known[cell] = self._entry_id(pool.entries[cell])
+            out.append(seen)
+        return out
+
     def conditions(self, pair: PQPair,
                    corner_sets: Sequence[tuple[tuple[float, float], ...]]
                    ) -> list[PsdConditionSet]:
-        """psd_conditions(pair, gamma, corners) for each of the corner sets.
+        """psd_conditions(pair, gamma, corners) for each of the corner sets."""
+        if not pair.has_gap:
+            raise AnalysisError("pair lacks the objective-gap term; apply A1 first")
+        return self.cell_conditions(self._pairs, self._pairs.cells(pair), corner_sets)
+
+    def cell_conditions(self, pool: EntryPool, cells: Sequence[int],
+                        corner_sets: Sequence[tuple[tuple[float, float], ...]]
+                        ) -> list[PsdConditionSet]:
+        """conditions for the pair, past A1, whose entries are the ids cells of pool.
 
         The minors come corner-major, then in subset order, P before Q, and
         deduplicated by equality; equal corner sets share one condition set.
         """
-        if not pair.has_gap:
-            raise AnalysisError("pair lacks the objective-gap term; apply A1 first")
-        matrices = [[self._entry_id(e) for row in matrix for e in row]  # row-major
-                    for matrix in (pair.P, pair.Q)]
+        ids = self._cell_ids(pool, cells)
+        matrices = [ids[:9], ids[9:]]  # row-major
         _check_diagonal_parameters(matrices)
         subset_minors = []
         for cells, dim in zip(matrices, (3, 5)):
@@ -521,9 +618,7 @@ class MinorTable:
                 union = dict.fromkeys(
                     index for pos in positions for indices in subset_minors
                     if (index := indices[pos]) is not None)
-                by_corners[corners] = PsdConditionSet(
-                    corners, tuple(self._minors[i] for i in union),
-                    [self._tables[i] for i in union])
+                by_corners[corners] = PsdConditionSet(corners, tuple(union), self)
         return [by_corners[corners] for corners in corner_sets]
 
 
@@ -684,76 +779,87 @@ class CompiledConditions:
 
 def compile_conditions(sets: Sequence[PsdConditionSet], points: Sequence[Mapping[str, float]],
                        tgrid: np.ndarray) -> CompiledConditions:
-    """Bind each of the points into each of the sets' term tables and tabulate
-    them by k^p * t^e; row g * len(points) + i of the result is sets[g] at
-    points[i].
+    """Bind each of the points into the terms of each of the sets' minors and
+    tabulate them by k^p * t^e; row g * len(points) + i of the result is
+    sets[g] at points[i].  The sets must come from one MinorTable.
 
-    Each term lands in a slot of a table indexed (power of k, minor, column),
-    with the sets' largest count of minors and of powers of k, and one column
-    per distinct exponent of t among all their terms at the points' alpha, in
-    descending order; so where some exponent of t involves alpha, the points
-    must bind the same alpha.  A slot that no term of a set reaches is 0 in
-    that set's rows.  Binding a point computes each distinct (symbol, power)
-    factor of the terms' monomials once, as a Python float, and multiplies
-    the j-th factor of each monomial into its term's float coefficient for j
-    = 0, 1, ..., so each term gets its factors in monomial order, as
-    bind_terms multiplies them (past a monomial's end the factor is 1.0,
-    which changes nothing).  The products are then summed into their slots
-    in term order, row r's slots offset by r tables, so one summation per
-    table gives every row tables bit-identical to merging bind_terms' output
-    for its set key by key.  Raises UnboundSymbolError for the first point
-    that lacks a symbol, naming the first such symbol in the sets' term order.
+    The terms are gathered by index from the table's flat arrays, set by set
+    and minor by minor, each minor's in Expr.terms() order.  Each term lands
+    in a slot of a table indexed (power of k, minor, column), with the sets'
+    largest count of minors and of powers of k, and one column per distinct
+    exponent of t among all their terms at the points' alpha, in descending
+    order; so where some exponent of t involves alpha, the points must bind
+    the same alpha.  A slot that no term of a set reaches is 0 in that set's
+    rows.  Binding a point computes each (symbol, power) factor of the terms'
+    monomials once, as a Python float, and multiplies the j-th factor of
+    each monomial into its term's float coefficient for j = 0, 1, ..., so
+    each term gets its factors in monomial order, as bind_terms multiplies
+    them (past a monomial's end the factor is 1.0, which changes nothing).
+    The products are then summed into their slots in term order, row r's
+    slots offset by r tables, so one summation per table gives every row
+    tables bit-identical to merging bind_terms' output for its set key by
+    key.  Raises UnboundSymbolError for the first point that lacks a symbol,
+    naming the first such symbol in the sets' term order.
     """
-    terms = [term for conds in sets for term in conds.terms]
+    table = sets[0].table
+    if any(conds.table is not table for conds in sets):
+        raise AnalysisError("condition sets compiled together must come from one MinorTable")
+    coef_all, p_all, q_all, kpow_all, mono_all, starts, counts, factors = table._term_arrays()
+    minors = np.fromiter(itertools.chain.from_iterable(conds.minors for conds in sets),
+                         dtype=np.intp)
+    per_minor = counts[minors]
+    # Gathered minor j's terms are starts[minors[j]] + 0, 1, ..., placed from offsets[j] on.
+    offsets = np.concatenate([np.zeros(1, dtype=np.intp), np.cumsum(per_minor)])
+    terms = np.repeat(starts[minors] - offsets[:-1], per_minor) + np.arange(offsets[-1])
     alpha = None
     if any(conds.alpha_exponents for conds in sets):
         for bindings in points:
             if "alpha" not in bindings:
-                bind_terms(terms, bindings)  # raises, naming the first missing symbol
+                raise UnboundSymbolError(table._first_unbound(terms, bindings))
         alphas = {float(bindings["alpha"]) for bindings in points}
         if len(alphas) != 1:
             raise AnalysisError(f"points compiled together must bind one alpha, "
                                 f"got {sorted(alphas)}")
         (alpha,) = alphas
-    coefs, ps, qs, monos, kpows = zip(*terms) if terms else ((),) * 5
-    t_exps = np.array(ps, dtype=float)
+    t_exps = p_all[terms]
     if alpha is not None:
-        q = np.array(qs, dtype=float)
+        q = q_all[terms]
         t_exps = np.where(q != 0, t_exps + q * alpha, t_exps)
     exps = np.array(sorted(set(t_exps.tolist())))
-    n_minors, n_exps = max(len(conds.minors) for conds in sets), len(exps)
-    kpow = np.array([kpow for (kpow,) in kpows], dtype=np.intp)
+    set_sizes = np.array([len(conds.minors) for conds in sets], dtype=np.intp)
+    n_minors, n_exps = int(set_sizes.max()), len(exps)
+    kpow = kpow_all[terms]
     shape = (int(kpow.max(initial=0)) + 1, n_minors, n_exps)
-    term_minors = np.fromiter(itertools.chain.from_iterable(conds.term_minors for conds in sets),
-                              dtype=np.intp, count=len(terms))
+    # Each gathered minor's set, and its number within that set.
+    minor_sets = np.repeat(np.arange(len(sets)), set_sizes)
+    term_minors = np.repeat(np.arange(len(minors)) - (np.cumsum(set_sizes) - set_sizes)[minor_sets],
+                            per_minor)
     # Plain integer arithmetic: the flat index of (kpow, minor, column).
     slots = ((kpow * n_minors + term_minors) * n_exps
              + (n_exps - 1 - np.searchsorted(exps, t_exps)))
-    # Each distinct monomial once: its items' positions in factors, -1 past its end.
-    mono_ids: dict = {}
-    term_monos = np.array([mono_ids.setdefault(mono, len(mono_ids)) for mono in monos],
-                          dtype=np.intp)
-    factors = {item: i for i, item in enumerate(dict.fromkeys(
-        item for mono in mono_ids for item in mono))}
-    width = max(map(len, mono_ids), default=0)
-    rows = np.array([[factors[item] for item in mono] + [-1] * (width - len(mono))
-                     for mono in mono_ids], dtype=np.intp).reshape(len(mono_ids), width)
-    symbols = {sym for sym, _power in factors}
+    # Each term's factor ids, in monomial order, -1 past its monomial's end.
+    rows = factors[mono_all[terms]]
+    rows = rows[:, :int((rows >= 0).sum(axis=1).max(initial=0))]
+    items = list(table._factors)
+    used = np.zeros(len(items) + 1, dtype=bool)
+    used[rows] = True
+    used = np.flatnonzero(used[:-1]).tolist()
+    symbols = {items[f][0] for f in used}
     for bindings in points:
         if not symbols.issubset(bindings):
-            bind_terms(terms, bindings)
+            raise UnboundSymbolError(table._first_unbound(terms, bindings))
     tpowers = tgrid[None, :] ** exps[::-1, None]
-    # The last entry of each row, 1.0, is what position -1 picks.
-    values = np.array([[float(bindings[sym] ** power) for sym, power in factors] + [1.0]
-                       for bindings in points])
-    base = np.array(coefs, dtype=float)[None]
-    for j in range(width):
-        base = base * values.take(rows[term_monos, j], axis=1)
+    # The last column, 1.0, is what factor -1 picks.
+    values = np.ones((len(points), len(items) + 1))
+    values[:, used] = [[float(bindings[items[f][0]] ** items[f][1]) for f in used]
+                       for bindings in points]
+    base = coef_all[terms][None]
+    for j in range(rows.shape[1]):
+        base = base * values.take(rows[:, j], axis=1)
     if len(base) < len(points):  # no term has a factor
         base = base.repeat(len(points), axis=0)
     # Row g * len(points) + i: set g's terms at point i.
-    term_rows = np.repeat(np.arange(len(sets)) * len(points),
-                          [len(conds.terms) for conds in sets])
+    term_rows = np.repeat(minor_sets * len(points), per_minor)
     n_slots, n_rows = math.prod(shape), len(sets) * len(points)
     slots = (slots + n_slots * (term_rows + np.arange(len(points))[:, None])).ravel()
     shape = (n_rows,) + shape
@@ -876,16 +982,18 @@ def max_rate(pair: PQPair, query: RateQuery) -> RateResult:
     This is a run of one pair.  Raises InfeasiblePairError when no grid point
     is PSD even at k = 0.
     """
-    result = _analyze_run([pair], [query])[0][0]
+    pool = EntryPool()
+    result = _analyze_run([(pool, pool.cells(pair))], [query])[0][0]
     if result is None:
         raise InfeasiblePairError("pair is not PSD at k = 0 for any grid point")
     return result
 
 
-def _analyze_run(pairs: Sequence[PQPair],
+def _analyze_run(pairs: Sequence[tuple[EntryPool, tuple[int, ...]]],
                  queries: Sequence[RateQuery]) -> list[list[RateResult | None]]:
-    """Per pair of a run, max_rate on it for each of the queries, which share
-    one gamma form; None for a query with no grid point PSD at k = 0.
+    """Per pair of a run, given as a pool and its cells there, max_rate on it
+    for each of the queries, which share one gamma form; None for a query
+    with no grid point PSD at k = 0.
 
     The grid points of the queries go in batches keyed by (corners, t
     domain, alpha), each sharing a condition set per pair, a t grid and an
@@ -909,7 +1017,8 @@ def _analyze_run(pairs: Sequence[PQPair],
     table = MinorTable(queries[0].gamma, corner_sets)
     per_pair: list[list[RateResult | None]] = []
     for start in range(0, len(pairs), block):
-        conds = [table.conditions(pair, corner_sets) for pair in pairs[start:start + block]]
+        conds = [table.cell_conditions(pool, cells, corner_sets)
+                 for pool, cells in pairs[start:start + block]]
         compiled = {}
         # (pair, query) -> (k, -point index, status, batch key, row) of its best point so far
         best: dict[tuple[int, int], tuple] = {}
@@ -957,7 +1066,8 @@ def certified_time(pairs: Sequence[PQPair], query: RateQuery, k: float) -> float
     tgrid = time_grid(domain)
     best = 0.0
     for start in range(0, len(pairs), BLOCK_POINTS):
-        sets = [table.conditions(pair, (corners,))[0] for pair in pairs[start:start + BLOCK_POINTS]]
+        sets = [table.conditions(pair, (corners,))[0]
+                for pair in pairs[start:start + BLOCK_POINTS]]
         for point in query.grid_points():
             for mask in compile_conditions(sets, [point], tgrid).violations(np.full(len(sets), k)):
                 if not mask[0]:  # certified at the left end of the grid
@@ -981,10 +1091,10 @@ def _analyze_queries(groups: Sequence[PairGroup], queries: Sequence[RateQuery],
     The work runs block by block of groups through one MinorTable, so only
     one block's condition sets are held at a time.  With a pool, each worker
     takes one contiguous run of groups and makes a table of its own; a task
-    carries only each group's representative pair, not its id or member
-    positions, and the runs come back in order.
+    carries only the groups' entry pool and cells, not their ids,
+    representatives or members, and the runs come back in order.
     """
-    pairs = [group.representative for group in groups]
+    pairs = [(group.pool, group.cells) for group in groups]
     if jobs > 1:
         n_runs = min(jobs, len(pairs)) or 1
         bounds = [len(pairs) * i // n_runs for i in range(n_runs + 1)]

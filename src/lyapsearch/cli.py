@@ -45,6 +45,9 @@ def _parse_finite_param(text: str) -> tuple[str, float]:
     return name, value
 
 
+MAX_GRID_VALUES = 10_000  # values of one START:STEP:STOP range
+
+
 def _parse_param_grid(text: str) -> tuple[str, tuple[float, ...]]:
     form = "NAME=V1,V2,... or NAME=START:STEP:STOP"
     name, _, spec = text.partition("=")
@@ -60,7 +63,13 @@ def _parse_param_grid(text: str) -> tuple[str, tuple[float, ...]]:
         if step == 0 or (stop - start) * step < 0:
             raise argparse.ArgumentTypeError(
                 f"grid step of {text!r} must be nonzero and point from start to stop")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
+        steps = (stop - start) / step + 1e-9
+        if not steps < MAX_GRID_VALUES:
+            count = math.floor(steps) + 1 if math.isfinite(steps) else steps
+            raise argparse.ArgumentTypeError(
+                f"grid range {text!r} has {count:.6g} values, more than "
+                f"the {MAX_GRID_VALUES} a range may have")
+        n = int(math.floor(steps)) + 1
         values = tuple(start + i * step for i in range(n))
     return name.strip(), values
 

@@ -14,6 +14,12 @@ and updates the pair symmetrically, so symmetry is preserved by construction.
 A1 is written out; the other ten are rows of one table, each naming its source
 Q entry, the P entry it feeds and the Q entries it corrects.
 
+One function, apply_to_cells, applies A1 and the table rows to a pair's 34
+cells (P's entries, then Q's, row-major), doing the entry arithmetic through
+an object it is given: on Exprs for apply_operation and apply_sequence, or on
+the int ids of an EntryPool, which interns the entries of one enumeration and
+runs each distinct entry update through Expr arithmetic once.
+
 The module is purely symbolic; numbers are read from the entries through the
 numeric path of lyapsearch.expr.
 """
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from .expr import Expr, GAMMA1, ZERO
+from .expr import Expr, GAMMA1, ONE, ZERO
 
 OPERATIONS = ("A1", "B1", "B2", "B3", "C1", "D1", "D2", "D3", "D4", "E1", "F1")
 
@@ -52,14 +58,6 @@ def g_shift(entry: Expr) -> Expr:
 def _sym_matrix(dim: int, entries: Mapping[tuple[int, int], Expr]) -> PMatrix:
     rows = [[ZERO] * dim for _ in range(dim)]
     for (i, j), value in entries.items():
-        rows[i - 1][j - 1] = value
-        rows[j - 1][i - 1] = value
-    return tuple(tuple(row) for row in rows)
-
-
-def _updated(matrix, updates: Mapping[tuple[int, int], Expr]):
-    rows = [list(row) for row in matrix]
-    for (i, j), value in updates.items():
         rows[i - 1][j - 1] = value
         rows[j - 1][i - 1] = value
     return tuple(tuple(row) for row in rows)
@@ -132,9 +130,138 @@ _RULES = {
     "F1": _Rule((3, 4), None, 1, (((3, 3), -2 * _THETA, False),)),
 }
 
+# A1's Q updates: (entry, factor, term), each entry += factor * term.
+_A1_UPDATES = (((2, 3), -_HALF, ONE),
+               ((1, 2), -_HALF, GAMMA1),
+               ((1, 1), _HALF * _LAMBDA, GAMMA1))
+
+
+def _p_cells(i: int, j: int) -> tuple[int, int]:
+    return (i - 1) * 3 + j - 1, (j - 1) * 3 + i - 1
+
+
+def _q_cells(i: int, j: int) -> tuple[int, int]:
+    return 9 + (i - 1) * 5 + j - 1, 9 + (j - 1) * 5 + i - 1
+
 
 def _scaled(factor: int | Expr, value: Expr) -> Expr:
     return value if factor == 1 else factor * value
+
+
+class _ExprEntries:
+    """The entry arithmetic of the rules, on Exprs."""
+
+    zero = ZERO
+
+    @staticmethod
+    def of(entry: Expr) -> Expr:
+        return entry
+
+    @staticmethod
+    def add(old: Expr, factor, s: Expr) -> Expr:
+        """old + factor * s."""
+        return old + _scaled(factor, s)
+
+    @staticmethod
+    def sub(old: Expr, factor, s: Expr, shifted: bool) -> Expr:
+        """old - factor * g_shift(s) when shifted, else old - factor * s."""
+        return old - _scaled(factor, g_shift(s) if shifted else s)
+
+
+_EXPR_ENTRIES = _ExprEntries()
+
+
+def apply_to_cells(cells: tuple, op: str, entries=_EXPR_ENTRIES) -> tuple:
+    """The cells of a pair after the legal operation op.
+
+    cells holds the pair's 34 entries in the order P, then Q, each
+    row-major; entries does the arithmetic on them: Exprs by default, or the
+    ids of an EntryPool.  Each changed entry is computed once from the old
+    cells and written to both of its symmetric places.  A rule whose source
+    entry is zero leaves the cells as they are.
+    """
+    new = list(cells)
+    if op == "A1":
+        for entry, factor, term in _A1_UPDATES:
+            value = entries.add(cells[_q_cells(*entry)[0]], factor, entries.of(term))
+            for cell in _q_cells(*entry):
+                new[cell] = value
+        return tuple(new)
+    rule = _RULES[op]
+    s = cells[_q_cells(*rule.source)[0]]
+    if not s:
+        return cells
+    if rule.p_target is not None:
+        cell_pair = _p_cells(*rule.p_target)
+        value = entries.add(cells[cell_pair[0]], rule.p_weight, s)
+        for cell in cell_pair:
+            new[cell] = value
+    for entry, factor, shifted in rule.corrections:
+        cell_pair = _q_cells(*entry)
+        value = entries.sub(cells[cell_pair[0]], factor, s, shifted)
+        for cell in cell_pair:
+            new[cell] = value
+    for cell in _q_cells(*rule.source):
+        new[cell] = entries.zero
+    return tuple(new)
+
+
+def _pair_cells(pair: PQPair) -> tuple[Expr, ...]:
+    """The pair's entries in the order of apply_to_cells."""
+    return tuple(e for matrix in (pair.P, pair.Q) for row in matrix for e in row)
+
+
+def _matrices(cells: tuple[Expr, ...]) -> tuple[PMatrix, QMatrix]:
+    return (tuple(cells[i:i + 3] for i in range(0, 9, 3)),
+            tuple(cells[i:i + 5] for i in range(9, len(cells), 5)))
+
+
+class EntryPool:
+    """The distinct entries of one enumeration, interned as ints; 0 is ZERO.
+
+    As the entry arithmetic of apply_to_cells, it works on ids, and runs
+    each distinct update (old + factor * s, or old - factor * s or
+    old - factor * g_shift(s)) through Exprs once, remembering its result.
+    """
+
+    zero = 0
+
+    def __init__(self):
+        self.entries: list[Expr] = [ZERO]
+        self._ids = {ZERO: 0}
+        self._updates: dict[tuple, int] = {}
+
+    def of(self, entry: Expr) -> int:
+        """The id of entry, interned on first sight."""
+        eid = self._ids.get(entry)
+        if eid is None:
+            eid = self._ids[entry] = len(self.entries)
+            self.entries.append(entry)
+        return eid
+
+    def add(self, old: int, factor, s: int) -> int:
+        key = (old, factor, s)
+        new = self._updates.get(key)
+        if new is None:
+            new = self._updates[key] = self.of(
+                _EXPR_ENTRIES.add(self.entries[old], factor, self.entries[s]))
+        return new
+
+    def sub(self, old: int, factor, s: int, shifted: bool) -> int:
+        key = (old, factor, s, shifted)
+        new = self._updates.get(key)
+        if new is None:
+            new = self._updates[key] = self.of(
+                _EXPR_ENTRIES.sub(self.entries[old], factor, self.entries[s], shifted))
+        return new
+
+    def cells(self, pair: PQPair) -> tuple[int, ...]:
+        """The ids of the pair's entries, in the order of apply_to_cells."""
+        return tuple(map(self.of, _pair_cells(pair)))
+
+    def pair(self, cells: tuple[int, ...], provenance: tuple[str, ...]) -> PQPair:
+        """The pair, past A1, whose entry ids are cells."""
+        return PQPair(*_matrices(tuple(map(self.entries.__getitem__, cells))), provenance, True)
 
 
 def apply_operation(pair: PQPair, op: str) -> PQPair:
@@ -152,28 +279,8 @@ def apply_operation(pair: PQPair, op: str) -> PQPair:
             raise OperationError("A1 applied twice")
     elif not pair.has_gap:
         raise OperationError(f"{op} applied before A1")
-
-    P, Q = pair.P, pair.Q
-    e = pair.q_entry
-
-    if op == "A1":
-        new_q = _updated(Q, {
-            (2, 3): e(2, 3) - _HALF,
-            (1, 2): e(1, 2) - _HALF * GAMMA1,
-            (1, 1): e(1, 1) + _HALF * _LAMBDA * GAMMA1,
-        })
-        return PQPair(P, new_q, pair.provenance + (op,), has_gap=True)
-
-    rule = _RULES[op]
-    s = e(*rule.source)
-    new_p = P
-    if rule.p_target is not None:
-        new_p = _updated(P, {rule.p_target: pair.p_entry(*rule.p_target)
-                             + _scaled(rule.p_weight, s)})
-    updates = {entry: e(*entry) - _scaled(factor, g_shift(s) if shifted else s)
-               for entry, factor, shifted in rule.corrections}
-    updates[rule.source] = ZERO
-    return PQPair(new_p, _updated(Q, updates), pair.provenance + (op,), has_gap=True)
+    P, Q = _matrices(apply_to_cells(_pair_cells(pair), op))
+    return PQPair(P, Q, pair.provenance + (op,), has_gap=True)
 
 
 def apply_sequence(pair: PQPair, ops: Iterable[str]) -> PQPair:

@@ -8,14 +8,17 @@ results is the search space the analysis ranks.
 
 Operations act on the pair alone, not on how it was reached, so the product is
 expanded stage by stage over distinct states rather than path by path: the
-23660 paths pass through only a few hundred distinct pairs.  Each distinct
-pair is interned to an int state id when first reached, and a per-call table
-of transitions (state id, operation) -> state id runs apply_operation only on
-a miss, so a stage choice is a fold of table lookups and each distinct
-transition is applied once.  Provenance is not carried along the way: a
-group's representative is rebuilt from its first member's operations.  A
-group keeps its members as their positions in the stage-product order, and
-decodes them into OperationSequences only when they are read.
+23660 paths pass through only a few hundred distinct pairs.  A state is the
+tuple of its 34 entry ids in the enumeration's EntryPool, interned to an int
+state id when first reached.  A per-call table of transitions (state id,
+operation) -> state id runs apply_to_cells only on a miss, and the pool
+computes each distinct entry update once, so Expr arithmetic runs once per
+distinct update and a stage choice is a fold of table lookups.  Provenance
+is not carried along the way: a group's representative is rebuilt from its
+first member's operations.  A group keeps the number of its members and the
+state they end in; their positions in the stage-product order are walked out
+of the kept per-stage moves, and decoded into OperationSequences, only when
+they are read.
 """
 
 from __future__ import annotations
@@ -24,10 +27,10 @@ import csv
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .pq import PQPair, apply_operation, initial_pair
+from .pq import EntryPool, PQPair, apply_operation, apply_to_cells, initial_pair
 from .systems import OdeSystemSpec
 
 B_STAGES: tuple[tuple[str, ...], ...] = (
@@ -106,21 +109,69 @@ def _sequence_at(position: int) -> OperationSequence:
 
 
 @dataclass
+class Enumeration:
+    """What the groups of one enumerate_pairs call share.
+
+    pool interns every entry reached; cells holds each distinct state's
+    entry ids, by state id, state 0 being the initial pair after A1; and
+    moves holds, per stage, each state the stage starts from and the state
+    each of its choices leads to.
+    """
+
+    pool: EntryPool
+    cells: list[tuple[int, ...]]
+    moves: list[dict[int, tuple[int, ...]]]
+
+    def positions(self, state: int) -> list[int]:
+        """The sorted positions in generate_sequences() of the sequences that
+        end in state.
+
+        A backward pass over moves marks, per stage, the states from which
+        state can still be reached; the forward walk then expands only
+        those, in product order, so the positions come out sorted.
+        """
+        reach = [{state}]
+        for moves in reversed(self.moves):
+            reach.append({source for source, targets in moves.items()
+                          if not reach[-1].isdisjoint(targets)})
+        reach.reverse()
+        prefixes = [(0, 0)]  # (position so far, state)
+        for stage, moves, ahead in zip(STAGES, self.moves, reach[1:]):
+            size = len(stage)
+            prefixes = [(prefix * size + choice, target) for prefix, source in prefixes
+                        for choice, target in enumerate(moves[source]) if target in ahead]
+        return [position for position, _state in prefixes]
+
+
+@dataclass
 class PairGroup:
-    """A group of equal pairs: its members are held as their sorted positions in
-    generate_sequences(), and decoded only when sequences is read."""
+    """A group of equal pairs: its representative, the number of its members,
+    and the state that ends each of them in its enumeration.  The members'
+    positions and sequences are worked out only when read."""
 
     group_id: int
     representative: PQPair
-    positions: list[int]
+    member_count: int
+    state: int
+    enumeration: Enumeration = field(repr=False, compare=False)
+
+    @property
+    def pool(self) -> EntryPool:
+        return self.enumeration.pool
+
+    @property
+    def cells(self) -> tuple[int, ...]:
+        """The representative's entries, as ids of pool."""
+        return self.enumeration.cells[self.state]
+
+    @property
+    def positions(self) -> list[int]:
+        """The members' sorted positions in generate_sequences()."""
+        return self.enumeration.positions(self.state)
 
     @property
     def sequences(self) -> list[OperationSequence]:
         return [_sequence_at(i) for i in self.positions]
-
-    @property
-    def member_count(self) -> int:
-        return len(self.positions)
 
     def label(self) -> str:
         """The first member's label(), read off the representative's provenance."""
@@ -137,45 +188,45 @@ def enumerate_pairs(system: OdeSystemSpec) -> list[PairGroup]:
 
     Each stage maps the distinct states of the previous one, in first-occurrence
     order, through its choices in order, so the first insertion of a state is
-    its first occurrence.  A state carries the positions, in the product order
-    of the stages so far, of every prefix that reaches it; after the last stage
-    these index generate_sequences(), and the smallest is the group's first
-    member, whose operations become the representative's provenance.
+    its first occurrence.  A state carries the number of prefixes that reach
+    it and the position of the first, in the product order of the stages so
+    far; after the last stage the first is the group's first member, whose
+    operations become the representative's provenance.
     """
-    pairs = [apply_operation(initial_pair(system), "A1")]  # by state id
-    state_ids = {pairs[0].matrix_key(): 0}
+    pool = EntryPool()
+    enumeration = Enumeration(pool, [pool.cells(apply_operation(initial_pair(system), "A1"))], [])
+    cells = enumeration.cells  # by state id
+    state_ids = {cells[0]: 0}
     transitions: dict[tuple[int, str], int] = {}
 
     def step(state: int, op: str) -> int:
         target = transitions.get((state, op))
         if target is None:
-            new = apply_operation(pairs[state], op)
-            target = state_ids.setdefault(new.matrix_key(), len(pairs))
-            if target == len(pairs):
-                pairs.append(new)
+            new = apply_to_cells(cells[state], op, pool)
+            target = state_ids.setdefault(new, len(cells))
+            if target == len(cells):
+                cells.append(new)
             transitions[(state, op)] = target
         return target
 
-    states: dict[int, list[int]] = {0: [0]}
+    states: dict[int, list[int]] = {0: [1, 0]}  # state -> [members, first position]
     for stage in STAGES:
         size = len(stage)
+        moves: dict[int, tuple[int, ...]] = {}
         reached: dict[int, list[int]] = {}
-        for state, prefixes in states.items():
-            for choice, ops in enumerate(stage):
-                positions = [prefix * size + choice for prefix in prefixes]
-                target = functools.reduce(step, ops, state)
-                if target in reached:
-                    reached[target].extend(positions)
+        for state, (count, first) in states.items():
+            targets = moves[state] = tuple(functools.reduce(step, ops, state) for ops in stage)
+            for choice, target in enumerate(targets):
+                seen = reached.get(target)
+                if seen is None:
+                    reached[target] = [count, first * size + choice]
                 else:
-                    reached[target] = positions
+                    seen[0] += count
+        enumeration.moves.append(moves)
         states = reached
-    groups = []
-    for group_id, (state, positions) in enumerate(states.items()):
-        positions.sort()
-        pair = pairs[state]
-        representative = PQPair(pair.P, pair.Q, _sequence_at(positions[0]).ops(), True)
-        groups.append(PairGroup(group_id, representative, positions))
-    return groups
+    return [PairGroup(group_id, pool.pair(cells[state], _sequence_at(first).ops()), count,
+                      state, enumeration)
+            for group_id, (state, (count, first)) in enumerate(states.items())]
 
 
 def max_observed_gamma_order(groups: list[PairGroup]) -> int:

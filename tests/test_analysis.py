@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import gc
 import itertools
 import math
@@ -13,7 +14,7 @@ from lyapsearch import analysis
 from lyapsearch.analysis import (BISECT_REL_TOL, DOUBLING_KS, K_CAP,
                                  PRESCAN_POINTS, REL_FLOOR, T_GRID_HI, T_GRID_LO,
                                  AllPositive, AnalysisError, DiagonalParameterError, Eventually,
-                                 InfeasiblePairError, MinorTable, PsdConditionSet, RateQuery,
+                                 InfeasiblePairError, MinorTable, RateQuery,
                                  RateResult, Window, analyze_groups,
                                  _analyze_queries, _bisect_max_k, _certified_range, _det,
                                  catalog_rows, certified_time,
@@ -130,9 +131,34 @@ def test_winning_pairs_match_published_matrices():
             assert pair.q_entry(i, j) == value, f"Q{i}{j} of {label}"
 
 
+def _exprs(conds):
+    """The set's minors as Exprs, in its order."""
+    return tuple(conds.table.minor_expr(i) for i in conds.minors)
+
+
+def _table_terms(table, index):
+    """Minor index's terms as the table keeps them, laid out as float_terms(minor, ("k",))."""
+    coefs, ps, qs, kpows, monos = table._columns
+    by_id = list(table._monos)
+    start = table._starts[index]
+    return tuple((coefs[i], ps[i], qs[i], by_id[monos[i]], (kpows[i],))
+                 for i in range(start, start + table._counts[index]))
+
+
+def _minor_set(*minors, corner=(1.0, 1.0)):
+    """The condition set of a pair whose P11, and Q11 when a second minor is
+    given, are the minors; at a corner with neither lambda nor theta in
+    them, they are its only minors, in this order."""
+    q = {(1, 1): minors[1]} if len(minors) > 1 else {}
+    pair = PQPair(_sym_matrix(3, {(1, 1): minors[0]}), _sym_matrix(5, q), has_gap=True)
+    conds = psd_conditions(pair, LINEAR, [corner])
+    assert _exprs(conds) == minors
+    return conds
+
+
 def test_psd_conditions_damped_newton_minors():
     conds = psd_conditions(damped_newton_winner(), LINEAR, corners=[(1.0, 1.0)])
-    minors = set(conds.minors)
+    minors = set(_exprs(conds))
     k = Expr.symbol("k")
     assert HALF * k in minors                 # P11 with lambda at the corner
     assert HALF * (k - k ** 2) in minors      # Q11
@@ -142,7 +168,7 @@ def test_psd_conditions_damped_newton_minors():
 def test_psd_conditions_sc_nag_cross_minor():
     pair = build("second-order-hessian", ("A1", "B1", "B2", "B3"), {"b": 0, "a": 2})
     conds = psd_conditions(pair, LINEAR, corners=[(1.0, 1.0)])
-    minors = set(conds.minors)
+    minors = set(_exprs(conds))
     # The 2x2 determinant of P at a = 2 sqrt(mu), mu = 1: (2k - k^2)/4 - k^2/4.
     assert parse_expr("1/2*k - 1/2*k^2") in minors
 
@@ -152,7 +178,7 @@ def test_psd_conditions_zero_p_gives_no_p_minors():
     conds = psd_conditions(pair, LINEAR, corners=[(1.0, 1.0)])
     # P is the zero matrix; every minor comes from Q.
     assert all(not e for row in pair.P for e in row)
-    assert all(m.free_symbols() <= {"k"} for m in conds.minors)
+    assert all(m.free_symbols() <= {"k"} for m in _exprs(conds))
 
 
 def test_psd_conditions_reject_offdiagonal_lambda():
@@ -251,8 +277,8 @@ def test_psd_conditions_match_per_corner_reference(system, query, enumerations):
     corners = query.corners()
     for group in enumerations(system):
         conds = psd_conditions(group.representative, query.gamma, corners)
-        assert conds.minors == _reference_psd_minors(group.representative, query.gamma,
-                                                     corners), f"group {group.group_id}"
+        assert _exprs(conds) == _reference_psd_minors(group.representative, query.gamma,
+                                                      corners), f"group {group.group_id}"
 
 
 @pytest.mark.parametrize("labels, n_groups", [
@@ -274,9 +300,9 @@ def test_shared_conditions_match_psd_conditions_row_by_row(labels, n_groups, enu
         for query, conds in zip(queries, shared):
             reference = psd_conditions(pair, query.gamma, query.corners())
             assert conds.corners == reference.corners
-            assert conds.minors == reference.minors, f"group {group.group_id}"
-            assert conds.terms == reference.terms
-            assert conds.term_minors == reference.term_minors
+            assert _exprs(conds) == _exprs(reference), f"group {group.group_id}"
+            assert ([_table_terms(table, i) for i in conds.minors]
+                    == [_table_terms(reference.table, i) for i in reference.minors])
         assert (shared[0] is shared[1]) == same_corners
 
 
@@ -366,9 +392,9 @@ def _with_new_first_row(pair, rng, extra=ZERO):
 def _check_table_against_reference(table, pair, gamma, corners, where):
     """The table's minors of pair are the Fraction reference's, with their term tables."""
     conds, = table.conditions(pair, [corners])
-    assert conds.minors == _reference_psd_minors(pair, gamma, corners), where
-    assert conds.terms == tuple(itertools.chain.from_iterable(
-        float_terms(m, ("k",)) for m in conds.minors)), where
+    assert _exprs(conds) == _reference_psd_minors(pair, gamma, corners), where
+    assert ([_table_terms(table, i) for i in conds.minors]
+            == [float_terms(m, ("k",)) for m in _exprs(conds)]), where
 
 
 @pytest.mark.parametrize("mu, L", [(1.0, 4.0), (0.5, 9.0), (0.3, 7.1)])
@@ -401,7 +427,7 @@ def test_minor_table_growing_its_denominator_keeps_equal_ints_apart():
     table = MinorTable(LINEAR, [[(1.0, 1.0)]])
     for p11 in (HALF * A, A, A * Fraction(1, 3), A * Fraction(1, 6)):
         pair = PQPair(_sym_matrix(3, {(1, 1): p11}), _sym_matrix(5, {}), has_gap=True)
-        assert table.conditions(pair, [((1.0, 1.0),)])[0].minors == (p11,)
+        assert _exprs(table.conditions(pair, [((1.0, 1.0),)])[0]) == (p11,)
 
 
 @pytest.mark.parametrize("system", sorted(CATALOG))
@@ -415,6 +441,36 @@ def test_integer_kernel_matches_fraction_reference_on_catalog(system, enumeratio
         for group in enumerations(system):
             _check_table_against_reference(table, group.representative, gamma, corners,
                                            f"{gamma.name}, group {group.group_id}")
+
+
+def _hexed(terms):
+    return tuple((c.hex(), p.hex(), q.hex(), mono, powers) for c, p, q, mono, powers in terms)
+
+
+@pytest.mark.parametrize("mu, L", [(1.0, 4.0), (0.5, 9.0)])
+def test_catalog_float_terms_match_float_terms_of_each_minor(mu, L, enumerations, monkeypatch):
+    """Every minor of every table that verify_catalog makes has, as the table
+    keeps it from its integer form, the float terms that float_terms gives
+    its Expr, bit for bit."""
+    tables = []
+
+    class Recorded(MinorTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr(analysis, "MinorTable", Recorded)
+    report = verify_catalog(mu, L, jobs=1,
+                            enumerations={name: enumerations(name) for name in CATALOG})
+    monkeypatch.undo()
+    assert report.passed
+    checked = 0
+    for table in tables:
+        for i in range(len(table._counts)):
+            expected = float_terms(table.minor_expr(i), ("k",))
+            assert _hexed(_table_terms(table, i)) == _hexed(expected), (table.gamma, i)
+            checked += 1
+    assert checked > 1000
 
 
 def test_no_minor_table_outlives_its_call(enumerations):
@@ -688,7 +744,7 @@ def test_feasible_matches_per_minor_reference(system, query, enumerations):
         conds = psd_conditions(group.representative, query.gamma, query.corners())
         for point in query.grid_points():
             compiled = compile_conditions([conds], [point], tgrid)
-            reference = [_ReferenceMinor(m, point, tgrid) for m in conds.minors]
+            reference = [_ReferenceMinor(m, point, tgrid) for m in _exprs(conds)]
             where = f"group {group.group_id} at {point}"
             for table, column in ((compiled.coef[0], "bases"), (compiled.size[0], "sizes")):
                 expected = np.concatenate([getattr(m, column) for m in reference] + [[]])
@@ -767,9 +823,12 @@ def test_batched_bisection_walks_the_one_midpoint_path(system, query, enumeratio
 
 def _dict_merge_compile(conds, bindings):
     """coef, size and exponents of compile_conditions, by merging the output of
-    bind_terms key by key."""
+    bind_terms over float_terms of each minor's Expr key by key."""
     merged = {}
-    for minor, (base, e, (kpow,)) in zip(conds.term_minors, bind_terms(conds.terms, bindings)):
+    tables = [float_terms(m, ("k",)) for m in _exprs(conds)]
+    term_minors = [i for i, table in enumerate(tables) for _term in table]
+    terms = [term for table in tables for term in table]
+    for minor, (base, e, (kpow,)) in zip(term_minors, bind_terms(terms, bindings)):
         key = (kpow, minor, e)
         entry = merged.get(key)
         if entry is None:
@@ -980,7 +1039,7 @@ _RUN_CASES = _DIFFERENTIAL_CASES + [
 @pytest.mark.parametrize("system, queries", _RUN_CASES)
 def test_block_run_matches_each_group_alone(system, queries, enumerations):
     queries = queries if isinstance(queries, list) else [queries]
-    pairs = [group.representative for group in enumerations(system)]
+    pairs = [(group.pool, group.cells) for group in enumerations(system)]
     run = analysis._analyze_run(pairs, queries)
     assert len(run) == len(pairs)
     for g, (pair, rates) in enumerate(zip(pairs, run)):
@@ -1150,10 +1209,13 @@ def test_rows_sharing_a_condition_set_run_as_one_batch(enumerations, monkeypatch
 
 
 def test_pool_tasks_carry_no_member_sequences(enumerations):
-    # A lock cannot be pickled: the pool must not ship the groups' members.
+    # A lock cannot be pickled: the pool must ship only each group's entry
+    # pool and cells, not its representative or the stage moves its members
+    # are decoded from.
     groups = enumerations("nag")
     query = RateQuery(LOG, mu=1.0, convex=True, grid={"r": (3.0,)})
-    locked = [PairGroup(g.group_id, g.representative, positions=[threading.Lock()])
+    enumeration = dataclasses.replace(groups[0].enumeration, moves=threading.Lock())
+    locked = [PairGroup(g.group_id, threading.Lock(), g.member_count, g.state, enumeration)
               for g in groups]
     assert analyze_groups(locked, query, jobs=2) == analyze_groups(groups, query, jobs=1)
 
@@ -1163,7 +1225,7 @@ def test_batched_flags_keep_each_k_and_check():
     # leading coefficient; 1 - k t / 10^7 fails only the leading check for
     # 0 < k < 10, since it stays above 0.9 up to the grid's end at t = 10^6.
     minors = (parse_expr("1*t^2 - 1*k*t + 1"), parse_expr("1 - 1/10000000*k*t"))
-    conds = PsdConditionSet(((1.0, 1.0),), minors, [float_terms(m, ("k",)) for m in minors])
+    conds = _minor_set(*minors)
     ks = np.array([0.0, 1.0, 3.0])
     for domain, expected in ((AllPositive(), [True, False, False]),
                              (Window(T_GRID_LO, T_GRID_HI), [True, True, False])):
@@ -1180,7 +1242,7 @@ def test_all_positive_checks_the_trailing_coefficient():
     # which at k = 2 + 1e-6 lies far below the grid's first point.
     K = Expr.symbol("k")
     minor = HALF * K * (K - 2) * (K - R - 1) * Expr.t_power(-3) + HALF * K * T_INV
-    conds = PsdConditionSet(((1.0, 1.0),), (minor,), [float_terms(minor, ("k",))])
+    conds = _minor_set(minor)
     for domain, expected in ((AllPositive(), [True, False]), (Eventually(1.0), [True, True])):
         query = RateQuery(LINEAR, mu=1.0, grid={"r": (4.0,)}, t_domain=domain)
         assert [feasible(conds, k, query) for k in (2.0, 2.0 + 1e-6)] == expected
@@ -1207,7 +1269,7 @@ def test_identically_zero_minor_survives_float_rounding():
     # be measured against the terms' own magnitudes, not against itself.
     minor = parse_expr("25/2*b*k - 5*b*k^2 - 25/2*b^2*k^2 + 5/2*k - 1/2*k^2")
     assert minor.subs_params({"b": Fraction(-1, 5)}) == ZERO
-    conds = PsdConditionSet(((0.5, 5.0),), (minor,), [float_terms(minor, ("k",))])
+    conds = _minor_set(minor, corner=(0.5, 5.0))
     query = RateQuery(LINEAR, mu=0.5, L=5.0, grid={"b": (-1 / 5,)})
     compiled = compile_conditions([conds], [query.point()], time_grid(query.t_domain))
     assert compiled.coef.min() < 0  # the rounding this test is about

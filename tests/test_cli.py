@@ -1,5 +1,7 @@
+import argparse
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -191,6 +193,18 @@ def test_bad_param_grid_range_is_a_usage_error(tmp_path, capsys, spec, message):
             "--param-grid", spec, "--out", str(tmp_path / "out.csv")]
     assert main(argv) == 1
     assert f"argument --param-grid: {message}" in capsys.readouterr().err
+
+
+def test_param_grid_range_is_capped():
+    # A range is counted before any value is made: one value past the cap of
+    # 10 000, a billion values or an infinite count is refused at once.
+    assert len(_parse_param_grid("r=1:1:10000")[1]) == 10_000
+    for spec, count in (("r=1:1:10001", "10001"), ("r=1:1:1e9", "1e+09"),
+                        ("r=0:1e-320:1", "inf")):
+        with pytest.raises(argparse.ArgumentTypeError,
+                           match=f"has {re.escape(count)} values, more than the 10000 "
+                                 "a range may have"):
+            _parse_param_grid(spec)
 
 
 def test_param_grid_forms():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from lyapsearch import sequences
+from lyapsearch import pq, sequences
 from lyapsearch.pq import apply_operation, apply_sequence, initial_pair
 from lyapsearch.sequences import (B_STAGES, C_STAGES, D_STAGES, M_STAGES, OperationSequence,
                                   TOTAL_SEQUENCES, dump_groups_csv, enumerate_pairs,
@@ -100,26 +100,43 @@ def test_dump_groups_csv(tmp_path, enumerations):
     assert rows[1][2].startswith("A1")
 
 
-def test_each_distinct_transition_is_applied_once(monkeypatch):
-    """apply_operation runs once per distinct (pair, operation) the stages reach,
-    A1 on the initial pair included; every other step is a table lookup."""
-    calls = []
+def test_each_distinct_transition_and_entry_update_is_computed_once(monkeypatch):
+    """enumerate_pairs applies the rules once per distinct (state, operation)
+    the stages reach, and computes each distinct entry update through Exprs
+    once; every other step is a table lookup.  A1 is applied once, to the
+    initial pair."""
+    transitions, updates = [], []
+    apply_to_cells = sequences.apply_to_cells
+    add, sub = pq._EXPR_ENTRIES.add, pq._EXPR_ENTRIES.sub
 
-    def counting(pair, op):
-        calls.append((pair.matrix_key(), op))
-        return apply_operation(pair, op)
+    def counting_apply(cells, op, entries):
+        transitions.append((cells, op))
+        return apply_to_cells(cells, op, entries)
 
-    monkeypatch.setattr(sequences, "apply_operation", counting)
+    def counting_add(old, factor, s):
+        updates.append((old, factor, s))
+        return add(old, factor, s)
+
+    def counting_sub(old, factor, s, shifted):
+        updates.append((old, factor, s, shifted))
+        return sub(old, factor, s, shifted)
+
+    monkeypatch.setattr(sequences, "apply_to_cells", counting_apply)
+    monkeypatch.setattr(pq._EXPR_ENTRIES, "add", counting_add)
+    monkeypatch.setattr(pq._EXPR_ENTRIES, "sub", counting_sub)
     counts = {}
     for name, system in CATALOG.items():
-        calls.clear()
+        transitions.clear()
+        updates.clear()
         enumerate_pairs(system)
-        assert len(calls) == len(set(calls)), name
-        counts[name] = len(calls)
-    assert counts == {"damped-newton": 97, "first-order-hessian": 191,
-                      "second-order-hessian": 940, "nag": 80, "generalized-nag": 80,
-                      "hessian-nag": 940}
-    assert sum(counts.values()) == 2328
+        assert len(transitions) == len(set(transitions)), name
+        assert len(updates) == len(set(updates)), name
+        assert "A1" not in {op for _cells, op in transitions}, name
+        counts[name] = (len(transitions), len(updates))
+    # (transitions, entry updates), A1's three updates included.
+    assert counts == {"damped-newton": (96, 39), "first-order-hessian": (190, 45),
+                      "second-order-hessian": (939, 61), "nag": (79, 14),
+                      "generalized-nag": (79, 14), "hessian-nag": (939, 61)}
 
 
 def _reference_enumerate_pairs(system):
