@@ -44,26 +44,29 @@ ranges of a block, and certified_time's Window prefixes, come from one
 violations pass per compile.
 
 The exact work is shared across pairs through a MinorTable, made for one
-gamma form and the corners of the queries it serves: gamma is substituted
-once per distinct entry, each distinct principal submatrix's determinant is
-built once, from sub-determinants also built once, each distinct
-determinant is bound once per corner, and each distinct bound minor gets its
-float terms once.  A run over groups threads one table through them and
-drops it at the end: analyze_groups, and verify_catalog for the rows that
-share a system and a gamma form; only one block's condition sets are held
-at a time.  With a pool, each worker gets one contiguous run of groups and
-makes its own table for it; its task carries only the groups' entry pool
-and their cells there.  The table maps each pool id to its substituted
-entry through a list per pool.  Queries with the same corners share a
-pair's whole condition set.  A run makes one t grid per t domain of its
-batches, and each compile takes the powers of that grid for its own
-exponents of t.
+gamma form, the corners of the queries it serves and one list of raw
+entries, an enumeration's EntryPool entries, whose ids the pairs' cells
+are: gamma is substituted once per entry when the table is made, each
+distinct principal submatrix's determinant is built once, from
+sub-determinants also built once, each distinct determinant is bound once
+per corner, and each distinct bound minor gets its float terms once.  A run
+over groups threads one table through them and drops it at the end:
+analyze_groups, which takes the groups of one enumeration, and
+verify_catalog for the rows that share a system and a gamma form; only one
+block's condition sets are held at a time.  With a pool, each worker gets
+one contiguous run of groups and makes its own table for it; its task
+carries only the entry list and the groups' cells.  psd_conditions and
+max_rate intern their one pair into an EntryPool of its own.  Queries with
+the same corners share a pair's whole condition set.  A run makes one t
+grid per t domain of its batches, and each compile takes the powers of that
+grid for its own exponents of t.
 
 That exact work is integer arithmetic.  The table keeps each substituted
-entry also as integers over one common denominator s, so the cofactor
-expansion of an n x n block adds and multiplies plain ints and yields s^n
-times its determinant.  Each corner binds lambda = Lam / D and theta =
-Theta / D in integers too: a term with lambda^a * theta^b gets the factor
+entry also as integers over one common denominator s, the lcm of the
+denominators of all its entries' coefficients, so the cofactor expansion of
+an n x n block adds and multiplies plain ints and yields s^n times its
+determinant.  Each corner binds lambda = Lam / D and theta = Theta / D in
+integers too: a term with lambda^a * theta^b gets the factor
 Lam^a * Theta^b * D^(n - a - b), a whole number because lambda and theta
 enter only diagonal entries, and affinely, so no product of n entries holds
 more than n of them.  A bound minor, over (D * s)^n and reduced by the gcd of
@@ -358,12 +361,13 @@ class MinorTable:
     """The exact minor work of many pairs under one gamma form and set of corners.
 
     Pairs of one system share most of their entries, and so most of their
-    principal submatrices and minors.  The table holds each entry's gamma
-    substitution, interned, and for each EntryPool that hands it cells, a
-    list from pool id to substituted id; for each distinct principal
-    submatrix, keyed by its interned entries, the index of its minor bound
-    at each corner, or None where that minor vanishes; and each distinct
-    bound minor once, as its float terms.  So gamma is substituted once per
+    principal submatrices and minors.  The table is made over one list of
+    raw entries, whose ids the cells given to conditions are; it holds each
+    entry's gamma substitution, interned, and a list from raw id to
+    substituted id; for each distinct principal submatrix, keyed by its
+    interned entries, the index of its minor bound at each corner, or None
+    where that minor vanishes; and each distinct bound minor once, as its
+    float terms.  So gamma is substituted once per
     distinct entry, a determinant is built once per distinct nonzero
     submatrix, each distinct determinant is bound once per corner, and a
     minor's terms are made once.  The determinants come from a cofactor
@@ -376,14 +380,13 @@ class MinorTable:
 
     The exact work runs on integers.  Each substituted entry is kept a second
     time as {term id: int}, times the common denominator s of every entry
-    coefficient so far; when an entry brings a new denominator, s grows and
-    every scaled entry and memoised determinant is multiplied up with it.
-    The expansion of an n x n block then gives s^n times its determinant.  A
-    corner binds lambda = Lam / D and theta = Theta / D, over one denominator
-    D, by multiplying a term's coefficient by Lam^a * Theta^b * D^(n - a - b):
-    lambda and theta enter only diagonal entries, and affinely, so a product
-    of n entries carries a + b <= n of them, and the bound minor is the
-    result over (D * s)^n.  Divided by the gcd of that denominator and its
+    coefficient, fixed when the table is made.  The expansion of an n x n
+    block then gives s^n times its determinant.  A corner binds lambda =
+    Lam / D and theta = Theta / D, over one denominator D, by multiplying a
+    term's coefficient by Lam^a * Theta^b * D^(n - a - b): lambda and theta
+    enter only diagonal entries, and affinely, so a product of n entries
+    carries a + b <= n of them, and the bound minor is the result over
+    (D * s)^n.  Divided by the gcd of that denominator and its
     numerators, a minor has one form, on which minors are interned.
 
     A new minor's terms go, in Expr.terms() order, into flat lists that every
@@ -393,22 +396,26 @@ class MinorTable:
     a minor is made only when minor_expr asks for it.
 
     A table lives for one run over a list of pairs; the corners of every
-    query it serves are fixed when it is made.
+    query it serves, and the entries, are fixed when it is made.
     """
 
-    def __init__(self, gamma: GammaForm, corner_sets: Iterable[Iterable[tuple[float, float]]]):
+    def __init__(self, gamma: GammaForm, corner_sets: Iterable[Iterable[tuple[float, float]]],
+                 entries: Sequence[Expr]):
         self.gamma = gamma
         corners = dict.fromkeys(c for cs in corner_sets for c in cs)
         self._corner_index = {c: i for i, c in enumerate(corners)}
         self._corners = [_over_common_denominator(lam, theta) for lam, theta in corners]
-        # per pool, pool id -> (id of its substitution, its _curvature_part)
-        self._pool_entries: dict[EntryPool, list[tuple[int, tuple | None] | None]] = {}
-        self._pairs = EntryPool()              # the pool of the pairs given to conditions
         self._entries: list[Expr] = [ZERO]     # substituted entries by id
         self._entry_index: dict[Expr, int] = {ZERO: 0}
-        self._scale = 1                        # s, the common denominator of the entries
-        self._scaled: list[dict[int, int]] = [{}]  # s times each substituted entry
+        # by raw entry id: (id of its substitution, its _curvature_part)
+        self._ids = [self._entry_id(entry) for entry in entries]
+        # s, the common denominator of the entries, and s times each of them
+        self._scale = math.lcm(*(coeff.denominator for entry in self._entries
+                                 for _exp, _mono, coeff in entry.terms()))
         self._terms = _Terms()
+        self._scaled: list[dict[int, int]] = [
+            {self._terms.id((exp, mono)): coeff.numerator * (self._scale // coeff.denominator)
+             for exp, mono, coeff in entry.terms()} for entry in self._entries]
         self._submatrices: dict[tuple[int, ...], tuple[int | None, ...]] = {}
         self._dets: dict[tuple[int, ...], dict[int, int]] = {}  # sub-block entry ids -> s^n det
         self._bound: dict[tuple, tuple[int | None, ...]] = {}  # (n, s^n det) -> _bound_minors
@@ -433,26 +440,7 @@ class MinorTable:
         if eid is None:
             eid = self._entry_index[substituted] = len(self._entries)
             self._entries.append(substituted)
-            self._scaled.append(self._scale_entry(substituted))
         return eid, _curvature_part(entry)
-
-    def _scale_entry(self, entry: Expr) -> dict[int, int]:
-        """s times entry, as {term id: int}; s first grows to a multiple of its denominators."""
-        terms = list(entry.terms())
-        den = math.lcm(*(coeff.denominator for _exp, _mono, coeff in terms))
-        if self._scale % den:
-            self._rescale(den // math.gcd(self._scale, den))
-        return {self._terms.id((exp, mono)): coeff.numerator * (self._scale // coeff.denominator)
-                for exp, mono, coeff in terms}
-
-    def _rescale(self, factor: int) -> None:
-        """Multiply s by factor, with every scaled entry and memoised determinant."""
-        self._scale *= factor
-        self._scaled[:] = [{t: c * factor for t, c in entry.items()} for entry in self._scaled]
-        for key, det in self._dets.items():
-            f = factor ** math.isqrt(len(key))
-            self._dets[key] = {t: c * f for t, c in det.items()}
-        self._bound.clear()  # keyed on scaled determinants
 
     def _bound_minors(self, key: tuple[int, ...]) -> tuple[int | None, ...]:
         """Per corner, the index of the bound minor of the submatrix key, or None."""
@@ -571,36 +559,16 @@ class MinorTable:
                     return names[f]
         return None
 
-    def _cell_ids(self, pool: EntryPool, cells: Sequence[int]) -> list[tuple[int, tuple | None]]:
-        """(substituted id, _curvature_part) of each of the pool's cells."""
-        known = self._pool_entries.setdefault(pool, [])
-        if len(known) < len(pool.entries):
-            known.extend([None] * (len(pool.entries) - len(known)))
-        out = []
-        for cell in cells:
-            seen = known[cell]
-            if seen is None:
-                seen = known[cell] = self._entry_id(pool.entries[cell])
-            out.append(seen)
-        return out
-
-    def conditions(self, pair: PQPair,
+    def conditions(self, cells: Sequence[int],
                    corner_sets: Sequence[tuple[tuple[float, float], ...]]
                    ) -> list[PsdConditionSet]:
-        """psd_conditions(pair, gamma, corners) for each of the corner sets."""
-        if not pair.has_gap:
-            raise AnalysisError("pair lacks the objective-gap term; apply A1 first")
-        return self.cell_conditions(self._pairs, self._pairs.cells(pair), corner_sets)
-
-    def cell_conditions(self, pool: EntryPool, cells: Sequence[int],
-                        corner_sets: Sequence[tuple[tuple[float, float], ...]]
-                        ) -> list[PsdConditionSet]:
-        """conditions for the pair, past A1, whose entries are the ids cells of pool.
+        """psd_conditions, for each of the corner sets, of the pair past A1
+        whose entries are the raw entries numbered cells.
 
         The minors come corner-major, then in subset order, P before Q, and
         deduplicated by equality; equal corner sets share one condition set.
         """
-        ids = self._cell_ids(pool, cells)
+        ids = list(map(self._ids.__getitem__, cells))
         matrices = [ids[:9], ids[9:]]  # row-major
         _check_diagonal_parameters(matrices)
         subset_minors = []
@@ -656,7 +624,16 @@ def psd_conditions(pair: PQPair, gamma: GammaForm,
     many pairs shares one table instead.
     """
     corners = tuple(corners)
-    return MinorTable(gamma, (corners,)).conditions(pair, (corners,))[0]
+    entries, (cells,) = _pooled(pair)
+    return MinorTable(gamma, (corners,), entries).conditions(cells, (corners,))[0]
+
+
+def _pooled(pair: PQPair) -> tuple[list[Expr], list[tuple[int, ...]]]:
+    """The entries of a fresh EntryPool holding pair, past A1, and its cells there."""
+    if not pair.has_gap:
+        raise AnalysisError("pair lacks the objective-gap term; apply A1 first")
+    pool = EntryPool()
+    return pool.entries, [pool.cells(pair)]
 
 
 # -- numeric feasibility ----------------------------------------------------------
@@ -982,16 +959,15 @@ def max_rate(pair: PQPair, query: RateQuery) -> RateResult:
     This is a run of one pair.  Raises InfeasiblePairError when no grid point
     is PSD even at k = 0.
     """
-    pool = EntryPool()
-    result = _analyze_run([(pool, pool.cells(pair))], [query])[0][0]
+    result = _analyze_run(*_pooled(pair), [query])[0][0]
     if result is None:
         raise InfeasiblePairError("pair is not PSD at k = 0 for any grid point")
     return result
 
 
-def _analyze_run(pairs: Sequence[tuple[EntryPool, tuple[int, ...]]],
+def _analyze_run(entries: Sequence[Expr], cells: Sequence[tuple[int, ...]],
                  queries: Sequence[RateQuery]) -> list[list[RateResult | None]]:
-    """Per pair of a run, given as a pool and its cells there, max_rate on it
+    """Per pair of a run, given by its cells, ids of entries, max_rate on it
     for each of the queries, which share one gamma form; None for a query
     with no grid point PSD at k = 0.
 
@@ -1014,11 +990,10 @@ def _analyze_run(pairs: Sequence[tuple[EntryPool, tuple[int, ...]]],
             batches.setdefault((corners, domain, point.get("alpha")), []).append((q, i, point))
     block = max(1, BLOCK_POINTS // max(n_points.values()))
     tgrids = {domain: time_grid(domain) for _corners, domain, _alpha in batches}
-    table = MinorTable(queries[0].gamma, corner_sets)
+    table = MinorTable(queries[0].gamma, corner_sets, entries)
     per_pair: list[list[RateResult | None]] = []
-    for start in range(0, len(pairs), block):
-        conds = [table.cell_conditions(pool, cells, corner_sets)
-                 for pool, cells in pairs[start:start + block]]
+    for start in range(0, len(cells), block):
+        conds = [table.conditions(pair, corner_sets) for pair in cells[start:start + block]]
         compiled = {}
         # (pair, query) -> (k, -point index, status, batch key, row) of its best point so far
         best: dict[tuple[int, int], tuple] = {}
@@ -1049,10 +1024,12 @@ def _analyze_run(pairs: Sequence[tuple[EntryPool, tuple[int, ...]]],
     return per_pair
 
 
-def certified_time(pairs: Sequence[PQPair], query: RateQuery, k: float) -> float:
+def certified_time(entries: Sequence[Expr], cells: Sequence[tuple[int, ...]],
+                   query: RateQuery, k: float) -> float:
     """Largest t up to which, for some pair and grid point, every minor stays
     nonnegative at the given k: the end of the longest certified prefix of
-    the query's Window, or 0 where none holds at its start.
+    the query's Window, or 0 where none holds at its start.  The pairs are
+    past A1 and given by their cells, ids of entries.
 
     The pairs go through one MinorTable in blocks of BLOCK_POINTS, with one
     compile and one violations pass per block and grid point.  Raises
@@ -1062,12 +1039,12 @@ def certified_time(pairs: Sequence[PQPair], query: RateQuery, k: float) -> float
     if not isinstance(domain, Window):
         raise AnalysisError(f"a certified time needs a Window t domain, got {domain!r}")
     corners = query.corners()
-    table = MinorTable(query.gamma, (corners,))
+    table = MinorTable(query.gamma, (corners,), entries)
     tgrid = time_grid(domain)
     best = 0.0
-    for start in range(0, len(pairs), BLOCK_POINTS):
+    for start in range(0, len(cells), BLOCK_POINTS):
         sets = [table.conditions(pair, (corners,))[0]
-                for pair in pairs[start:start + BLOCK_POINTS]]
+                for pair in cells[start:start + BLOCK_POINTS]]
         for point in query.grid_points():
             for mask in compile_conditions(sets, [point], tgrid).violations(np.full(len(sets), k)):
                 if not mask[0]:  # certified at the left end of the grid
@@ -1088,21 +1065,26 @@ def _analyze_queries(groups: Sequence[PairGroup], queries: Sequence[RateQuery],
                      jobs: int) -> list[list[GroupRate]]:
     """analyze_groups for each of the queries, which share one gamma form.
 
-    The work runs block by block of groups through one MinorTable, so only
-    one block's condition sets are held at a time.  With a pool, each worker
-    takes one contiguous run of groups and makes a table of its own; a task
-    carries only the groups' entry pool and cells, not their ids,
-    representatives or members, and the runs come back in order.
+    The groups must come from one enumeration: their cells are ids of its
+    pool's entries.  The work runs block by block of groups through one
+    MinorTable, so only one block's condition sets are held at a time.  With
+    a pool, each worker takes one contiguous run of groups and makes a table
+    of its own; a task carries only the pool's entries and the groups'
+    cells, not their ids, representatives or members, and the runs come
+    back in order.
     """
-    pairs = [(group.pool, group.cells) for group in groups]
+    if len({id(group.pool) for group in groups}) > 1:
+        raise AnalysisError("groups analysed together must come from one enumeration")
+    entries = groups[0].pool.entries if groups else []
+    cells = [group.cells for group in groups]
     if jobs > 1:
-        n_runs = min(jobs, len(pairs)) or 1
-        bounds = [len(pairs) * i // n_runs for i in range(n_runs + 1)]
-        runs = [(pairs[lo:hi], queries) for lo, hi in zip(bounds, bounds[1:])]
+        n_runs = min(jobs, len(cells)) or 1
+        bounds = [len(cells) * i // n_runs for i in range(n_runs + 1)]
+        runs = [(entries, cells[lo:hi], queries) for lo, hi in zip(bounds, bounds[1:])]
         with multiprocessing.Pool(jobs) as pool:
             per_pair = list(itertools.chain.from_iterable(pool.starmap(_analyze_run, runs)))
     else:
-        per_pair = _analyze_run(pairs, queries)
+        per_pair = _analyze_run(entries, cells, queries)
     return [[GroupRate(group.group_id, results[i]) for group, results in zip(groups, per_pair)]
             for i in range(len(queries))]
 
@@ -1235,8 +1217,8 @@ def verify_catalog(mu: float = 1.0, L: float = 4.0, jobs: int = 1,
             if row.expected_window is None:
                 bundles.setdefault(row.query.gamma, []).append(row)
                 continue
-            observed = certified_time([g.representative for g in groups], row.query,
-                                      row.k_probe)
+            observed = certified_time(groups[0].pool.entries, [g.cells for g in groups],
+                                      row.query, row.k_probe)
             step = grid_step_factor()
             passed = row.expected_window / step ** 2 <= observed <= row.expected_window * step ** 2
             outcomes[row.label] = RowOutcome(

@@ -15,10 +15,10 @@ A1 is written out; the other ten are rows of one table, each naming its source
 Q entry, the P entry it feeds and the Q entries it corrects.
 
 One function, apply_to_cells, applies A1 and the table rows to a pair's 34
-cells (P's entries, then Q's, row-major), doing the entry arithmetic through
-an object it is given: on Exprs for apply_operation and apply_sequence, or on
-the int ids of an EntryPool, which interns the entries of one enumeration and
-runs each distinct entry update through Expr arithmetic once.
+cells (P's entries, then Q's, row-major), as the int ids of an EntryPool,
+which interns the entries it meets and runs each distinct entry update
+through Expr arithmetic once.  An enumeration keeps one pool for all its
+states; apply_sequence makes one per sequence.
 
 The module is purely symbolic; numbers are read from the entries through the
 numeric path of lyapsearch.expr.
@@ -48,7 +48,7 @@ class OperationError(Exception):
 
 
 # Bounded so that a process searching many systems does not grow it without
-# limit; the six catalog systems use 19 entries.
+# limit; the six catalog systems use 18 entries.
 @functools.lru_cache(maxsize=256)
 def g_shift(entry: Expr) -> Expr:
     """gamma' * entry + d(entry)/dt, the correction an eliminated entry leaves behind."""
@@ -148,42 +148,18 @@ def _scaled(factor: int | Expr, value: Expr) -> Expr:
     return value if factor == 1 else factor * value
 
 
-class _ExprEntries:
-    """The entry arithmetic of the rules, on Exprs."""
-
-    zero = ZERO
-
-    @staticmethod
-    def of(entry: Expr) -> Expr:
-        return entry
-
-    @staticmethod
-    def add(old: Expr, factor, s: Expr) -> Expr:
-        """old + factor * s."""
-        return old + _scaled(factor, s)
-
-    @staticmethod
-    def sub(old: Expr, factor, s: Expr, shifted: bool) -> Expr:
-        """old - factor * g_shift(s) when shifted, else old - factor * s."""
-        return old - _scaled(factor, g_shift(s) if shifted else s)
-
-
-_EXPR_ENTRIES = _ExprEntries()
-
-
-def apply_to_cells(cells: tuple, op: str, entries=_EXPR_ENTRIES) -> tuple:
+def apply_to_cells(cells: tuple[int, ...], op: str, pool: EntryPool) -> tuple[int, ...]:
     """The cells of a pair after the legal operation op.
 
-    cells holds the pair's 34 entries in the order P, then Q, each
-    row-major; entries does the arithmetic on them: Exprs by default, or the
-    ids of an EntryPool.  Each changed entry is computed once from the old
-    cells and written to both of its symmetric places.  A rule whose source
-    entry is zero leaves the cells as they are.
+    cells holds the ids in pool of the pair's 34 entries, in the order P,
+    then Q, each row-major.  Each changed entry is computed once from the
+    old cells and written to both of its symmetric places.  A rule whose
+    source entry is zero leaves the cells as they are.
     """
     new = list(cells)
     if op == "A1":
         for entry, factor, term in _A1_UPDATES:
-            value = entries.add(cells[_q_cells(*entry)[0]], factor, entries.of(term))
+            value = pool.add(cells[_q_cells(*entry)[0]], factor, pool.of(term))
             for cell in _q_cells(*entry):
                 new[cell] = value
         return tuple(new)
@@ -193,16 +169,16 @@ def apply_to_cells(cells: tuple, op: str, entries=_EXPR_ENTRIES) -> tuple:
         return cells
     if rule.p_target is not None:
         cell_pair = _p_cells(*rule.p_target)
-        value = entries.add(cells[cell_pair[0]], rule.p_weight, s)
+        value = pool.add(cells[cell_pair[0]], rule.p_weight, s)
         for cell in cell_pair:
             new[cell] = value
     for entry, factor, shifted in rule.corrections:
         cell_pair = _q_cells(*entry)
-        value = entries.sub(cells[cell_pair[0]], factor, s, shifted)
+        value = pool.sub(cells[cell_pair[0]], factor, s, shifted)
         for cell in cell_pair:
             new[cell] = value
     for cell in _q_cells(*rule.source):
-        new[cell] = entries.zero
+        new[cell] = 0
     return tuple(new)
 
 
@@ -217,14 +193,12 @@ def _matrices(cells: tuple[Expr, ...]) -> tuple[PMatrix, QMatrix]:
 
 
 class EntryPool:
-    """The distinct entries of one enumeration, interned as ints; 0 is ZERO.
+    """Distinct entries, interned as ints; 0 is ZERO.
 
     As the entry arithmetic of apply_to_cells, it works on ids, and runs
     each distinct update (old + factor * s, or old - factor * s or
     old - factor * g_shift(s)) through Exprs once, remembering its result.
     """
-
-    zero = 0
 
     def __init__(self):
         self.entries: list[Expr] = [ZERO]
@@ -244,15 +218,16 @@ class EntryPool:
         new = self._updates.get(key)
         if new is None:
             new = self._updates[key] = self.of(
-                _EXPR_ENTRIES.add(self.entries[old], factor, self.entries[s]))
+                self.entries[old] + _scaled(factor, self.entries[s]))
         return new
 
     def sub(self, old: int, factor, s: int, shifted: bool) -> int:
         key = (old, factor, s, shifted)
         new = self._updates.get(key)
         if new is None:
+            value = self.entries[s]
             new = self._updates[key] = self.of(
-                _EXPR_ENTRIES.sub(self.entries[old], factor, self.entries[s], shifted))
+                self.entries[old] - _scaled(factor, g_shift(value) if shifted else value))
         return new
 
     def cells(self, pair: PQPair) -> tuple[int, ...]:
@@ -265,26 +240,33 @@ class EntryPool:
 
 
 def apply_operation(pair: PQPair, op: str) -> PQPair:
-    """Apply one named operation, returning a new pair.
-
-    A1 is only legal on a pair that does not yet carry the objective-gap term;
-    every other operation requires A1 to have been applied.  Operations whose
-    source entry is zero are the identity, so fixed sequences are always
-    admissible.
-    """
-    if op not in OPERATIONS:
-        raise OperationError(f"unknown operation {op!r}")
-    if op == "A1":
-        if pair.has_gap:
-            raise OperationError("A1 applied twice")
-    elif not pair.has_gap:
-        raise OperationError(f"{op} applied before A1")
-    P, Q = _matrices(apply_to_cells(_pair_cells(pair), op))
-    return PQPair(P, Q, pair.provenance + (op,), has_gap=True)
+    """Apply one named operation, returning a new pair."""
+    return apply_sequence(pair, (op,))
 
 
 def apply_sequence(pair: PQPair, ops: Iterable[str]) -> PQPair:
-    """Left-to-right fold of apply_operation."""
+    """Apply the named operations left to right, returning a new pair.
+
+    A1 is only legal on a pair that does not yet carry the objective-gap
+    term; every other operation requires A1 to have been applied.
+    Operations whose source entry is zero are the identity, so fixed
+    sequences are always admissible.  Every operation is checked before
+    any runs; then the pair's cells go through one EntryPool.
+    """
+    ops = tuple(ops)
+    has_gap = pair.has_gap
     for op in ops:
-        pair = apply_operation(pair, op)
-    return pair
+        if op not in OPERATIONS:
+            raise OperationError(f"unknown operation {op!r}")
+        if op == "A1":
+            if has_gap:
+                raise OperationError("A1 applied twice")
+        elif not has_gap:
+            raise OperationError(f"{op} applied before A1")
+        has_gap = True
+    pool = EntryPool()
+    cells = pool.cells(pair)
+    for op in ops:
+        cells = apply_to_cells(cells, op, pool)
+    P, Q = _matrices(tuple(map(pool.entries.__getitem__, cells)))
+    return PQPair(P, Q, pair.provenance + ops, has_gap)

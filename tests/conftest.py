@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from lyapsearch.expr import Expr, ZERO
-from lyapsearch.pq import PQPair, _sym_matrix
+from lyapsearch.pq import EntryPool, PQPair, _sym_matrix
 from lyapsearch.sequences import enumerate_pairs
 from lyapsearch.systems import CATALOG
 
@@ -60,6 +60,13 @@ def random_pair(rng: random.Random, allow_gamma: bool = True) -> PQPair:
     q_entries = {(i, j): random_expr(rng, allow_gamma=allow_gamma)
                  for i in range(1, 6) for j in range(i, 6)}
     return PQPair(P=_sym_matrix(3, p_entries), Q=_sym_matrix(5, q_entries), has_gap=True)
+
+
+def pooled(pairs):
+    """The entries of one EntryPool holding every pair, and each pair's cells there."""
+    pool = EntryPool()
+    cells = [pool.cells(pair) for pair in pairs]
+    return pool.entries, cells
 
 
 @pytest.fixture

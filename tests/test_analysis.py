@@ -25,10 +25,10 @@ from lyapsearch.expr import (Expr, GAMMA1, LINEAR, LOG, POWER, ZERO, UnboundSymb
 from lyapsearch.lyapunov import (CATALOG as CERTIFICATES, BootstrapPreconditionError,
                                  _check_bootstrap_shape, bootstrap_rate_check)
 from lyapsearch.pq import PQPair, _sym_matrix, apply_sequence, initial_pair
-from lyapsearch.sequences import PairGroup
+from lyapsearch.sequences import PairGroup, enumerate_pairs
 from lyapsearch.systems import CATALOG, OdeSystemSpec
 
-from conftest import naive_eval, random_expr, random_pair
+from conftest import naive_eval, pooled, random_expr, random_pair
 
 HALF = Fraction(1, 2)
 LAM = Expr.symbol("lambda")
@@ -202,28 +202,29 @@ def test_minor_table_checks_each_entry_at_its_place():
     """The table keeps each raw entry's curvature part, not a verdict: an
     entry allowed on a diagonal is refused off it, and the first offender,
     P before Q and row-major, names the error."""
-    table = MinorTable(LINEAR, [((1.0, 1.0),)])
     corners = [((1.0, 1.0),)]
-    table.conditions(PQPair(_sym_matrix(3, {}), _sym_matrix(5, {(3, 3): LAM}), has_gap=True),
-                     corners)
     cases = [
         ({}, {(1, 2): LAM}, r"off-diagonal entry \(1,2\)"),
         ({(2, 2): LAM * LAM}, {(1, 2): LAM}, r"diagonal entry \(2,2\) is not affine .* lambda\^2"),
         ({(1, 3): THETA, (2, 2): LAM * LAM}, {}, r"off-diagonal entry \(1,3\)"),
         ({(2, 2): LAM * THETA, (3, 3): LAM * LAM}, {}, r"\(2,2\) .* lambda\^1\*theta\^1$"),
     ]
-    for p, q, message in cases:
-        bad = PQPair(_sym_matrix(3, p), _sym_matrix(5, q), has_gap=True)
+    entries, (good, *bad) = pooled(
+        [PQPair(_sym_matrix(3, {}), _sym_matrix(5, {(3, 3): LAM}), has_gap=True)]
+        + [PQPair(_sym_matrix(3, p), _sym_matrix(5, q), has_gap=True) for p, q, _m in cases])
+    table = MinorTable(LINEAR, corners, entries)
+    table.conditions(good, corners)
+    for cells, (_p, _q, message) in zip(bad, cases):
         with pytest.raises(DiagonalParameterError, match=message):
-            table.conditions(bad, corners)
+            table.conditions(cells, corners)
 
 
 def test_psd_conditions_require_gap_term():
-    from lyapsearch.analysis import AnalysisError
-
     fresh = initial_pair(CATALOG["damped-newton"])
     with pytest.raises(AnalysisError):
         psd_conditions(fresh, LINEAR, corners=[(1.0, 1.0)])
+    with pytest.raises(AnalysisError, match="apply A1 first"):
+        max_rate(fresh, RateQuery(LINEAR, mu=1.0, convex=True))
 
 
 def _principal_submatrices(matrix, dim):
@@ -293,10 +294,12 @@ def test_shared_conditions_match_psd_conditions_row_by_row(labels, n_groups, enu
     queries = [rows[label].query for label in labels]
     corner_sets = [query.corners() for query in queries]
     same_corners = corner_sets[0] == corner_sets[1]
-    table = MinorTable(queries[0].gamma, corner_sets)
-    for group in enumerations(rows[labels[0]].system)[:n_groups]:
+    groups = enumerations(rows[labels[0]].system)[:n_groups]
+    entries, cells = pooled(group.representative for group in groups)
+    table = MinorTable(queries[0].gamma, corner_sets, entries)
+    for group, pair_cells in zip(groups, cells):
         pair = group.representative
-        shared = table.conditions(pair, corner_sets)
+        shared = table.conditions(pair_cells, corner_sets)
         for query, conds in zip(queries, shared):
             reference = psd_conditions(pair, query.gamma, query.corners())
             assert conds.corners == reference.corners
@@ -334,12 +337,13 @@ def test_minor_table_builds_each_distinct_submatrix_once(enumerations, monkeypat
             depth[0] -= 1
 
     monkeypatch.setattr(analysis, "_det", counting_det)
-    table = MinorTable(LINEAR, [corners])
-    for group in groups:
-        table.conditions(group.representative, [corners])
+    entries, cells = pooled(group.representative for group in groups)
+    table = MinorTable(LINEAR, [corners], entries)
+    for pair_cells in cells:
+        table.conditions(pair_cells, [corners])
     assert len(built) == len(distinct) == 1300
-    for group in groups[:5]:  # a second pass builds nothing
-        table.conditions(group.representative, [corners])
+    for pair_cells in cells[:5]:  # a second pass builds nothing
+        table.conditions(pair_cells, [corners])
     assert len(built) == 1300
 
 
@@ -350,9 +354,10 @@ def test_memoised_det_matches_plain_cofactor(enumerations):
     holds an n x n block's determinant in integers, times s^n for the table's
     common denominator s."""
     corners = RateQuery(LINEAR, mu=1.0).corners()
-    table = MinorTable(LINEAR, [corners])
-    for group in enumerations("second-order-hessian"):
-        table.conditions(group.representative, [corners])
+    entries, cells = pooled(group.representative for group in enumerations("second-order-hessian"))
+    table = MinorTable(LINEAR, [corners], entries)
+    for pair_cells in cells:
+        table.conditions(pair_cells, [corners])
     memo = table._dets
     assert all(key in memo for key in table._submatrices if len(key) > 1)
     assert len(memo) == 2409  # 2x2 to 5x5 blocks; a 1x1 block is its entry
@@ -389,9 +394,10 @@ def _with_new_first_row(pair, rng, extra=ZERO):
     return PQPair(redrawn(pair.P), redrawn(pair.Q), has_gap=True)
 
 
-def _check_table_against_reference(table, pair, gamma, corners, where):
-    """The table's minors of pair are the Fraction reference's, with their term tables."""
-    conds, = table.conditions(pair, [corners])
+def _check_table_against_reference(table, cells, pair, gamma, corners, where):
+    """The table's minors of pair, whose cells in it are cells, are the
+    Fraction reference's, with their term tables."""
+    conds, = table.conditions(cells, [corners])
     assert _exprs(conds) == _reference_psd_minors(pair, gamma, corners), where
     assert ([_table_terms(table, i) for i in conds.minors]
             == [float_terms(m, ("k",)) for m in _exprs(conds)]), where
@@ -401,33 +407,36 @@ def _check_table_against_reference(table, pair, gamma, corners, where):
 def test_integer_kernel_matches_fraction_reference(mu, L):
     """One MinorTable over a run of random pairs gives each the minors of the
     Fraction reference, and their float term tables.  The run is dyadic
-    pairs, then a pair whose 1/3 coefficient makes the table's common
-    denominator grow, then dyadic pairs that reuse the sub-determinants the
-    table built before it grew.  At (0.3, 7.1) the corners' denominator is
-    2^54, so the binding works on large integers."""
+    pairs, then a pair whose 1/3 coefficient puts a 3 into the table's
+    common denominator, then dyadic pairs that reuse the sub-determinants
+    the table built before.  At (0.3, 7.1) the corners' denominator is 2^54,
+    so the binding works on large integers."""
     rng = random.Random(20251019)
     gamma = LOG
     corners = RateQuery(gamma, mu=mu, L=L).corners()
     first = [_with_curvature(random_pair(rng), rng) for _ in range(4)]
     with_third = _with_new_first_row(first[0], rng, extra=Expr.number(Fraction(1, 3)))
     later = [_with_new_first_row(pair, rng) for pair in first]
-    table = MinorTable(gamma, [corners])
-    for i, pair in enumerate(first):
-        _check_table_against_reference(table, pair, gamma, corners, f"dyadic pair {i}")
-    assert table._scale % 3 and table._dets
-    _check_table_against_reference(table, with_third, gamma, corners, "pair with 1/3")
-    assert not table._scale % 3
-    for i, pair in enumerate(later):
-        _check_table_against_reference(table, pair, gamma, corners, f"later dyadic pair {i}")
+    pairs = first + [with_third] + later
+    wheres = ([f"dyadic pair {i}" for i in range(len(first))] + ["pair with 1/3"]
+              + [f"later dyadic pair {i}" for i in range(len(later))])
+    entries, cells = pooled(pairs)
+    table = MinorTable(gamma, [corners], entries)
+    for pair, pair_cells, where in zip(pairs, cells, wheres):
+        _check_table_against_reference(table, pair_cells, pair, gamma, corners, where)
 
 
 def test_minor_table_growing_its_denominator_keeps_equal_ints_apart():
-    """After the common denominator grows from 2 to 6, a / 3 scales to the same
-    integers that a did before; it must still come out as its own minor."""
-    table = MinorTable(LINEAR, [[(1.0, 1.0)]])
-    for p11 in (HALF * A, A, A * Fraction(1, 3), A * Fraction(1, 6)):
-        pair = PQPair(_sym_matrix(3, {(1, 1): p11}), _sym_matrix(5, {}), has_gap=True)
-        assert _exprs(table.conditions(pair, [((1.0, 1.0),)])[0]) == (p11,)
+    """Over a common denominator of 6, a / 3 scales to the integers that a
+    does over 2; each of a / 2, a, a / 3 and a / 6 must come out as its own
+    minor."""
+    p11s = (HALF * A, A, A * Fraction(1, 3), A * Fraction(1, 6))
+    entries, cells = pooled(PQPair(_sym_matrix(3, {(1, 1): p11}), _sym_matrix(5, {}), has_gap=True)
+                            for p11 in p11s)
+    table = MinorTable(LINEAR, [[(1.0, 1.0)]], entries)
+    assert table._scale == 6
+    for p11, pair_cells in zip(p11s, cells):
+        assert _exprs(table.conditions(pair_cells, [((1.0, 1.0),)])[0]) == (p11,)
 
 
 @pytest.mark.parametrize("system", sorted(CATALOG))
@@ -437,10 +446,12 @@ def test_integer_kernel_matches_fraction_reference_on_catalog(system, enumeratio
     gammas = {row.query.gamma for row in catalog_rows(0.3, 7.1) if row.system == system}
     for gamma in sorted(gammas, key=lambda g: g.name):
         corners = RateQuery(gamma, mu=0.3, L=7.1).corners()
-        table = MinorTable(gamma, [corners])
-        for group in enumerations(system):
-            _check_table_against_reference(table, group.representative, gamma, corners,
-                                           f"{gamma.name}, group {group.group_id}")
+        groups = enumerations(system)
+        entries, cells = pooled(group.representative for group in groups)
+        table = MinorTable(gamma, [corners], entries)
+        for group, pair_cells in zip(groups, cells):
+            _check_table_against_reference(table, pair_cells, group.representative, gamma,
+                                           corners, f"{gamma.name}, group {group.group_id}")
 
 
 def _hexed(terms):
@@ -1000,9 +1011,9 @@ def test_block_compile_rows_match_each_set_alone(system, query, enumerations):
     block's tables; every other entry of the row is 0."""
     points = query.grid_points()
     tgrid = time_grid(query.t_domain)
-    table = MinorTable(query.gamma, [query.corners()])
-    sets = [table.conditions(group.representative, [query.corners()])[0]
-            for group in enumerations(system)[:40]]
+    entries, cells = pooled(group.representative for group in enumerations(system)[:40])
+    table = MinorTable(query.gamma, [query.corners()], entries)
+    sets = [table.conditions(pair_cells, [query.corners()])[0] for pair_cells in cells]
     block = compile_conditions(sets, points, tgrid)
     exps = [_dict_merge_compile(conds, point)[2] for conds in sets for point in points]
     union = sorted(set(np.concatenate(exps).tolist()), reverse=True)
@@ -1039,11 +1050,11 @@ _RUN_CASES = _DIFFERENTIAL_CASES + [
 @pytest.mark.parametrize("system, queries", _RUN_CASES)
 def test_block_run_matches_each_group_alone(system, queries, enumerations):
     queries = queries if isinstance(queries, list) else [queries]
-    pairs = [(group.pool, group.cells) for group in enumerations(system)]
-    run = analysis._analyze_run(pairs, queries)
-    assert len(run) == len(pairs)
-    for g, (pair, rates) in enumerate(zip(pairs, run)):
-        assert rates == analysis._analyze_run([pair], queries)[0], g
+    entries, cells = pooled(group.representative for group in enumerations(system))
+    run = analysis._analyze_run(entries, cells, queries)
+    assert len(run) == len(cells)
+    for g, (pair_cells, rates) in enumerate(zip(cells, run)):
+        assert rates == analysis._analyze_run(entries, [pair_cells], queries)[0], g
 
 
 def test_suspect_search_stays_within_its_budget(enumerations, monkeypatch):
@@ -1080,9 +1091,10 @@ def test_block_violations_match_each_row_alone(enumerations, monkeypatch):
     pass bit for bit, also when a small SUSPECT_BUDGET splits the rows into
     passes of three."""
     query = RateQuery(LINEAR, mu=1.0, grid={"a": (0.5, 1.0, 1.5), "b": (0.0, 0.5, 1.0)})
-    table = MinorTable(query.gamma, [query.corners()])
-    sets = [table.conditions(group.representative, [query.corners()])[0]
-            for group in enumerations("second-order-hessian")[::10]]
+    entries, cells = pooled(group.representative
+                            for group in enumerations("second-order-hessian")[::10])
+    table = MinorTable(query.gamma, [query.corners()], entries)
+    sets = [table.conditions(pair_cells, [query.corners()])[0] for pair_cells in cells]
     block = compile_conditions(sets, query.grid_points(), time_grid(query.t_domain))
     n_rows = len(block.coef)
     ks = np.random.default_rng(11).uniform(0.0, 3.0, size=n_rows)
@@ -1107,18 +1119,18 @@ def test_certified_time_over_groups_is_the_max_over_each_alone(enumerations, mon
     """Over every nag group in blocks of two, at two grid points, the certified
     time is the largest of the groups' own."""
     query = RateQuery(LINEAR, mu=1.0, grid={"r": (6.0, 8.0)}, t_domain=Window(1e-2, 64.0))
-    pairs = [group.representative for group in enumerations("nag")]
-    alone = [certified_time([pair], query, 1.0) for pair in pairs]
+    entries, cells = pooled(group.representative for group in enumerations("nag"))
+    alone = [certified_time(entries, [pair_cells], query, 1.0) for pair_cells in cells]
     assert 0.0 < max(alone) < 64.0 and min(alone) == 0.0
     monkeypatch.setattr(analysis, "BLOCK_POINTS", 4)
-    assert certified_time(pairs, query, 1.0) == max(alone)
+    assert certified_time(entries, cells, query, 1.0) == max(alone)
 
 
 @pytest.mark.parametrize("domain", [AllPositive(), Eventually(1e4)], ids=["all", "eventually"])
 def test_certified_time_needs_a_window(domain):
     query = RateQuery(LINEAR, mu=1.0, grid={"r": (8.0,)}, t_domain=domain)
     with pytest.raises(AnalysisError, match="needs a Window"):
-        certified_time([nag_winner()], query, 1.0)
+        certified_time(*pooled([nag_winner()]), query, 1.0)
 
 
 def test_verify_catalog_refuses_an_empty_row_selection():
@@ -1209,9 +1221,9 @@ def test_rows_sharing_a_condition_set_run_as_one_batch(enumerations, monkeypatch
 
 
 def test_pool_tasks_carry_no_member_sequences(enumerations):
-    # A lock cannot be pickled: the pool must ship only each group's entry
-    # pool and cells, not its representative or the stage moves its members
-    # are decoded from.
+    # A lock cannot be pickled: the pool must ship only the entries of the
+    # groups' pool and their cells, not a representative or the stage moves
+    # the members are decoded from.
     groups = enumerations("nag")
     query = RateQuery(LOG, mu=1.0, convex=True, grid={"r": (3.0,)})
     enumeration = dataclasses.replace(groups[0].enumeration, moves=threading.Lock())
@@ -1340,7 +1352,7 @@ def test_catalog_rows_need_mu_below_L():
 def test_nag_window_certified_time():
     # r tuned for unit rate: PSD holds exactly up to T = 2(k^2 + mu)/k^3 = 4.
     query = RateQuery(LINEAR, mu=1.0, grid={"r": (8.0,)}, t_domain=Window(1e-2, 64.0))
-    observed = certified_time([nag_winner()], query, 1.0)
+    observed = certified_time(*pooled([nag_winner()]), query, 1.0)
     assert observed == pytest.approx(4.0, rel=0.025)
 
 
@@ -1408,6 +1420,17 @@ def test_corner_psd_implies_interior_psd(enumerations):
             assert np.linalg.eigvalsh(pm).min() >= -tol
             assert np.linalg.eigvalsh(qm).min() >= -tol
         checked += 1
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_analyze_groups_takes_the_groups_of_one_enumeration(jobs, enumerations):
+    # Cells are ids of one enumeration's entries: groups of two enumerations,
+    # even of one system, cannot share one table.
+    query = RateQuery(LOG, mu=1.0, convex=True, grid={"r": (3.0,)})
+    assert analyze_groups([], query, jobs=jobs) == []
+    mixed = enumerations("nag")[:2] + enumerate_pairs(CATALOG["nag"])[2:4]
+    with pytest.raises(AnalysisError, match="from one enumeration"):
+        analyze_groups(mixed, query, jobs=jobs)
 
 
 def test_analyze_groups_matches_serial(enumerations):

@@ -78,7 +78,8 @@ def test_search_param_grid_parsing(tmp_path):
 
 # Searches whose every run must reproduce them byte for byte, serially and
 # with a pool.  The first three were recorded before the rate search was
-# batched, the last when AllPositive gained its trailing-coefficient check.
+# batched, the fourth when AllPositive gained its trailing-coefficient check,
+# the last three before the minor tables were built over one entry list.
 GOLDEN_SEARCHES = [
     pytest.param("search-second-order-hessian-mu1-ab-grid.csv",
                  ["--spec", "second-order-hessian", "--mu", "1",
@@ -98,6 +99,20 @@ GOLDEN_SEARCHES = [
                  ["--spec", "nag", "--gamma", "log", "--mu", "1",
                   "--param-grid", "r=2,3,4,5,7"],
                  id="nag-log-r-grid"),
+    # The convex corner at LAMBDA_CAP.
+    pytest.param("search-damped-newton-linear-convex.csv",
+                 ["--spec", "damped-newton", "--gamma", "linear", "--convex"],
+                 id="damped-newton-convex"),
+    # The README's range grid, with L.
+    pytest.param("search-first-order-hessian-mu1-L4-b-range.csv",
+                 ["--spec", "first-order-hessian", "--gamma", "linear", "--mu", "1", "--L", "4",
+                  "--param-grid", "b=-0.25:0.25:0.0"],
+                 id="first-order-hessian-b-range"),
+    # A Window validity range.
+    pytest.param("search-nag-log-r-grid-window.csv",
+                 ["--spec", "nag", "--gamma", "log", "--mu", "1",
+                  "--param-grid", "r=2,3,4,5,7", "--t-domain", "window:1:100"],
+                 id="nag-log-r-grid-window"),
 ]
 
 

@@ -9,6 +9,8 @@ from lyapsearch.lyapunov import CATALOG, monotonicity_check, run_certificate
 from lyapsearch.pq import apply_sequence, initial_pair
 from lyapsearch.systems import CATALOG as SYSTEMS
 
+from conftest import pooled
+
 
 def test_catalog_has_nine_entries():
     assert len(CATALOG) == 9
@@ -40,7 +42,7 @@ def test_certificates_are_the_catalog_pairs(mu, L):
         pair = apply_sequence(initial_pair(SYSTEMS[row.system]), spec.ops)
         if row.expected_window is not None:
             step = grid_step_factor()
-            window = certified_time([pair], query, row.k_probe)
+            window = certified_time(*pooled([pair]), query, row.k_probe)
             assert row.expected_window / step ** 2 <= window <= row.expected_window * step ** 2
         elif row.k_range is not None:
             assert row.k_range[0] <= max_rate(pair, query).k_max < row.k_range[1], name

@@ -101,6 +101,11 @@ def test_a1_ordering_errors():
         apply_operation(once, "A1")
     with pytest.raises(OperationError):
         apply_operation(fresh, "Z9")
+    for ops, message in ((("B1",), "B1 applied before A1"),
+                         (("A1", "A1"), "A1 applied twice"),
+                         (("A1", "Z9"), "unknown operation 'Z9'")):
+        with pytest.raises(OperationError, match=message):
+            apply_sequence(fresh, ops)
 
 
 def test_b1_moves_q35():
@@ -131,8 +136,13 @@ def test_gradient_flow_worked_example():
 
 
 def test_apply_sequence_empty_tail():
-    base = apply_operation(initial_pair(CATALOG["damped-newton"]), "A1")
+    fresh = initial_pair(CATALOG["damped-newton"])
+    base = apply_operation(fresh, "A1")
     assert apply_sequence(base, ()).matrix_key() == base.matrix_key()
+    untouched = apply_sequence(fresh, ())
+    assert untouched.matrix_key() == fresh.matrix_key()
+    assert not untouched.has_gap and untouched.provenance == fresh.provenance == ()
+    assert apply_sequence(base, ()).provenance == ("A1",)
 
 
 def test_e1_then_d4_collapses_on_damped_newton():

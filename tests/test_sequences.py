@@ -107,23 +107,30 @@ def test_each_distinct_transition_and_entry_update_is_computed_once(monkeypatch)
     initial pair."""
     transitions, updates = [], []
     apply_to_cells = sequences.apply_to_cells
-    add, sub = pq._EXPR_ENTRIES.add, pq._EXPR_ENTRIES.sub
+    scaled = pq._scaled
+    computed = [0]  # Expr updates so far: each computes one scaled term
 
-    def counting_apply(cells, op, entries):
+    def counting_apply(cells, op, pool):
         transitions.append((cells, op))
-        return apply_to_cells(cells, op, entries)
+        return apply_to_cells(cells, op, pool)
 
-    def counting_add(old, factor, s):
-        updates.append((old, factor, s))
-        return add(old, factor, s)
+    def counting_scaled(factor, value):
+        computed[0] += 1
+        return scaled(factor, value)
 
-    def counting_sub(old, factor, s, shifted):
-        updates.append((old, factor, s, shifted))
-        return sub(old, factor, s, shifted)
+    def recording(update):
+        def run(pool, *key):
+            before = computed[0]
+            new = update(pool, *key)
+            if computed[0] > before:
+                updates.append(key)
+            return new
+        return run
 
     monkeypatch.setattr(sequences, "apply_to_cells", counting_apply)
-    monkeypatch.setattr(pq._EXPR_ENTRIES, "add", counting_add)
-    monkeypatch.setattr(pq._EXPR_ENTRIES, "sub", counting_sub)
+    monkeypatch.setattr(pq, "_scaled", counting_scaled)
+    monkeypatch.setattr(pq.EntryPool, "add", recording(pq.EntryPool.add))
+    monkeypatch.setattr(pq.EntryPool, "sub", recording(pq.EntryPool.sub))
     counts = {}
     for name, system in CATALOG.items():
         transitions.clear()
