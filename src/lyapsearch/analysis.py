@@ -38,10 +38,13 @@ groups of a run as keep those points within BLOCK_POINTS.  A pass splits
 its rows so that no product it builds exceeds SUSPECT_BUDGET elements.
 Each pass holds, for each row, the same ks as a one-point, one-k-at-a-time
 search of that pair would check, and more, and the search reads the same
-flags off it, so k_max and the status are the same.  _analyze_run is the
-one driver of the search, and max_rate a run of one pair.  The validity
-ranges of a block, and certified_time's Window prefixes, come from one
-violations pass per compile.
+flags off it, so k_max and the status are the same.  _compiled_blocks
+makes the blocks and their compiles for both drivers: _analyze_run, the one
+driver of the search, of which max_rate is a run of one pair, and
+certified_time, which makes one violations pass per compiled block at its k.
+Every k the search reports was flagged feasible on the whole grid, so a
+result's validity range is the grid's ends, unbounded above unless the
+domain is a Window.
 
 The exact work is shared across pairs through a MinorTable, made for one
 gamma form, the corners of the queries it serves and one list of raw
@@ -155,13 +158,17 @@ class Window:
 TDomain = AllPositive | Eventually | Window
 
 
-def time_grid(domain: TDomain) -> np.ndarray:
+def _grid_ends(domain: TDomain) -> tuple[float, float]:
+    """The first and the last t of the time_grid of domain."""
     if isinstance(domain, AllPositive):
-        lo, hi = T_GRID_LO, T_GRID_HI
-    elif isinstance(domain, Eventually):
-        lo, hi = domain.t_search, T_GRID_HI
-    else:
-        lo, hi = domain.t_lo, domain.t_hi
+        return T_GRID_LO, T_GRID_HI
+    if isinstance(domain, Eventually):
+        return float(domain.t_search), T_GRID_HI
+    return float(domain.t_lo), float(domain.t_hi)
+
+
+def time_grid(domain: TDomain) -> np.ndarray:
+    lo, hi = _grid_ends(domain)
     n = max(int(math.ceil(GRID_POINTS_PER_DECADE * math.log10(hi / lo))) + 1, 2)
     return np.geomspace(lo, hi, n)
 
@@ -237,11 +244,6 @@ class PsdConditionSet:
     corners: tuple[tuple[float, float], ...]
     minors: tuple[int, ...]
     table: MinorTable = field(repr=False, compare=False)
-
-    @property
-    def alpha_exponents(self) -> bool:
-        """Whether some exponent of t involves alpha."""
-        return any(map(self.table._alpha.__getitem__, self.minors))
 
 
 _CURVATURE = frozenset({"lambda", "theta"})
@@ -422,7 +424,6 @@ class MinorTable:
         self._weights: dict[int, list[dict[tuple[int, int], int]]] = {}  # n -> per corner
         self._minor_ids: dict[tuple[int, frozenset], int] = {}  # reduced form -> index
         self._forms: list[tuple[int, frozenset]] = []  # (den, numerators) by index
-        self._alpha: list[bool] = []  # by index: whether some exponent of t involves alpha
         self._starts: list[int] = []
         self._counts: list[int] = []
         # The terms of every minor: coefficient, p, q, power of k, monomial id.
@@ -479,12 +480,13 @@ class MinorTable:
         form = (den // g, frozenset((t, c // g) for t, c in numerators))
         index = self._minor_ids.get(form)
         if index is None:
-            index = self._minor_ids[form] = self._add_minor(*form)
+            index = self._minor_ids[form] = self._add_minor(form)
         return index
 
-    def _add_minor(self, den: int, numerators: Iterable[tuple[int, int]]) -> int:
-        """Append the terms of the minor whose coefficient of each term id is
-        its numerator / den, and return its index."""
+    def _add_minor(self, form: tuple[int, frozenset]) -> int:
+        """Append the terms of the minor of form (den, numerators), whose
+        coefficient of each term id is its numerator / den, and return its index."""
+        den, numerators = form
         terms = self._terms.terms
         rows = self._term_rows
         for t in range(len(rows), len(terms)):
@@ -495,8 +497,7 @@ class MinorTable:
             raise AnalysisError("a minor has a negative power of k")
         self._starts.append(len(coefs))
         self._counts.append(len(ordered))
-        self._alpha.append(any(rows[t][1] for t, _c in ordered))
-        self._forms.append((den, frozenset(ordered)))
+        self._forms.append(form)
         for t, c in ordered:
             p, q, kpow, mono = rows[t]
             coefs.append(c / den)  # correctly rounded, as float(Fraction(c, den)) is
@@ -789,7 +790,8 @@ def compile_conditions(sets: Sequence[PsdConditionSet], points: Sequence[Mapping
     offsets = np.concatenate([np.zeros(1, dtype=np.intp), np.cumsum(per_minor)])
     terms = np.repeat(starts[minors] - offsets[:-1], per_minor) + np.arange(offsets[-1])
     alpha = None
-    if any(conds.alpha_exponents for conds in sets):
+    q = q_all[terms]
+    if q.any():
         for bindings in points:
             if "alpha" not in bindings:
                 raise UnboundSymbolError(table._first_unbound(terms, bindings))
@@ -800,7 +802,6 @@ def compile_conditions(sets: Sequence[PsdConditionSet], points: Sequence[Mapping
         (alpha,) = alphas
     t_exps = p_all[terms]
     if alpha is not None:
-        q = q_all[terms]
         t_exps = np.where(q != 0, t_exps + q * alpha, t_exps)
     exps = np.array(sorted(set(t_exps.tolist())))
     set_sizes = np.array([len(conds.minors) for conds in sets], dtype=np.intp)
@@ -937,22 +938,6 @@ def _max_ks(compiled: CompiledConditions, domain: TDomain) -> list[tuple[float, 
     return found
 
 
-def _certified_range(bad: np.ndarray, tgrid: np.ndarray, domain: TDomain) -> tuple[float, float]:
-    """The validity range of a rate whose violations over tgrid are bad."""
-    if isinstance(domain, Window):
-        # Largest certified prefix of the window.
-        first_bad = int(np.argmax(bad)) if bad.any() else len(tgrid)
-        hi = tgrid[first_bad - 1] if first_bad > 0 else tgrid[0]
-        return (float(tgrid[0]), float(hi))
-    # Unbounded tail: last violation plus one grid step.
-    if bad.any():
-        last_bad = int(np.max(np.nonzero(bad)))
-        lo = tgrid[last_bad + 1] if last_bad + 1 < len(tgrid) else tgrid[-1]
-    else:
-        lo = tgrid[0]
-    return (float(lo), math.inf)
-
-
 def max_rate(pair: PQPair, query: RateQuery) -> RateResult:
     """Maximize k over the query's parameter grid, certifying PSD feasibility.
 
@@ -965,20 +950,19 @@ def max_rate(pair: PQPair, query: RateQuery) -> RateResult:
     return result
 
 
-def _analyze_run(entries: Sequence[Expr], cells: Sequence[tuple[int, ...]],
-                 queries: Sequence[RateQuery]) -> list[list[RateResult | None]]:
-    """Per pair of a run, given by its cells, ids of entries, max_rate on it
-    for each of the queries, which share one gamma form; None for a query
-    with no grid point PSD at k = 0.
+def _compiled_blocks(entries: Sequence[Expr], cells: Sequence[tuple[int, ...]],
+                     queries: Sequence[RateQuery]):
+    """The pairs of a run, given by their cells, ids of entries, compiled in
+    blocks at the grid points of the queries, which share one gamma form.
 
-    The grid points of the queries go in batches keyed by (corners, t
-    domain, alpha), each sharing a condition set per pair, a t grid and an
-    alpha.  The pairs go in blocks, through one MinorTable, of as many as
-    keep the points of every (corners, t domain) within BLOCK_POINTS, and at
-    least one; each batch compiles a whole block once, and each stage of the
-    search checks every live row of it in one pass.  A query's result is its
-    first point with the largest k, and only that point gets a validity
-    range: one violations pass per compile, over the rows that won.
+    The grid points go in batches keyed by (corners, t domain, alpha), each
+    sharing a condition set per pair, a t grid and an alpha.  The pairs go in
+    blocks, through one MinorTable, of as many as keep the points of every
+    (corners, t domain) within BLOCK_POINTS, and at least one.  Per block and
+    batch this yields the index of the block's first pair, the block's
+    condition sets per pair and query, the batch's t domain, its members
+    (query index, point index, point), and the block compiled at the
+    members' points, whose row g * len(members) + j is pair g at member j.
     """
     corner_sets = [query.corners() for query in queries]
     batches: dict[tuple, list[tuple[int, int, dict[str, float]]]] = {}
@@ -991,37 +975,40 @@ def _analyze_run(entries: Sequence[Expr], cells: Sequence[tuple[int, ...]],
     block = max(1, BLOCK_POINTS // max(n_points.values()))
     tgrids = {domain: time_grid(domain) for _corners, domain, _alpha in batches}
     table = MinorTable(queries[0].gamma, corner_sets, entries)
-    per_pair: list[list[RateResult | None]] = []
     for start in range(0, len(cells), block):
         conds = [table.conditions(pair, corner_sets) for pair in cells[start:start + block]]
-        compiled = {}
-        # (pair, query) -> (k, -point index, status, batch key, row) of its best point so far
-        best: dict[tuple[int, int], tuple] = {}
-        for key, members in batches.items():
-            compiled[key] = compile_conditions([sets[members[0][0]] for sets in conds],
-                                               [point for _q, _i, point in members],
-                                               tgrids[key[1]])
-            for row, rate in enumerate(_max_ks(compiled[key], key[1])):
-                if rate is not None:
-                    g, j = divmod(row, len(members))
-                    q, i, _point = members[j]
-                    if (g, q) not in best or (rate[0], -i) > best[g, q][:2]:
-                        best[g, q] = (rate[0], -i, rate[1], key, row)
-        results: list[list[RateResult | None]] = [[None] * len(queries) for _ in conds]
-        for key, members in batches.items():
-            won = [(g, q, k, status, row)
-                   for (g, q), (k, _i, status, won_in, row) in best.items() if won_in == key]
-            if not won:
-                continue
-            ks = [k for _g, _q, k, _status, _row in won]
-            masks = compiled[key].violations(ks, [row for _g, _q, _k, _status, row in won])
-            for (g, q, k, status, row), mask in zip(won, masks):
-                point = members[row % len(members)][2]
-                validity = _certified_range(mask, tgrids[key[1]], key[1])
-                results[g][q] = RateResult(k, dict(point), validity, status,
-                                           len(conds[g][q].minors))
-        per_pair += results
-    return per_pair
+        for (_corners, domain, _alpha), members in batches.items():
+            yield start, conds, domain, members, compile_conditions(
+                [sets[members[0][0]] for sets in conds], [point for _q, _i, point in members],
+                tgrids[domain])
+
+
+def _analyze_run(entries: Sequence[Expr], cells: Sequence[tuple[int, ...]],
+                 queries: Sequence[RateQuery]) -> list[list[RateResult | None]]:
+    """Per pair of a run, given by its cells, ids of entries, max_rate on it
+    for each of the queries, which share one gamma form; None for a query
+    with no grid point PSD at k = 0.
+
+    Each stage of the search checks every live row of a block of
+    _compiled_blocks in one pass.  A query's result is its first point with
+    the largest k, and its validity range the ends of its t grid, unbounded
+    above unless the domain is a Window.
+    """
+    results: list[list[RateResult | None]] = [[None] * len(queries) for _ in cells]
+    best: dict[tuple[int, int], tuple[float, int]] = {}  # (pair, query) -> (k, -point index)
+    for start, conds, domain, members, compiled in _compiled_blocks(entries, cells, queries):
+        lo, hi = _grid_ends(domain)
+        validity = (lo, hi if isinstance(domain, Window) else math.inf)
+        for row, rate in enumerate(_max_ks(compiled, domain)):
+            if rate is not None:
+                g, j = divmod(row, len(members))
+                q, i, point = members[j]
+                pair = start + g
+                if (pair, q) not in best or (rate[0], -i) > best[pair, q]:
+                    best[pair, q] = (rate[0], -i)
+                    results[pair][q] = RateResult(rate[0], dict(point), validity, rate[1],
+                                                  len(conds[g][q].minors))
+    return results
 
 
 def certified_time(entries: Sequence[Expr], cells: Sequence[tuple[int, ...]],
@@ -1031,24 +1018,19 @@ def certified_time(entries: Sequence[Expr], cells: Sequence[tuple[int, ...]],
     the query's Window, or 0 where none holds at its start.  The pairs are
     past A1 and given by their cells, ids of entries.
 
-    The pairs go through one MinorTable in blocks of BLOCK_POINTS, with one
-    compile and one violations pass per block and grid point.  Raises
-    AnalysisError for a t domain that is not a Window.
+    The pairs go through _compiled_blocks, with one violations pass per
+    compiled block.  Raises AnalysisError for a t domain that is not a Window.
     """
     domain = query.t_domain
     if not isinstance(domain, Window):
         raise AnalysisError(f"a certified time needs a Window t domain, got {domain!r}")
-    corners = query.corners()
-    table = MinorTable(query.gamma, (corners,), entries)
     tgrid = time_grid(domain)
     best = 0.0
-    for start in range(0, len(cells), BLOCK_POINTS):
-        sets = [table.conditions(pair, (corners,))[0]
-                for pair in cells[start:start + BLOCK_POINTS]]
-        for point in query.grid_points():
-            for mask in compile_conditions(sets, [point], tgrid).violations(np.full(len(sets), k)):
-                if not mask[0]:  # certified at the left end of the grid
-                    best = max(best, _certified_range(mask, tgrid, domain)[1])
+    for *_block, compiled in _compiled_blocks(entries, cells, [query]):
+        for mask in compiled.violations(np.full(len(compiled.coef), k)):
+            if not mask[0]:  # certified at the left end of the grid
+                # The grid point before the first violation, or the last one.
+                best = max(best, float(tgrid[mask.argmax() - 1 if mask.any() else -1]))
     return best
 
 

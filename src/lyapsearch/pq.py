@@ -78,10 +78,6 @@ class PQPair:
     def q_entry(self, i: int, j: int) -> Expr:
         return self.Q[i - 1][j - 1]
 
-    def matrix_key(self) -> tuple[PMatrix, QMatrix]:
-        """Hashable identity of the pair, ignoring provenance."""
-        return (self.P, self.Q)
-
     def max_gamma_order(self) -> int:
         orders = [e.max_gamma_order() for row in self.P for e in row]
         orders += [e.max_gamma_order() for row in self.Q for e in row]

@@ -16,7 +16,7 @@ from lyapsearch.analysis import (BISECT_REL_TOL, DOUBLING_KS, K_CAP,
                                  AllPositive, AnalysisError, DiagonalParameterError, Eventually,
                                  InfeasiblePairError, MinorTable, RateQuery,
                                  RateResult, Window, analyze_groups,
-                                 _analyze_queries, _bisect_max_k, _certified_range, _det,
+                                 _analyze_queries, _bisect_max_k, _det,
                                  catalog_rows, certified_time,
                                  compile_conditions, feasible, max_rate, psd_conditions,
                                  time_grid, verify_catalog)
@@ -912,6 +912,22 @@ def test_compile_conditions_names_the_same_unbound_symbol(system, gamma, full, p
     assert len(raised - {None}) >= 2
 
 
+def _certified_range(bad, tgrid, domain):
+    """The validity range of a rate whose violations over tgrid are bad: for a
+    Window, its largest certified prefix; else from one grid step past the
+    last violation on."""
+    if isinstance(domain, Window):
+        first_bad = int(np.argmax(bad)) if bad.any() else len(tgrid)
+        hi = tgrid[first_bad - 1] if first_bad > 0 else tgrid[0]
+        return (float(tgrid[0]), float(hi))
+    if bad.any():
+        last_bad = int(np.max(np.nonzero(bad)))
+        lo = tgrid[last_bad + 1] if last_bad + 1 < len(tgrid) else tgrid[-1]
+    else:
+        lo = tgrid[0]
+    return (float(lo), math.inf)
+
+
 def _point_by_point_rate(conds, query):
     """max_rate as it ran before grid points were batched: per point, one
     compile, k = 0, the doubling, the pre-scan, bisection one midpoint at a
@@ -1126,6 +1142,21 @@ def test_certified_time_over_groups_is_the_max_over_each_alone(enumerations, mon
     assert certified_time(entries, cells, query, 1.0) == max(alone)
 
 
+def test_certified_time_over_two_alphas_is_the_larger_of_each_alone(enumerations):
+    """A grid of two alphas compiles one batch per alpha; the certified time
+    is the larger of those of its two points alone."""
+    groups = enumerations("generalized-nag")
+    entries, cells = groups[0].pool.entries, [group.cells for group in groups]
+
+    def query(*alphas):
+        return RateQuery(POWER, mu=1.0, grid={"alpha": alphas, "r": (1.0,)},
+                         t_domain=Window(1e-2, 1e4))
+
+    alone = [certified_time(entries, cells, query(alpha), 0.65) for alpha in (0.25, 0.5)]
+    assert 0.7 < alone[0] < 0.8 and 2.7 < alone[1] < 2.8
+    assert certified_time(entries, cells, query(0.25, 0.5), 0.65) == max(alone)
+
+
 @pytest.mark.parametrize("domain", [AllPositive(), Eventually(1e4)], ids=["all", "eventually"])
 def test_certified_time_needs_a_window(domain):
     query = RateQuery(LINEAR, mu=1.0, grid={"r": (8.0,)}, t_domain=domain)
@@ -1138,6 +1169,12 @@ def test_verify_catalog_refuses_an_empty_row_selection():
         verify_catalog(1.0, 4.0, rows=[])
 
 
+def _alpha_exponents(conds):
+    """Whether some exponent of t in the set's minors involves alpha."""
+    return any(exp[1] for i in conds.minors
+               for exp, _mono, _coeff in conds.table.minor_expr(i).terms())
+
+
 def test_alpha_grid_binds_one_layout_per_alpha(enumerations, monkeypatch):
     query = RateQuery(POWER, mu=1.0, grid={"alpha": (0.25, 0.5), "r": (1.0,)},
                       t_domain=Eventually(1e4))
@@ -1145,7 +1182,7 @@ def test_alpha_grid_binds_one_layout_per_alpha(enumerations, monkeypatch):
     compile_ = analysis.compile_conditions
 
     def recording(sets, points, tgrid):
-        bound.append((len(sets), any(conds.alpha_exponents for conds in sets),
+        bound.append((len(sets), any(map(_alpha_exponents, sets)),
                       [point["alpha"] for point in points]))
         return compile_(sets, points, tgrid)
 
@@ -1167,8 +1204,8 @@ def test_alpha_grid_binds_one_layout_per_alpha(enumerations, monkeypatch):
 def test_compiling_two_alphas_together_is_refused(enumerations):
     query = RateQuery(POWER, mu=1.0)
     conds = next(conds for group in enumerations("generalized-nag")
-                 if (conds := psd_conditions(group.representative, POWER,
-                                             query.corners())).alpha_exponents)
+                 if _alpha_exponents(conds := psd_conditions(group.representative, POWER,
+                                                              query.corners())))
     with pytest.raises(AnalysisError, match="must bind one alpha"):
         compile_conditions([conds], [{"r": 1.0, "alpha": 0.25}, {"r": 1.0, "alpha": 0.5}],
                            time_grid(AllPositive()))
@@ -1179,8 +1216,8 @@ def test_compiling_an_alpha_again_gives_the_same_tables(enumerations):
     compiled at another alpha in between compiles as it did the first time."""
     query = RateQuery(POWER, mu=1.0, grid={"r": (1.0,)}, t_domain=Eventually(1e4))
     conds = next(conds for group in enumerations("generalized-nag")
-                 if (conds := psd_conditions(group.representative, POWER,
-                                             query.corners())).alpha_exponents)
+                 if _alpha_exponents(conds := psd_conditions(group.representative, POWER,
+                                                              query.corners())))
     tgrid = time_grid(query.t_domain)
     first, other, again = (compile_conditions([conds], [{"r": 1.0, "alpha": alpha}], tgrid)
                            for alpha in (0.25, 0.5, 0.25))
@@ -1466,7 +1503,8 @@ def test_bootstrap_candidates_and_preconditions(mu, enumerations):
             continue
         picks.append(group)
     assert [group.group_id for group in picks] == [9]
-    assert picks[0].representative.matrix_key() == nag_bootstrap_pair().matrix_key()
+    expected, found = nag_bootstrap_pair(), picks[0].representative
+    assert (found.P, found.Q) == (expected.P, expected.Q)
 
     # The fully reduced winner does not qualify: its Q has no (1,3) coupling.
     with pytest.raises(BootstrapPreconditionError, match=r"no \(1,3\) coupling"):

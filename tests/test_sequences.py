@@ -45,8 +45,8 @@ def test_specific_sequence_present_exactly_once():
 def test_enumeration_deterministic(enumerations):
     first = enumerations("damped-newton")
     second = enumerate_pairs(CATALOG["damped-newton"])
-    assert [g.representative.matrix_key() for g in first] == \
-           [g.representative.matrix_key() for g in second]
+    assert [(g.representative.P, g.representative.Q) for g in first] == \
+           [(g.representative.P, g.representative.Q) for g in second]
     assert [len(g.sequences) for g in first] == [len(g.sequences) for g in second]
 
 
@@ -57,7 +57,7 @@ def test_group_members_share_matrices(enumerations):
     for group in groups:
         for seq in rng.sample(group.sequences, min(3, len(group.sequences))):
             pair = apply_sequence(initial_pair(system), seq.ops())
-            assert pair.matrix_key() == group.representative.matrix_key()
+            assert (pair.P, pair.Q) == (group.representative.P, group.representative.Q)
     assert sum(g.member_count for g in groups) == 23660
 
 
@@ -65,7 +65,7 @@ def test_out_of_family_sequences_land_in_known_groups(enumerations):
     """Sampled reduction soundness: arbitrary admissible compositions collapse
     into the enumerated set (repeats and re-ordered commuting steps included)."""
     groups = enumerations("damped-newton")
-    known = {g.representative.matrix_key() for g in groups}
+    known = {(g.representative.P, g.representative.Q) for g in groups}
     system = CATALOG["damped-newton"]
     ops_pool = ["B1", "B2", "B3", "C1", "D1", "D2", "D3", "D4", "E1", "F1"]
     rng = random.Random(11)
@@ -76,7 +76,7 @@ def test_out_of_family_sequences_land_in_known_groups(enumerations):
         if ("A1",) + tail in canonical:
             continue
         pair = apply_sequence(initial_pair(system), ("A1",) + tail)
-        assert pair.matrix_key() in known
+        assert (pair.P, pair.Q) in known
         checked += 1
 
 
@@ -165,9 +165,9 @@ def _reference_enumerate_pairs(system):
                     for d2 in D_STAGES:
                         final = apply_sequence(pair_m, d2)
                         seq = OperationSequence(b, c, d1, m, d2)
-                        group = groups.get(final.matrix_key())
+                        group = groups.get((final.P, final.Q))
                         if group is None:
-                            groups[final.matrix_key()] = (final, [seq])
+                            groups[(final.P, final.Q)] = (final, [seq])
                         else:
                             group[1].append(seq)
     return list(groups.values())
@@ -177,7 +177,7 @@ def _assert_matches_reference(groups, system):
     reference = _reference_enumerate_pairs(system)
     assert [g.group_id for g in groups] == list(range(len(reference)))
     for group, (pair, members) in zip(groups, reference, strict=True):
-        assert group.representative.matrix_key() == pair.matrix_key()
+        assert (group.representative.P, group.representative.Q) == (pair.P, pair.Q)
         assert group.representative.provenance == pair.provenance
         assert group.sequences == members
 
