@@ -6,7 +6,7 @@ from .pq import PQPair, apply_operation, apply_sequence, initial_pair
 from .sequences import OperationSequence, PairGroup, enumerate_pairs, generate_sequences
 from .systems import CATALOG, OdeSystemSpec, load_system
 from .analysis import (AllPositive, Eventually, RateQuery, RateResult, Window,
-                       analyze_groups, best_rate, max_rate, psd_conditions, verify_catalog)
+                       analyze_groups, best_rate, verify_catalog)
 from .simulate import (QuadraticObjective, Trajectory, conservation_check, integrate,
                        measure_rate)
 from .restart import RestartReport, RestartSpec, run_restart
@@ -17,7 +17,7 @@ __all__ = [
     "OperationSequence", "PairGroup", "enumerate_pairs", "generate_sequences",
     "CATALOG", "OdeSystemSpec", "load_system",
     "AllPositive", "Eventually", "RateQuery", "RateResult", "Window",
-    "analyze_groups", "best_rate", "max_rate", "psd_conditions", "verify_catalog",
+    "analyze_groups", "best_rate", "verify_catalog",
     "QuadraticObjective", "Trajectory", "conservation_check", "integrate", "measure_rate",
     "RestartReport", "RestartSpec", "run_restart",
 ]

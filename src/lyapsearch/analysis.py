@@ -614,29 +614,6 @@ def _over_common_denominator(lam: float, theta: float) -> tuple[int, int, int]:
     return lam.numerator * (d // lam.denominator), theta.numerator * (d // theta.denominator), d
 
 
-def psd_conditions(pair: PQPair, gamma: GammaForm,
-                   corners: Iterable[tuple[float, float]]) -> PsdConditionSet:
-    """All principal minors of the support submatrices, at every (lambda, theta) corner.
-
-    The minors are those of the gamma-substituted matrices with each corner's
-    lambda and theta bound: the nonzero ones, in corner order and, within a
-    corner, in subset order, deduplicated.  They keep k, t and any free
-    system parameters symbolic.  This is a MinorTable of one pair; a run over
-    many pairs shares one table instead.
-    """
-    corners = tuple(corners)
-    entries, (cells,) = _pooled(pair)
-    return MinorTable(gamma, (corners,), entries).conditions(cells, (corners,))[0]
-
-
-def _pooled(pair: PQPair) -> tuple[list[Expr], list[tuple[int, ...]]]:
-    """The entries of a fresh EntryPool holding pair, past A1, and its cells there."""
-    if not pair.has_gap:
-        raise AnalysisError("pair lacks the objective-gap term; apply A1 first")
-    pool = EntryPool()
-    return pool.entries, [pool.cells(pair)]
-
-
 # -- numeric feasibility ----------------------------------------------------------
 
 
@@ -848,13 +825,6 @@ def compile_conditions(sets: Sequence[PsdConditionSet], points: Sequence[Mapping
                               size.astype(float, copy=False).reshape(shape), tpowers)
 
 
-def feasible(conds: PsdConditionSet, k: float, query: RateQuery) -> bool:
-    """True when every minor is nonnegative over the query's time domain at k,
-    at the query's single grid point."""
-    compiled = compile_conditions([conds], [query.point()], time_grid(query.t_domain))
-    return bool(compiled.feasible(np.array([[k]], dtype=float), query.t_domain)[0, 0])
-
-
 # -- rate maximization --------------------------------------------------------------
 
 
@@ -936,18 +906,6 @@ def _max_ks(compiled: CompiledConditions, domain: TDomain) -> list[tuple[float, 
         for i, k, status in zip(rest, *bisected):
             found[i] = (k, status)
     return found
-
-
-def max_rate(pair: PQPair, query: RateQuery) -> RateResult:
-    """Maximize k over the query's parameter grid, certifying PSD feasibility.
-
-    This is a run of one pair.  Raises InfeasiblePairError when no grid point
-    is PSD even at k = 0.
-    """
-    result = _analyze_run(*_pooled(pair), [query])[0][0]
-    if result is None:
-        raise InfeasiblePairError("pair is not PSD at k = 0 for any grid point")
-    return result
 
 
 def _compiled_blocks(entries: Sequence[Expr], cells: Sequence[tuple[int, ...]],
@@ -1032,6 +990,56 @@ def certified_time(entries: Sequence[Expr], cells: Sequence[tuple[int, ...]],
                 # The grid point before the first violation, or the last one.
                 best = max(best, float(tgrid[mask.argmax() - 1 if mask.any() else -1]))
     return best
+
+
+# -- one-pair entry points -----------------------------------------------------------
+
+# No command reaches these four: the search and the catalog run many pairs
+# through one MinorTable and _analyze_run.  They stay because
+# perfbench/tracing.py wraps psd_conditions and max_rate and counts feasible
+# by name; once the benchmark reads counters instead, they can go.
+
+
+def psd_conditions(pair: PQPair, gamma: GammaForm,
+                   corners: Iterable[tuple[float, float]]) -> PsdConditionSet:
+    """All principal minors of the support submatrices, at every (lambda, theta) corner.
+
+    The minors are those of the gamma-substituted matrices with each corner's
+    lambda and theta bound: the nonzero ones, in corner order and, within a
+    corner, in subset order, deduplicated.  They keep k, t and any free
+    system parameters symbolic.  This is a MinorTable of one pair; a run over
+    many pairs shares one table instead.
+    """
+    corners = tuple(corners)
+    entries, (cells,) = _pooled(pair)
+    return MinorTable(gamma, (corners,), entries).conditions(cells, (corners,))[0]
+
+
+def _pooled(pair: PQPair) -> tuple[list[Expr], list[tuple[int, ...]]]:
+    """The entries of a fresh EntryPool holding pair, past A1, and its cells there."""
+    if not pair.has_gap:
+        raise AnalysisError("pair lacks the objective-gap term; apply A1 first")
+    pool = EntryPool()
+    return pool.entries, [pool.cells(pair)]
+
+
+def feasible(conds: PsdConditionSet, k: float, query: RateQuery) -> bool:
+    """True when every minor is nonnegative over the query's time domain at k,
+    at the query's single grid point."""
+    compiled = compile_conditions([conds], [query.point()], time_grid(query.t_domain))
+    return bool(compiled.feasible(np.array([[k]], dtype=float), query.t_domain)[0, 0])
+
+
+def max_rate(pair: PQPair, query: RateQuery) -> RateResult:
+    """Maximize k over the query's parameter grid, certifying PSD feasibility.
+
+    This is a run of one pair.  Raises InfeasiblePairError when no grid point
+    is PSD even at k = 0.
+    """
+    result = _analyze_run(*_pooled(pair), [query])[0][0]
+    if result is None:
+        raise InfeasiblePairError("pair is not PSD at k = 0 for any grid point")
+    return result
 
 
 # -- per-group driver -----------------------------------------------------------------

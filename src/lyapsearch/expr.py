@@ -268,49 +268,6 @@ class Expr:
             out = out + term
         return out
 
-    def subs_params(self, bindings: Mapping[str, Union[Rational, "Expr"]]) -> "Expr":
-        """Replace parameter symbols by exact rationals or expressions.
-
-        A binding for alpha is also applied inside affine exponents.  Rational
-        values multiply straight into each term's coefficient; only expression
-        values go through Expr multiplication.
-        """
-        if not bindings:
-            return self
-        repl: dict[str, Union[Fraction, Expr]] = {}
-        for name, value in bindings.items():
-            if is_gamma_symbol(name) or name not in PARAM_NAMES:
-                raise ValueError(f"cannot bind non-parameter symbol {name!r}")
-            repl[name] = value if isinstance(value, Expr) else _as_fraction(value)
-        alpha_val = repl.get("alpha")
-        if isinstance(alpha_val, Expr):
-            alpha_val = None
-        out: dict = {}
-        for (exp, mono), coeff in self._terms.items():
-            p, q = exp
-            if q and alpha_val is not None:
-                exp = (_exp_part(p + q * alpha_val), 0)
-            kept = []
-            factors = []
-            for sym, power in mono:
-                value = repl.get(sym)
-                if value is None:
-                    kept.append((sym, power))
-                elif isinstance(value, Expr):
-                    factors.append(value ** power)
-                else:
-                    coeff = coeff * value ** power
-            term = {(exp, tuple(kept)): coeff}
-            for factor in factors:
-                term = (Expr(term) * factor)._terms
-            for key, c in term.items():
-                new = out.get(key, _F0) + c
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
-        return Expr(out)
-
     # -- numeric interface ----------------------------------------------------
 
     def free_symbols(self) -> frozenset[str]:

@@ -67,6 +67,9 @@ class QuadraticObjective:
     def log_spaced(dim: int, mu: float, L: float):
         if dim < 1:
             raise ValueError(f"log-spaced eigenvalues need dim >= 1, got dim={dim!r}")
+        if dim > MAX_STATE_VALUES:
+            raise ValueError(f"dim={dim!r} modes exceed the {MAX_STATE_VALUES} values a run "
+                             f"may hold per state array (MAX_STATE_VALUES)")
         if not 0 < mu <= L < math.inf:
             raise ValueError(f"log-spaced eigenvalues need 0 < mu <= L, L finite, "
                              f"got mu={mu!r}, L={L!r}")
@@ -185,6 +188,9 @@ def _bound(exprs, params: Mapping[str, float]):
 
 # Steps whose RK4 maps are built at once; bounds the memory of long runs.
 STEP_CHUNK = 2048
+# Bound on (steps + 1) * modes, the values of one state array of a run: 0.8 GB
+# of floats, checked before anything of that size is allocated.
+MAX_STATE_VALUES = 10 ** 8
 
 
 def integrate(system: OdeSystemSpec, obj: QuadraticObjective, x0, v0,
@@ -199,8 +205,9 @@ def integrate(system: OdeSystemSpec, obj: QuadraticObjective, x0, v0,
     is c5, which must not vanish at any stage time.
 
     x0 and v0 have one entry per eigenmode of obj; t0, t1, dt and the step
-    count (t1 - t0) / dt must be finite.  The minimiser sits at the origin, so
-    each mode's state is x itself, in and out.
+    count (t1 - t0) / dt must be finite, and (steps + 1) * modes at most
+    MAX_STATE_VALUES.  The minimiser sits at the origin, so each mode's
+    state is x itself, in and out.
 
     Each eigenmode advances by its own RK4 step maps, built STEP_CHUNK steps
     at a time: 2x2 companion-form maps for second-order systems
@@ -242,6 +249,10 @@ def integrate(system: OdeSystemSpec, obj: QuadraticObjective, x0, v0,
                                   f"got {state.shape}")
 
     n_steps = max(int(round((t1 - t0) / dt)), 1)
+    if (n_steps + 1) * len(eigs) > MAX_STATE_VALUES:
+        raise SimulationError(f"{n_steps} steps over {len(eigs)} modes need "
+                              f"{(n_steps + 1) * len(eigs)} values per state array, above "
+                              f"MAX_STATE_VALUES = {MAX_STATE_VALUES}")
     times = t0 + dt * np.arange(n_steps + 1)
 
     xs = np.empty((n_steps + 1, len(eigs)))

@@ -53,6 +53,24 @@ def naive_eval(e: Expr, t: float, bindings) -> float:
     return total
 
 
+def subs_params(e: Expr, bindings) -> Expr:
+    """e with parameters bound to exact rationals or expressions, through Expr
+    arithmetic alone: each term rebuilt as a product.  A rational alpha is
+    also applied inside affine exponents."""
+    alpha = bindings.get("alpha")
+    exact_alpha = alpha is not None and not isinstance(alpha, Expr)
+    out = ZERO
+    for (p, q), mono, coeff in e.terms():
+        if q and exact_alpha:
+            p, q = p + q * alpha, 0
+        term = Expr.number(coeff) * Expr.t_power(p, q)
+        for sym, power in mono:
+            value = bindings.get(sym, Expr.symbol(sym))
+            term = term * (value if isinstance(value, Expr) else Expr.number(value)) ** power
+        out = out + term
+    return out
+
+
 def random_pair(rng: random.Random, allow_gamma: bool = True) -> PQPair:
     """A random symmetric pair, marked as carrying the objective-gap term."""
     p_entries = {(i, j): random_expr(rng, allow_gamma=allow_gamma)

@@ -12,12 +12,13 @@ import numpy as np
 from lyapsearch.analysis import (RateQuery, Window, analyze_groups, catalog_rows, certified_time,
                                  grid_step_factor, verify_catalog)
 from lyapsearch.expr import LINEAR, LOG
-from lyapsearch.lyapunov import bootstrap_rate_check, monotonicity_check
+from lyapsearch.lyapunov import monotonicity_check
 from lyapsearch.pq import apply_sequence, initial_pair
 from lyapsearch.sequences import generate_sequences
 from lyapsearch.simulate import QuadraticObjective, conservation_check, integrate, measure_rate
 from lyapsearch.systems import CATALOG
 
+from bootstrap import bootstrap_rate_check
 from conftest import pooled
 from test_analysis import nag_bootstrap_pair, numeric_matrices
 from test_pq import IDENTITIES, check_identity

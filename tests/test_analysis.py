@@ -22,13 +22,13 @@ from lyapsearch.analysis import (BISECT_REL_TOL, DOUBLING_KS, K_CAP,
                                  time_grid, verify_catalog)
 from lyapsearch.expr import (Expr, GAMMA1, LINEAR, LOG, POWER, ZERO, UnboundSymbolError,
                              bind_terms, float_terms, parse_expr)
-from lyapsearch.lyapunov import (CATALOG as CERTIFICATES, BootstrapPreconditionError,
-                                 _check_bootstrap_shape, bootstrap_rate_check)
+from lyapsearch.lyapunov import CATALOG as CERTIFICATES
 from lyapsearch.pq import PQPair, _sym_matrix, apply_sequence, initial_pair
 from lyapsearch.sequences import PairGroup, enumerate_pairs
 from lyapsearch.systems import CATALOG, OdeSystemSpec
 
-from conftest import naive_eval, pooled, random_expr, random_pair
+from bootstrap import BootstrapPreconditionError, _check_bootstrap_shape, bootstrap_rate_check
+from conftest import naive_eval, pooled, random_expr, random_pair, subs_params
 
 HALF = Fraction(1, 2)
 LAM = Expr.symbol("lambda")
@@ -42,7 +42,7 @@ def build(system, ops, bindings=None):
     pair = apply_sequence(initial_pair(CATALOG[system]), ops)
     if not bindings:
         return pair
-    sub = lambda e: e.subs_params(bindings)
+    sub = lambda e: subs_params(e, bindings)
     return PQPair(tuple(tuple(sub(e) for e in row) for row in pair.P),
                   tuple(tuple(sub(e) for e in row) for row in pair.Q),
                   pair.provenance, pair.has_gap)
@@ -260,8 +260,8 @@ def _reference_psd_minors(pair, gamma, corners):
     union = {}
     for lam, theta in corners:
         binding = {"lambda": Fraction(lam), "theta": Fraction(theta)}
-        p_c = [[e.subs_params(binding) for e in row] for row in p_sub]
-        q_c = [[e.subs_params(binding) for e in row] for row in q_sub]
+        p_c = [[subs_params(e, binding) for e in row] for row in p_sub]
+        q_c = [[subs_params(e, binding) for e in row] for row in q_sub]
         for sub in _principal_submatrices(p_c, 3) + _principal_submatrices(q_c, 5):
             m = _cofactor_det(sub)
             if m:
@@ -1317,7 +1317,7 @@ def test_identically_zero_minor_survives_float_rounding():
     # b = -1/L.  In floats at L = 5 its k^2 terms merge to -1.1e-16, which must
     # be measured against the terms' own magnitudes, not against itself.
     minor = parse_expr("25/2*b*k - 5*b*k^2 - 25/2*b^2*k^2 + 5/2*k - 1/2*k^2")
-    assert minor.subs_params({"b": Fraction(-1, 5)}) == ZERO
+    assert subs_params(minor, {"b": Fraction(-1, 5)}) == ZERO
     conds = _minor_set(minor, corner=(0.5, 5.0))
     query = RateQuery(LINEAR, mu=0.5, L=5.0, grid={"b": (-1 / 5,)})
     compiled = compile_conditions([conds], [query.point()], time_grid(query.t_domain))

@@ -282,9 +282,19 @@ def test_curvature_interval_must_be_ordered_and_positive(tmp_path, capsys, argv,
      "needs t1 > t0"),
     (["simulate", "--spec", "nag", "--param", "r=3", "--t0", "-1e-3", "--t1", "3"],
      "t0 must be positive"),
+    (["simulate", "--spec", "nag", "--param", "r=3", "--dt", "1e-300"],
+     "values per state array, above MAX_STATE_VALUES"),
+    (["simulate", "--spec", "nag", "--param", "r=3", "--dim", str(10 ** 12)],
+     "modes exceed the 100000000 values"),
+    (["restart", "--l", "0.7", "--c", "2", "--dt", "1e-300"],
+     "values per state array, above MAX_STATE_VALUES"),
+    (["restart", "--l", "0.7", "--c", "2", "--dim", str(10 ** 12)],
+     "modes exceed the 100000000 values"),
 ], ids=["restart-dim-0", "restart-rounds-0", "restart-dt-0", "restart-L-below-mu",
         "simulate-dim-0", "simulate-t1-before-t0", "simulate-t1-at-t0",
-        "simulate-negative-t0-exponent-form"])
+        "simulate-negative-t0-exponent-form", "simulate-dt-too-small-to-hold",
+        "simulate-dim-too-large-to-hold", "restart-dt-too-small-to-hold",
+        "restart-dim-too-large-to-hold"])
 def test_bad_sizes_are_errors(capsys, argv, message):
     assert main(argv) == 1
     err = capsys.readouterr().err

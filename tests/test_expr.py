@@ -83,21 +83,6 @@ def test_substitute_gamma_power_second_derivative():
     assert POWER.deriv(1).diff() == GAMMA2.subs_gamma(POWER)
 
 
-def test_substitute_params():
-    lam = Expr.symbol("lambda")
-    assert (lam * K).subs_params({"lambda": MU}) == MU * K
-    L = Expr.symbol("L")
-    one_minus = 1 - lam * L ** -1
-    assert one_minus.subs_params({"lambda": L}) == ZERO
-    e = K * T - MU
-    assert e.subs_params({}) == e
-
-
-def test_substitute_params_binds_alpha_in_exponents():
-    e = Expr.t_power(-1, -2)  # t^(-1 - 2*alpha)
-    assert e.subs_params({"alpha": Fraction(1, 2)}) == Expr.t_power(-2)
-
-
 def _fraction_exponents(e: Expr) -> Expr:
     """The same expression with every exponent part stored as a Fraction."""
     return Expr({((Fraction(p), Fraction(q)), mono): coeff for (p, q), mono, coeff in e.terms()})
@@ -107,9 +92,8 @@ def _fraction_exponents(e: Expr) -> Expr:
     Expr.t_power(Fraction(4, 2)),
     Expr.t_power(Fraction(1, 2)) * Expr.t_power(Fraction(1, 2)),
     (K * Expr.t_power(3) + Expr.t_power(Fraction(2), Fraction(1))).diff(),
-    Expr.t_power(1, 2).subs_params({"alpha": Fraction(1, 2)}),
     parse_expr("1*t^4/2*k - 1/2*t^2+1*alpha + 3*t^-1/1-2*alpha"),
-], ids=["t_power", "product", "diff", "subs_params-alpha", "parse_expr"])
+], ids=["t_power", "product", "diff", "parse_expr"])
 def test_integral_exponents_are_stored_as_int(e):
     assert e
     for (p, q), _mono, _coeff in e.terms():
@@ -124,35 +108,6 @@ def test_non_integral_exponent_parts_stay_fractions():
     (p, q), _mono, _coeff = next(e.terms())
     assert (p, q) == (Fraction(3, 2), Fraction(-3, 2))
     assert type(p) is Fraction and type(q) is Fraction
-
-
-def _reference_subs_params(e: Expr, bindings) -> Expr:
-    """Substitution through Expr arithmetic alone: each term rebuilt as a product."""
-    out = ZERO
-    for (p, q), mono, coeff in e.terms():
-        alpha = bindings.get("alpha")
-        if q and alpha is not None and not isinstance(alpha, Expr):
-            p, q = p + q * alpha, 0
-        term = Expr.number(coeff) * Expr.t_power(p, q)
-        for sym, power in mono:
-            value = bindings.get(sym, Expr.symbol(sym))
-            term = term * (value if isinstance(value, Expr) else Expr.number(value)) ** power
-        out = out + term
-    return out
-
-
-def test_substitute_params_matches_term_products(rng):
-    choices = [Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(2 ** 20),
-               parse_expr("1/2*a + 1*t"), parse_expr("-1*r*t^-1")]
-    for _ in range(200):
-        e = random_expr(rng, max_terms=4, symbols=("a", "b", "r", "lambda", "theta"))
-        e = e * Expr.t_power(0, rng.choice([0, 0, 1, -2]))
-        e = e + Expr.symbol(rng.choice(["b", "lambda"])) ** rng.randint(2, 3)
-        names = rng.sample(["b", "r", "lambda", "theta", "alpha"], rng.randint(1, 3))
-        bindings = {name: rng.choice(choices) for name in names}
-        if isinstance(bindings.get("alpha"), Fraction):
-            bindings["alpha"] = Fraction(1, 3)
-        assert e.subs_params(bindings) == _reference_subs_params(e, bindings)
 
 
 def test_eval_basic():

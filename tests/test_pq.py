@@ -7,7 +7,7 @@ from lyapsearch.expr import Expr, GAMMA1, LINEAR, ZERO
 from lyapsearch.pq import OperationError, apply_operation, apply_sequence, initial_pair
 from lyapsearch.systems import CATALOG
 
-from conftest import random_pair
+from conftest import random_pair, subs_params
 
 HALF = Fraction(1, 2)
 LAM = Expr.symbol("lambda")
@@ -127,11 +127,11 @@ def test_gradient_flow_worked_example():
     # Gradient flow is the first-order system at b = 0; A1 then B3 builds the
     # certificate with boundary term (mu/2) e^(mu t) ||x - x*||^2.
     pair = apply_sequence(initial_pair(CATALOG["first-order-hessian"]), ("A1", "B3"))
-    p11 = pair.p_entry(1, 1).subs_params({"b": 0}).subs_gamma(LINEAR).subs_params({"k": MU})
+    p11 = subs_params(subs_params(pair.p_entry(1, 1), {"b": 0}).subs_gamma(LINEAR), {"k": MU})
     assert p11 == HALF * MU
-    q11 = pair.q_entry(1, 1).subs_params({"b": 0}).subs_gamma(LINEAR).subs_params({"k": MU})
+    q11 = subs_params(subs_params(pair.q_entry(1, 1), {"b": 0}).subs_gamma(LINEAR), {"k": MU})
     assert q11 == HALF * LAM * MU - HALF * MU ** 2
-    q33 = pair.q_entry(3, 3).subs_params({"b": 0})
+    q33 = subs_params(pair.q_entry(3, 3), {"b": 0})
     assert q33 == Expr.number(1)
 
 

@@ -6,7 +6,7 @@ import pytest
 from lyapsearch.expr import LINEAR, LOG, POWER, Expr
 from lyapsearch.pq import PQPair, _sym_matrix, apply_sequence, initial_pair
 from lyapsearch.sequences import generate_sequences
-from lyapsearch.simulate import (STEP_CHUNK, QuadraticObjective, SimulationError,
+from lyapsearch.simulate import (MAX_STATE_VALUES, STEP_CHUNK, QuadraticObjective, SimulationError,
                                  SingularMassMatrixError, Trajectory, _companion_step_maps,
                                  _prefix_products, _scalar_step_maps, _stage_major,
                                  conservation_check, integrate, measure_rate, pair_energy)
@@ -265,6 +265,26 @@ def test_integrate_rejects_non_finite_times(times, message):
     span = {"t0": 1.0, "t1": 2.0, "dt": 1e-3, **times}
     with pytest.raises(SimulationError, match=message):
         integrate(CATALOG["nag"], obj, np.ones(4), np.zeros(4), params={"r": 3.0}, **span)
+
+
+@pytest.mark.parametrize("modes, span", [
+    (4, {"t0": 1.0, "t1": 1e12, "dt": 1.0}),
+    (4, {"t0": 1.0, "t1": 2.0, "dt": 4e-8}),
+], ids=["1e12-steps", "one-value-over"])
+def test_integrate_refuses_runs_too_large_to_hold(modes, span):
+    # Raised before any array of the run's size is allocated; the second case
+    # is (25e6 + 1) * 4 values, four over the bound.
+    obj = QuadraticObjective.log_spaced(modes, 1.0, 4.0)
+    with pytest.raises(SimulationError, match=rf"values per state array, above "
+                                              rf"MAX_STATE_VALUES = {MAX_STATE_VALUES}"):
+        integrate(CATALOG["nag"], obj, np.ones(modes), np.zeros(modes), params={"r": 3.0},
+                  **span)
+
+
+def test_log_spaced_refuses_more_modes_than_a_run_can_hold():
+    with pytest.raises(ValueError, match=rf"dim={10 ** 12} modes exceed the "
+                                         rf"{MAX_STATE_VALUES} values"):
+        QuadraticObjective.log_spaced(10 ** 12, 1.0, 4.0)
 
 
 @pytest.mark.parametrize("x0, v0, message", [
