@@ -33,9 +33,13 @@ which guards against non-monotone feasibility; and bisection, which checks
 one midpoint per pass for every row still bisecting, each row to its own
 interval and tolerance.  A batch holds every grid point of one alpha of the
 queries that share a pair's condition set and t domain, which in the
-catalog are the sc-nag and second-order-hessian rows, and a block as many
-groups of a run as keep those points within BLOCK_POINTS.  A pass splits
-its rows so that no product it builds exceeds SUSPECT_BUDGET elements.
+catalog are the sc-nag and second-order-hessian rows.  A block grows by one
+group of a run at a time, as long as the tables of each batch, rows x
+powers of k x minors x exponents of t, stay within SUSPECT_BUDGET elements,
+and holds at least one group; the table keeps its largest power of k and
+its exponents of t as it adds each minor, so sizing a block costs nothing
+per term.  A pass splits its rows so that no product it builds exceeds the
+same budget.
 Each pass holds, for each row, the same ks as a one-point, one-k-at-a-time
 search of that pair would check, and more, and the search reads the same
 flags off it, so k_max and the status are the same.  _compiled_blocks
@@ -105,8 +109,7 @@ T_GRID_HI = 1e6
 REL_FLOOR = 1e-12
 K_CAP = float(2 ** 16)
 GRID_BLOCK = 8  # suspect (k, minor) pairs per step of the t-grid check; bounds its temporaries
-SUSPECT_BUDGET = 2 ** 15  # elements of c, and of a, that one pass of the suspect search builds
-BLOCK_POINTS = 32  # grid points of a block of groups, compiled and searched together
+SUSPECT_BUDGET = 2 ** 15  # elements of a compiled table, and of c and a in one pass of its search
 
 
 class AnalysisError(Exception):
@@ -430,6 +433,9 @@ class MinorTable:
         self._columns: tuple[list, ...] = ([], [], [], [], [])
         self._arrays: tuple[np.ndarray, ...] = ()  # _columns, _starts, _counts as arrays
         self._term_rows: list[tuple[float, float, int, int]] = []  # by term id: p, q, k, mono
+        # Over every minor so far: the largest power of k and the distinct (p, q).
+        self._top_kpow = 0
+        self._exps: set[tuple[float, float]] = set()
         self._monos: dict[Monomial, int] = {}
         self._mono_factors: list[tuple[int, ...]] = []  # by monomial id: its factors' ids
         self._factors: dict[tuple[str, int], int] = {}  # (symbol, power) -> id
@@ -505,7 +511,14 @@ class MinorTable:
             qs.append(q)
             kpows.append(kpow)
             monos.append(mono)
+            self._top_kpow = max(self._top_kpow, kpow)
+            self._exps.add((p, q))
         return len(self._forms) - 1
+
+    def _minor_width(self) -> int:
+        """Powers of k times exponents of t that a compile of any minors so
+        far holds per minor and row, at most."""
+        return (self._top_kpow + 1) * len(self._exps)
 
     def _term_row(self, exp: Exponent, mono: Monomial) -> tuple[float, float, int, int]:
         """p and q as floats, the power of k and the id of the monomial without k."""
@@ -915,30 +928,46 @@ def _compiled_blocks(entries: Sequence[Expr], cells: Sequence[tuple[int, ...]],
 
     The grid points go in batches keyed by (corners, t domain, alpha), each
     sharing a condition set per pair, a t grid and an alpha.  The pairs go in
-    blocks, through one MinorTable, of as many as keep the points of every
-    (corners, t domain) within BLOCK_POINTS, and at least one.  Per block and
-    batch this yields the index of the block's first pair, the block's
-    condition sets per pair and query, the batch's t domain, its members
-    (query index, point index, point), and the block compiled at the
-    members' points, whose row g * len(members) + j is pair g at member j.
+    blocks, through one MinorTable, grown one pair at a time once its
+    condition sets are made: a block closes before a pair that would take
+    the table of some batch, rows x powers of k x minors x exponents of t,
+    past SUSPECT_BUDGET elements, counting for the last two the table's
+    largest so far, and holds at least one pair.  Per block and batch this
+    yields the index of the block's first pair, the block's condition sets
+    per pair and query, the batch's t domain, its members (query index,
+    point index, point), and the block compiled at the members' points,
+    whose row g * len(members) + j is pair g at member j.
     """
     corner_sets = [query.corners() for query in queries]
     batches: dict[tuple, list[tuple[int, int, dict[str, float]]]] = {}
-    n_points: dict[tuple, int] = {}  # per (corners, t domain)
     for q, (corners, query) in enumerate(zip(corner_sets, queries)):
-        points, domain = query.grid_points(), query.t_domain
-        n_points[corners, domain] = n_points.get((corners, domain), 0) + len(points)
-        for i, point in enumerate(points):
+        domain = query.t_domain
+        for i, point in enumerate(query.grid_points()):
             batches.setdefault((corners, domain, point.get("alpha")), []).append((q, i, point))
-    block = max(1, BLOCK_POINTS // max(n_points.values()))
     tgrids = {domain: time_grid(domain) for _corners, domain, _alpha in batches}
+    # Per batch: the query whose condition set it compiles, and its points.
+    shapes = [(members[0][0], len(members)) for members in batches.values()]
     table = MinorTable(queries[0].gamma, corner_sets, entries)
-    for start in range(0, len(cells), block):
-        conds = [table.conditions(pair, corner_sets) for pair in cells[start:start + block]]
+
+    def compile_block(start, block):
         for (_corners, domain, _alpha), members in batches.items():
-            yield start, conds, domain, members, compile_conditions(
-                [sets[members[0][0]] for sets in conds], [point for _q, _i, point in members],
+            yield start, block, domain, members, compile_conditions(
+                [sets[members[0][0]] for sets in block], [point for _q, _i, point in members],
                 tgrids[domain])
+
+    start, block, most = 0, [], [0] * len(shapes)  # most: the block's most minors, per batch
+    for pair in cells:
+        sets = table.conditions(pair, corner_sets)
+        minors = [len(sets[q].minors) for q, _points in shapes]
+        grown = list(map(max, most, minors))
+        if block and SUSPECT_BUDGET < (len(block) + 1) * table._minor_width() * max(
+                n * points for n, (_q, points) in zip(grown, shapes)):
+            yield from compile_block(start, block)
+            start, block, grown = start + len(block), [], minors
+        block.append(sets)
+        most = grown
+    if block:
+        yield from compile_block(start, block)
 
 
 def _analyze_run(entries: Sequence[Expr], cells: Sequence[tuple[int, ...]],
@@ -1058,20 +1087,21 @@ def _analyze_queries(groups: Sequence[PairGroup], queries: Sequence[RateQuery],
     The groups must come from one enumeration: their cells are ids of its
     pool's entries.  The work runs block by block of groups through one
     MinorTable, so only one block's condition sets are held at a time.  With
-    a pool, each worker takes one contiguous run of groups and makes a table
-    of its own; a task carries only the pool's entries and the groups'
-    cells, not their ids, representatives or members, and the runs come
-    back in order.
+    more than one job and group, a pool of min(jobs, groups) workers each
+    takes one contiguous run of groups and makes a table of its own; a task
+    carries only the pool's entries and the groups' cells, not their ids,
+    representatives or members, and the runs come back in order.  One run
+    goes in the process, with no pool.
     """
     if len({id(group.pool) for group in groups}) > 1:
         raise AnalysisError("groups analysed together must come from one enumeration")
     entries = groups[0].pool.entries if groups else []
     cells = [group.cells for group in groups]
-    if jobs > 1:
-        n_runs = min(jobs, len(cells)) or 1
+    n_runs = min(jobs, len(cells))
+    if n_runs > 1:
         bounds = [len(cells) * i // n_runs for i in range(n_runs + 1)]
         runs = [(entries, cells[lo:hi], queries) for lo, hi in zip(bounds, bounds[1:])]
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(n_runs) as pool:
             per_pair = list(itertools.chain.from_iterable(pool.starmap(_analyze_run, runs)))
     else:
         per_pair = _analyze_run(entries, cells, queries)

@@ -1131,15 +1131,59 @@ def test_block_violations_match_each_row_alone(enumerations, monkeypatch):
     assert block.violations(ks[subset], subset).tobytes() == alone[subset].tobytes()
 
 
+def _record_compiles(monkeypatch):
+    """Make analysis.compile_conditions record, per call, its sets, its
+    points and the number of elements of its coef; return the records."""
+    calls = []
+    compile_ = analysis.compile_conditions
+
+    def recording(sets, points, tgrid):
+        compiled = compile_(sets, points, tgrid)
+        calls.append((list(sets), list(points), compiled.coef.size))
+        return compiled
+
+    monkeypatch.setattr(analysis, "compile_conditions", recording)
+    return calls
+
+
+def _sets_in_order(entries, cells, query):
+    """Each pair's condition set under query, made pair by pair in order
+    through one fresh MinorTable, as a run over the pairs makes them."""
+    table = MinorTable(query.gamma, [query.corners()], entries)
+    return [table.conditions(pair_cells, [query.corners()])[0] for pair_cells in cells]
+
+
 def test_certified_time_over_groups_is_the_max_over_each_alone(enumerations, monkeypatch):
-    """Over every nag group in blocks of two, at two grid points, the certified
-    time is the largest of the groups' own."""
+    """Over every nag group in blocks of several, at two grid points, the
+    certified time is the largest of the groups' own."""
     query = RateQuery(LINEAR, mu=1.0, grid={"r": (6.0, 8.0)}, t_domain=Window(1e-2, 64.0))
     entries, cells = pooled(group.representative for group in enumerations("nag"))
     alone = [certified_time(entries, [pair_cells], query, 1.0) for pair_cells in cells]
     assert 0.0 < max(alone) < 64.0 and min(alone) == 0.0
-    monkeypatch.setattr(analysis, "BLOCK_POINTS", 4)
+    monkeypatch.setattr(analysis, "SUSPECT_BUDGET", 2 ** 11)
+    compiles = _record_compiles(monkeypatch)
     assert certified_time(entries, cells, query, 1.0) == max(alone)
+    # Both points in every compile, over the groups in consecutive blocks.
+    assert [len(points) for _sets, points, _size in compiles] == [2] * len(compiles)
+    assert len(compiles) > 1 and max(len(sets) for sets, _points, _size in compiles) > 1
+    assert ([conds for sets, _points, _size in compiles for conds in sets]
+            == _sets_in_order(entries, cells, query))
+
+
+def test_compiled_tables_stay_within_the_budget(enumerations, monkeypatch):
+    """Over every catalog row at (1, 4) and the 3 x 3 a, b grid of the
+    grid-search benchmark at seed 0, no compile of a block of several
+    groups holds more than SUSPECT_BUDGET elements of coef."""
+    compiles = _record_compiles(monkeypatch)
+    systems = {row.system for row in catalog_rows(1.0, 4.0)}
+    assert verify_catalog(1.0, 4.0, enumerations={s: enumerations(s) for s in systems}).passed
+    query = RateQuery(LINEAR, mu=1.0, grid={"a": (1.0, 2.0, 0.3613), "b": (0.0, 1.0, 1.4482)})
+    analyze_groups(enumerations("second-order-hessian"), query)
+    monkeypatch.undo()
+    assert max(len(sets) for sets, _points, _size in compiles) > 1
+    over = [(len(sets), len(points), size) for sets, points, size in compiles
+            if size > analysis.SUSPECT_BUDGET and len(sets) > 1]
+    assert not over
 
 
 def test_certified_time_over_two_alphas_is_the_larger_of_each_alone(enumerations):
@@ -1178,25 +1222,22 @@ def _alpha_exponents(conds):
 def test_alpha_grid_binds_one_layout_per_alpha(enumerations, monkeypatch):
     query = RateQuery(POWER, mu=1.0, grid={"alpha": (0.25, 0.5), "r": (1.0,)},
                       t_domain=Eventually(1e4))
-    bound = []
-    compile_ = analysis.compile_conditions
-
-    def recording(sets, points, tgrid):
-        bound.append((len(sets), any(map(_alpha_exponents, sets)),
-                      [point["alpha"] for point in points]))
-        return compile_(sets, points, tgrid)
-
-    monkeypatch.setattr(analysis, "compile_conditions", recording)
+    monkeypatch.setattr(analysis, "SUSPECT_BUDGET", 2 ** 11)
+    compiles = _record_compiles(monkeypatch)
     groups = enumerations("generalized-nag")
     rates = analyze_groups(groups, query, jobs=1)
     monkeypatch.undo()
     # One compile per block and alpha, each alpha once per block, and every
-    # group's set in some block.
-    block = max(1, analysis.BLOCK_POINTS // 2)
-    sizes = [min(block, len(groups) - start) for start in range(0, len(groups), block)]
-    assert [n_sets for n_sets, _by_alpha, _alphas in bound] == [n for n in sizes for _ in "ab"]
-    assert [alphas for _n, _by_alpha, alphas in bound] == [[0.25], [0.5]] * len(sizes)
-    assert all(by_alpha for _n, by_alpha, _alphas in bound)
+    # group's set in some block, in order.
+    blocks = compiles[::2]
+    assert [sets for sets, _points, _size in compiles[1::2]] == [
+        sets for sets, _points, _size in blocks]
+    assert [[point["alpha"] for point in points] for _sets, points, _size in compiles] == [
+        [0.25], [0.5]] * len(blocks)
+    assert len(blocks) > 1 and max(len(sets) for sets, _points, _size in blocks) > 1
+    assert [conds for sets, _points, _size in blocks for conds in sets] == _sets_in_order(
+        groups[0].pool.entries, [group.cells for group in groups], query)
+    assert all(any(map(_alpha_exponents, sets)) for sets, _points, _size in compiles)
     _assert_matches_point_by_point(groups, query, rates)
     assert any(rate.result is not None for rate in rates)
 
@@ -1231,21 +1272,16 @@ def test_rows_sharing_a_condition_set_run_as_one_batch(enumerations, monkeypatch
     rows = {row.label: row for row in catalog_rows(1.0, 4.0)}
     queries = [rows[label].query for label in ("sc-nag", "second-order-hessian")]
     groups = enumerations("second-order-hessian")
-    compiles = []
-    compile_ = analysis.compile_conditions
-
-    def recording(sets, points, tgrid):
-        compiles.append((len(sets), len(points)))
-        return compile_(sets, points, tgrid)
-
-    monkeypatch.setattr(analysis, "compile_conditions", recording)
+    monkeypatch.setattr(analysis, "SUSPECT_BUDGET", 2 ** 12)
+    compiles = _record_compiles(monkeypatch)
     bundled = _analyze_queries(groups, queries, jobs=1)
     monkeypatch.undo()
-    # Both rows' points in every compile, over the groups in blocks of
-    # BLOCK_POINTS grid points.
-    block = max(1, analysis.BLOCK_POINTS // 2)
-    assert compiles == [(min(block, len(groups) - start), 2)
-                        for start in range(0, len(groups), block)]
+    # Both rows' points in every compile, over the groups in consecutive
+    # blocks of several groups.
+    assert [len(points) for _sets, points, _size in compiles] == [2] * len(compiles)
+    assert len(compiles) > 1 and min(len(sets) for sets, _points, _size in compiles) > 1
+    assert [conds for sets, _points, _size in compiles for conds in sets] == _sets_in_order(
+        groups[0].pool.entries, [group.cells for group in groups], queries[0])
     for query, rates in zip(queries, bundled):
         assert rates == analyze_groups(groups, query)
     enumerated = {"second-order-hessian": groups}
@@ -1267,6 +1303,35 @@ def test_pool_tasks_carry_no_member_sequences(enumerations):
     locked = [PairGroup(g.group_id, threading.Lock(), g.member_count, g.state, enumeration)
               for g in groups]
     assert analyze_groups(locked, query, jobs=2) == analyze_groups(groups, query, jobs=1)
+
+
+@pytest.mark.parametrize("jobs, n_groups, workers", [(64, 10, 10), (2, 10, 2), (2, 0, None),
+                                                     (3, 1, None)])
+def test_pool_starts_one_worker_per_run(jobs, n_groups, workers, enumerations, monkeypatch):
+    """A pool of min(jobs, groups) workers, and none for one group or none;
+    a stand-in pool runs the tasks in the process and records its size."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, tasks):
+            return [fn(*task) for task in tasks]
+
+    monkeypatch.setattr(analysis.multiprocessing, "Pool", InlinePool)
+    groups = enumerations("nag")[:n_groups]
+    query = RateQuery(LOG, mu=1.0, convex=True, grid={"r": (3.0,)})
+    rates = analyze_groups(groups, query, jobs=jobs)
+    assert sizes == ([] if workers is None else [workers])
+    assert rates == analyze_groups(groups, query, jobs=1)
+    assert len(rates) == n_groups
 
 
 def test_batched_flags_keep_each_k_and_check():
